@@ -12,7 +12,8 @@ Options resolve in three layers: built-in defaults, then a --config file
 of flat `key = value` lines, then explicit flags.  The resolved
 configuration and every error go to stderr as single JSON lines, so
 stdout carries only results.  Exit status is 0 on success, 2 on any
-usage or validation problem.
+usage or validation problem, file system error, failed allocation or
+lost hash precision.
 """
 
 from __future__ import annotations
@@ -389,8 +390,8 @@ def main(argv: list[str] | None = None) -> int:
                           "config": {k: opts[k] for k in sorted(opts)}}),
               file=sys.stderr)
         return _HANDLERS[args.command](opts)
-    except (CliError, ValueError) as exc:
-        print(json.dumps({"error": str(exc)}), file=sys.stderr)
+    except (CliError, ValueError, OSError, MemoryError, FloatingPointError) as exc:
+        print(json.dumps({"error": str(exc) or type(exc).__name__}), file=sys.stderr)
         return 2
 
 

@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import signal as _signal
 
 from qwrng.maxprob import gamma_from_g, max_outcome_prob
 from qwrng.rates import ProtocolCase, ProtocolParams, RateResult, rate_for_mode
@@ -39,7 +38,10 @@ _S_DEPOLARIZE, _S_TEST, _S_HONEST, _S_MIXED, _S_SUBSET, _S_HASH = range(6)
 SUBSET_INLINE_LIMIT = 10_000
 
 # switch from exact integer convolution to FFT above this many
-# multiply-adds; FFT results are rounded back to exact bit counts
+# multiply-adds.  The FFT path is a cyclic convolution of length
+# M >= ell + L - 1 = len(s): output i < ell reads s[i - j + L - 1] for
+# 0 <= j < L, an index in [0, ell + L - 1), so no wrapped term reaches
+# the ell outputs kept.  They are rounded back to exact bit counts.
 _FFT_MIN_WORK = 1 << 26
 
 
@@ -131,15 +133,37 @@ def toeplitz_seed_bits(seed: int, ell: int, length: int) -> np.ndarray:
     return rng.integers(0, 2, size=ell + length - 1, dtype=np.uint8)
 
 
-def _binary_convolve(s: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Full integer convolution of two bit strings."""
-    if s.shape[0] * x.shape[0] <= _FFT_MIN_WORK:
-        return np.convolve(s.astype(np.int64), x.astype(np.int64))
-    conv = _signal.fftconvolve(s.astype(np.float64), x.astype(np.float64))
-    rounded = np.rint(conv)
+def _smooth_len(n: int) -> int:
+    """Smallest 5-smooth integer >= n.
+
+    numpy's FFT is fast only at lengths with small prime factors; a
+    large prime factor in the length can make a transform over ten
+    times slower.
+    """
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
+def _toeplitz_counts(s: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Integer counts sum_j s[i - j + L - 1] x[j] for i < len(s) - L + 1, L = len(x)."""
+    L = x.shape[0]
+    if s.shape[0] * L <= _FFT_MIN_WORK:
+        return np.convolve(s.astype(np.int64), x.astype(np.int64), mode="valid")
+    M = _smooth_len(s.shape[0])
+    spectrum = np.fft.rfft(s.astype(np.float64), M)
+    spectrum *= np.fft.rfft(x.astype(np.float64), M)
+    counts = np.fft.irfft(spectrum, M)[L - 1 : s.shape[0]]
+    rounded = np.rint(counts)
     # entries are exact bit counts; a residual near 0.5 would mean the
     # float path lost them
-    if np.abs(conv - rounded).max() > 1e-2:
+    if np.abs(counts - rounded).max() > 1e-2:
         raise FloatingPointError("convolution residual too large for exact bit counts")
     return rounded.astype(np.int64)
 
@@ -150,9 +174,11 @@ def privacy_amplify(raw: np.ndarray, ell: int, seed: int, *, d: int) -> np.ndarr
     The digits are encoded to a bit string x of length L (fixed width
     per digit), and output bit i is xor_j T[i, j] x_j with
     T[i, j] = s[i - j + L - 1] over the seed bits s.  The Toeplitz
-    family is two-universal, and the map is linear over GF(2).  The
-    product is evaluated as one convolution: exact integer arithmetic
-    when small, FFT rounded back to integers when large.
+    family is two-universal, and the map is linear over GF(2).  Only
+    the ell outputs are computed, as the middle of the convolution of
+    s with x: exact integer arithmetic when small, and when large one
+    float64 cyclic FFT of 5-smooth length M >= ell + L - 1, which no
+    wrapped term reaches, rounded back to integers.
     """
     if ell < 0:
         raise ValueError("output length cannot be negative")
@@ -163,8 +189,7 @@ def privacy_amplify(raw: np.ndarray, ell: int, seed: int, *, d: int) -> np.ndarr
     if ell == 0:
         return np.zeros(0, dtype=np.uint8)
     s = toeplitz_seed_bits(seed, ell, L)
-    conv = _binary_convolve(s, bits)
-    return (conv[L - 1 : L - 1 + ell] & 1).astype(np.uint8)
+    return (_toeplitz_counts(s, bits) & 1).astype(np.uint8)
 
 
 @dataclass(frozen=True)

@@ -15,8 +15,6 @@ import enum
 import math
 from dataclasses import dataclass
 
-from scipy.special import xlogy
-
 from qwrng.walk import MeasurementMode
 
 
@@ -94,6 +92,11 @@ class RateResult:
     closeness: float
 
 
+def _xlogy(x: float, y: float) -> float:
+    """x log y, with 0 log y = 0."""
+    return 0.0 if x == 0 else x * math.log(y)
+
+
 def entropy_d(x: float, d: int) -> float:
     """d-ary Shannon entropy h_d(x) with the 0 log 0 = 0 convention.
 
@@ -104,7 +107,7 @@ def entropy_d(x: float, d: int) -> float:
         raise ValueError("alphabet size d must be at least 2")
     if not 0.0 <= x <= 1.0:
         raise ValueError(f"entropy argument {x} outside [0, 1]")
-    return float(x * math.log(d - 1) - xlogy(x, x) - xlogy(1.0 - x, 1.0 - x)) / math.log(d)
+    return (x * math.log(d - 1) - _xlogy(x, x) - _xlogy(1.0 - x, 1.0 - x)) / math.log(d)
 
 
 def extended_entropy_d(x: float, d: int) -> float:

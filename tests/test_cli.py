@@ -1,10 +1,16 @@
 """End-to-end command line behavior through main() with captured streams."""
 
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+import qwrng.pipeline as pipeline
 from qwrng.cli import main
 
 
@@ -210,6 +216,25 @@ class TestExtract:
         assert doc["aborted"] == "false"
         assert doc["rng_seed"] == "42"
 
+    def test_file_as_output_parent_is_a_json_error(self, capsys, tmp_path):
+        blocker = tmp_path / "afile"
+        blocker.write_text("")
+        rc, _, err = run(capsys, "extract", "-P", "5", "-T", "8", "-N", "400",
+                         "-m", "40", "--seed", "1", "-o", str(blocker / "run"))
+        assert rc == 2
+        assert str(blocker) in last_error(err)["error"]
+
+    def test_lost_hash_precision_is_a_json_error(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setattr(pipeline, "_FFT_MIN_WORK", 0)
+        irfft = np.fft.irfft
+        monkeypatch.setattr(np.fft, "irfft", lambda *a, **kw: irfft(*a, **kw) + 0.25)
+        rc, _, err = run(capsys, "extract", "-P", "5", "-T", "8",
+                         "--mode", "position", "-N", "20000", "-m", "2000",
+                         "--seed", "42", "-o", str(tmp_path / "p"))
+        assert rc == 2
+        assert "residual" in last_error(err)["error"]
+        assert not (tmp_path / "p.bits").exists()
+
 
 class TestConfigFile:
     def test_flags_override_config_file(self, capsys, tmp_path):
@@ -271,3 +296,14 @@ class TestParserBasics:
         )
         assert logged["command"] == "evolve"
         assert logged["config"]["P"] == 3
+
+    def test_import_pulls_in_no_scipy(self):
+        # scipy's import costs more than the rest of the CLI's start-up
+        src = str(Path(pipeline.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        code = ("import sys, qwrng.cli; "
+                "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+        done = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=60, check=True)
+        assert done.stdout.strip() == "[]"

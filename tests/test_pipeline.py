@@ -165,12 +165,19 @@ def test_hash_edge_cases():
 
 
 def test_fft_convolution_path_agrees_with_exact_path(monkeypatch):
+    # (L, ell): ell = 1 and ell = L, and seed lengths ell + L - 1 that
+    # are 5-smooth (the FFT length equals them) or one above one
+    cases = [(4096, 512), (1000, 1), (1001, 1), (500, 500), (513, 513), (600, 401), (600, 402)]
     rng = np.random.default_rng(11)
-    raw = rng.integers(0, 2, size=4096)
-    exact = privacy_amplify(raw, 512, 31337, d=2)
-    monkeypatch.setattr(pipeline, "_FFT_MIN_WORK", 0)
-    via_fft = privacy_amplify(raw, 512, 31337, d=2)
-    np.testing.assert_array_equal(via_fft, exact)
+    for L, ell in cases:
+        raw = rng.integers(0, 2, size=L)
+        exact = privacy_amplify(raw, ell, 31337, d=2)
+        with monkeypatch.context() as m:
+            m.setattr(pipeline, "_FFT_MIN_WORK", 0)
+            via_fft = privacy_amplify(raw, ell, 31337, d=2)
+        np.testing.assert_array_equal(via_fft, exact, err_msg=f"L={L} ell={ell}")
+        dense = (toeplitz_matrix(31337, ell, L) @ raw) % 2
+        np.testing.assert_array_equal(via_fft, dense, err_msg=f"L={L} ell={ell}")
 
 
 # -- full protocol -------------------------------------------------------------
