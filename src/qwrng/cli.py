@@ -325,6 +325,12 @@ def _cmd_extract(opts: dict) -> int:
     mode = MeasurementMode(str(opts["mode"]))
     generated = opts["seed"] is None
     seed = secrets.randbits(63) if generated else int(opts["seed"])
+    # a bad output path fails here, before the sweep and the sampling run
+    stem = Path(str(opts["out"]))
+    if stem.parent != Path("."):
+        stem.parent.mkdir(parents=True, exist_ok=True)
+    record_path = stem.with_name(stem.name + ".record.txt")
+    bits_path = stem.with_name(stem.name + ".bits")
 
     if opts["T"] is None:
         # no fixed step count: sweep for the adversarial optimum and run there
@@ -345,11 +351,6 @@ def _cmd_extract(opts: dict) -> int:
     source = SourceModel(config=cfg, Q=float(opts["Q"]), rng_seed=seed)
     record = run_protocol(source, params, mode, gamma=gamma)
 
-    stem = Path(str(opts["out"]))
-    if stem.parent != Path("."):
-        stem.parent.mkdir(parents=True, exist_ok=True)
-    record_path = stem.with_name(stem.name + ".record.txt")
-    bits_path = stem.with_name(stem.name + ".bits")
     record_path.write_text(record.to_text(), encoding="ascii")
     record.write_output_bits(bits_path)
 

@@ -195,8 +195,9 @@ def preset(name: str, R: int | None = None, t_max: int | None = None) -> Experim
     raise ValueError(f"unknown preset {name!r}; available: {', '.join(PRESET_NAMES)}")
 
 
-# sweep results keyed by (P, kappa, mode, grid); a cache miss runs one
-# evolution pass and stores all three modes, since they share it anyway
+# sweep results keyed by (P, kappa, mode, grid).  A g_function_cached miss
+# runs one evolution pass and stores all three modes, since they share it;
+# run_table and run_rate_curve sweep only the modes their cells request
 _sweep_cache: dict[tuple[int, int, MeasurementMode, SweepGrid], MaxProbResult] = {}
 
 
@@ -210,15 +211,27 @@ def g_function_cached(
     return _sweep_cache[key]
 
 
+def _sweep_requested(cases, threads: int) -> None:
+    """Cache every cell, one pass per (P, kappa, grid) over only the modes its cells ask for."""
+    requested: dict[tuple[int, int, SweepGrid], dict[MeasurementMode, None]] = {}
+    for P, kappa, mode, grid in cases:
+        if (P, kappa, mode, grid) not in _sweep_cache:
+            requested.setdefault((P, kappa, grid), {})[mode] = None
+    for (P, kappa, grid), modes in requested.items():
+        for m, res in g_functions(P, kappa, grid, tuple(modes), threads=threads).items():
+            _sweep_cache[(P, kappa, m, grid)] = res
+
+
 def run_table(spec: ExperimentSpec | str, threads: int = 1) -> ResultTable:
     """Evaluate every cell of a table preset, annotating published values."""
     if isinstance(spec, str):
         spec = preset(spec)
     if not spec.cases:
         raise ValueError("spec has no cases")
+    _sweep_requested(spec.cases, threads)
     rows = []
     for P, kappa, mode, grid in spec.cases:
-        res = g_function_cached(P, kappa, mode, grid, threads=threads)
+        res = _sweep_cache[(P, kappa, mode, grid)]
         kind = "hadamard" if grid.R is None else "general"
         ref = reference_value(kind, mode, kappa, P)
         rows.append(
@@ -244,9 +257,10 @@ def run_rate_curve(spec: ExperimentSpec | str, threads: int = 1) -> RateCurve:
         spec = preset(spec)
     if not spec.cases or not spec.noise_levels or not spec.N_grid:
         raise ValueError("curve spec needs cases, noise levels and a signal grid")
+    _sweep_requested(spec.cases, threads)
     points = []
     for P, kappa, mode, grid in spec.cases:
-        res = g_function_cached(P, kappa, mode, grid, threads=threads)
+        res = _sweep_cache[(P, kappa, mode, grid)]
         gamma = res.gamma
         for Q in spec.noise_levels:
             for N in spec.N_grid:

@@ -131,29 +131,56 @@ def _coin_batch(grid: SweepGrid) -> np.ndarray:
     return coins
 
 
-def _batch_step(states: np.ndarray, coins: np.ndarray, gather: np.ndarray | None) -> np.ndarray:
-    """One walk step on a (B, P, 2**kappa) batch, coin b applied to batch entry b."""
-    B, P, nc = states.shape
-    s = states.reshape(B, P * nc // 2, 2)
-    s = np.einsum("bic,bac->bia", s, coins)
-    s = s.reshape(B, P, nc // 2, 2)
-    out = np.empty_like(s)
-    out[..., 0] = np.roll(s[..., 0], 1, axis=1)
-    out[..., 1] = np.roll(s[..., 1], -1, axis=1)
-    out = out.reshape(B, P, nc)
-    if gather is not None:
-        out = out[:, :, gather]
-    return out
+def _step_source(P: int, kappa: int) -> np.ndarray:
+    """Flat source index of one shift plus memory rotation: new[j] = old[src[j]].
+
+    Slot k at position x takes coin code g = rotation[k], which the shift
+    brought from x - 1 when g's active bit is 0 and from x + 1 when it is 1.
+    """
+    nc = 1 << kappa
+    codes = memory_rotation_gather(kappa)  # the identity for kappa = 1
+    origin = (np.arange(P)[:, None] - 1 + 2 * (codes & 1)) % P
+    return (origin * nc + codes).reshape(-1)
+
+
+def _batch_step(states: np.ndarray, coins: np.ndarray, source: np.ndarray) -> np.ndarray:
+    """One walk step on a (B, P, 2**kappa) batch, coin b applied to batch entry b.
+
+    The coin runs as separate float64 multiplies and adds on views of the
+    complex state, with the inner loops along the pair axis.  Output coin
+    value a is (Re/Im of c=0 products) + (Re/Im of c=1 products), the same
+    roundings in the same order as a complex einsum over c, so the step is
+    bit-identical to it; a batched matmul or complex multiply differs in
+    the last ulp.  One gather then applies the shift and the memory
+    rotation.
+    """
+    B = states.shape[0]
+    v = states.view(np.float64).reshape(B, -1, 2, 2)
+    re0, im0, re1, im1 = v[:, :, 0, 0], v[:, :, 0, 1], v[:, :, 1, 0], v[:, :, 1, 1]
+    cr, ci = coins.real[..., None], coins.imag[..., None]
+    coined = np.empty_like(states)
+    out = coined.view(np.float64).reshape(B, -1, 2, 2)
+    for a in (0, 1):
+        cr0, ci0, cr1, ci1 = cr[:, a, 0], ci[:, a, 0], cr[:, a, 1], ci[:, a, 1]
+        np.add(re0 * cr0 - im0 * ci0, re1 * cr1 - im1 * ci1, out=out[:, :, a, 0])
+        np.add(re0 * ci0 + im0 * cr0, re1 * ci1 + im1 * cr1, out=out[:, :, a, 1])
+    return np.take(coined.reshape(B, -1), source, axis=1).reshape(states.shape)
 
 
 def _mode_peaks(weights: np.ndarray, mode: MeasurementMode) -> np.ndarray:
     """Per-batch maximum outcome probability; weights has shape (B, P, nc)."""
-    B, P, nc = weights.shape
+    B = weights.shape[0]
     if mode is MeasurementMode.ALL:
         return weights.reshape(B, -1).max(axis=1)
     if mode is MeasurementMode.MEMORY_ONLY:
-        return weights.reshape(B, P, nc // 2, 2).sum(axis=3).reshape(B, -1).max(axis=1)
-    return weights.sum(axis=2).max(axis=1)
+        return (weights[..., 0::2] + weights[..., 1::2]).reshape(B, -1).max(axis=1)
+    # left to right over the coin codes, as the sweep has always summed:
+    # numpy's pairwise sum along a contiguous axis rounds differently once
+    # 2**kappa >= 8, and table CSVs print every digit
+    position = weights[..., 0].copy()
+    for code in range(1, weights.shape[2]):
+        position += weights[..., code]
+    return position.max(axis=1)
 
 
 def _sweep_chunk(
@@ -173,12 +200,12 @@ def _sweep_chunk(
     if flip is not FlipOperator.I:
         s = states.reshape(B, P * nc // 2, 2)
         states = (s @ flip.matrix().T).reshape(B, P, nc)
-    gather = memory_rotation_gather(kappa) if kappa > 1 else None
+    source = _step_source(P, kappa)
     n_phi = 0 if grid.R is None else grid.R + 1
     rank = _FLIP_RANK[flip]
     best: dict[MeasurementMode, _Candidate] = {}
     for t in range(1, grid.t_max + 1):
-        states = _batch_step(states, coins, gather)
+        states = _batch_step(states, coins, source)
         if t < grid.t_min:
             continue
         weights = np.abs(states) ** 2

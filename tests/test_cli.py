@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import qwrng.cli as cli
 import qwrng.pipeline as pipeline
 from qwrng.cli import main
 
@@ -222,6 +223,20 @@ class TestExtract:
         rc, _, err = run(capsys, "extract", "-P", "5", "-T", "8", "-N", "400",
                          "-m", "40", "--seed", "1", "-o", str(blocker / "run"))
         assert rc == 2
+        assert str(blocker) in last_error(err)["error"]
+
+    def test_bad_output_parent_fails_before_the_run(self, capsys, tmp_path, monkeypatch):
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("ran before the output path was checked")
+
+        monkeypatch.setattr(cli, "run_protocol", must_not_run)
+        monkeypatch.setattr(cli, "g_function", must_not_run)
+        blocker = tmp_path / "afile"
+        blocker.write_text("")
+        rc, out, err = run(capsys, "extract", "-P", "5", "--tmax", "20", "-N", "400",
+                           "-m", "40", "--seed", "1", "-o", str(blocker / "run"))
+        assert rc == 2
+        assert out == ""
         assert str(blocker) in last_error(err)["error"]
 
     def test_lost_hash_precision_is_a_json_error(self, capsys, tmp_path, monkeypatch):

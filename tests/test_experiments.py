@@ -19,7 +19,7 @@ from qwrng.experiments import (
     run_rate_curve,
     run_table,
 )
-from qwrng.maxprob import SweepGrid, max_outcome_prob
+from qwrng.maxprob import SweepGrid, g_functions, max_outcome_prob
 from qwrng.rates import ProtocolCase
 from qwrng.walk import CoinOperator, MeasurementMode, WalkConfig
 
@@ -121,6 +121,28 @@ class TestRunTable:
         key_pos = (7, 1, MeasurementMode.POSITION_ONLY, grid)
         assert key_pos in experiments._sweep_cache
         assert g_function_cached(7, 1, MeasurementMode.ALL, grid) is r_all
+
+    def test_table_sweeps_only_requested_modes(self, monkeypatch):
+        all_, mem, pos = (MeasurementMode.ALL, MeasurementMode.MEMORY_ONLY,
+                          MeasurementMode.POSITION_ONLY)
+        grid = SweepGrid(t_min=1, t_max=40, R=3)
+        cases = ((5, 2, all_, grid), (3, 2, all_, grid), (3, 2, mem, grid),
+                 (3, 2, pos, grid), (3, 1, all_, grid))
+        calls = []
+
+        def spy(P, kappa, grid, modes, threads=1):
+            calls.append(((P, kappa), tuple(modes)))
+            return g_functions(P, kappa, grid, modes, threads=threads)
+
+        monkeypatch.setattr(experiments, "_sweep_cache", {})
+        monkeypatch.setattr(experiments, "g_functions", spy)
+        rows = run_table(ExperimentSpec(name="mixed", cases=cases)).rows
+        assert dict(calls) == {(5, 2): (all_,), (3, 2): (all_, mem, pos), (3, 1): (all_,)}
+        assert len(calls) == 3
+        for row, (P, kappa, mode, _) in zip(rows, cases):
+            full = g_functions(P, kappa, grid)[mode]
+            got = (row.value, row.t, row.theta, row.phi, row.flip)
+            assert got == (full.value, full.at_t, full.at_theta, full.at_phi, full.at_flip)
 
 
 @pytest.fixture(scope="module")

@@ -5,6 +5,10 @@ import pytest
 
 from qwrng.maxprob import (
     MaxProbResult,
+    _batch_step,
+    _coin_batch,
+    _mode_peaks,
+    _step_source,
     SweepGrid,
     g_function,
     g_functions,
@@ -12,7 +16,13 @@ from qwrng.maxprob import (
     max_outcome_prob,
     min_over_time,
 )
-from qwrng.walk import CoinOperator, FlipOperator, MeasurementMode, WalkConfig
+from qwrng.walk import (
+    CoinOperator,
+    FlipOperator,
+    MeasurementMode,
+    WalkConfig,
+    memory_rotation_gather,
+)
 
 ALL = MeasurementMode.ALL
 MEM = MeasurementMode.MEMORY_ONLY
@@ -153,6 +163,58 @@ def test_shared_sweep_matches_individual_sweeps():
     for mode in (ALL, MEM, POS):
         single = g_function(5, 2, mode, grid)
         assert combined[mode] == single
+
+
+# -- step kernel ---------------------------------------------------------------
+
+def _einsum_step(states, coins, kappa):
+    """The sweep step as first written: complex einsum coin, two rolls, rotation."""
+    B, P, nc = states.shape
+    s = np.einsum("bic,bac->bia", states.reshape(B, P * nc // 2, 2), coins)
+    s = s.reshape(B, P, nc // 2, 2)
+    out = np.empty_like(s)
+    out[..., 0] = np.roll(s[..., 0], 1, axis=1)
+    out[..., 1] = np.roll(s[..., 1], -1, axis=1)
+    out = out.reshape(B, P, nc)
+    return out[:, :, memory_rotation_gather(kappa)] if kappa > 1 else out
+
+
+def _einsum_peaks(states, mode):
+    """Mode peaks as first written.
+
+    The gather above leaves the coin axis outermost in memory, so
+    sum(axis=2) adds the coin codes left to right.
+    """
+    weights = np.abs(states) ** 2
+    B, P, nc = weights.shape
+    if mode is ALL:
+        return weights.reshape(B, -1).max(axis=1)
+    if mode is MEM:
+        return weights.reshape(B, P, nc // 2, 2).sum(axis=3).reshape(B, -1).max(axis=1)
+    return weights.sum(axis=2).max(axis=1)
+
+
+@pytest.mark.parametrize("P,kappa", [(3, 1), (5, 2), (21, 3), (51, 4)])
+def test_step_kernel_is_bit_identical_to_einsum(P, kappa):
+    # table CSVs print repr(value), so a last-ulp change in a step or a
+    # peak would change the published bytes: equality here is exact
+    nc = 1 << kappa
+    source = _step_source(P, kappa)
+    for grid in (SweepGrid(R=4), SweepGrid()):
+        coins = _coin_batch(grid)
+        B = coins.shape[0]
+        for flip in FlipOperator:
+            start = np.zeros((B, P * nc // 2, 2), dtype=np.complex128)
+            start[:, 0, 0] = 1.0
+            ref = got = (start @ flip.matrix().T).reshape(B, P, nc)
+            for t in range(1, 61):
+                ref = _einsum_step(ref, coins, kappa)
+                got = _batch_step(got, coins, source)
+                assert np.array_equal(got, ref), (grid.R, flip, t)
+                weights = np.abs(got) ** 2
+                for mode in MeasurementMode:
+                    peaks = _mode_peaks(weights, mode)
+                    assert np.array_equal(peaks, _einsum_peaks(ref, mode)), (mode, t)
 
 
 # -- tie breaking and determinism ----------------------------------------------
