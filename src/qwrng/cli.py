@@ -63,7 +63,6 @@ _WALK_DEFAULTS = {
 _EMIT_DEFAULTS = {
     "R": None,
     "tmax": None,
-    "threads": 1,
     "out": ".",
     "format": "csv",
     "no_timestamp": False,
@@ -76,8 +75,7 @@ _DEFAULTS: dict[str, dict] = {
     "evolve": {"P": None, "T": None, "flip": "i", "json": False, **_WALK_DEFAULTS},
     "maxprob": {
         "P": None, "kappa": 1, "mode": "all", "coin": "hadamard",
-        "tmin": 1, "tmax": None, "R": None, "flip": None,
-        "threads": 1, "json": False,
+        "tmin": 1, "tmax": None, "R": None, "flip": None, "json": False,
     },
     "table": dict(_EMIT_DEFAULTS),
     "curve": dict(_EMIT_DEFAULTS),
@@ -85,7 +83,7 @@ _DEFAULTS: dict[str, dict] = {
         "P": None, "N": None, "T": None, "flip": None,
         "tmin": 1, "tmax": None, "R": None,
         "m": None, "Q": 0.0, "eps": 1e-7, "eps_pa": 1e-6, "beta": 0.25,
-        "seed": None, "out": "extract", "threads": 1, "json": False,
+        "seed": None, "out": "extract", "json": False,
         **_WALK_DEFAULTS,
     },
 }
@@ -118,7 +116,6 @@ def _add_sweep_flags(p: argparse.ArgumentParser) -> None:
 def _add_emit_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("preset", help="preset name, e.g. table1 or fig4")
     _add_sweep_flags(p)
-    p.add_argument("--threads", type=int, help="sweep worker threads")
     p.add_argument("-o", "--out", dest="out", help="output directory")
     p.add_argument("--format", choices=("csv", "json"), help="file format")
     p.add_argument("--no-timestamp", action="store_true",
@@ -146,7 +143,6 @@ def _build_parser() -> _Parser:
     _add_walk_flags(p, with_T=False)
     _add_sweep_flags(p)
     p.add_argument("--flip", choices=("i", "x", "y"), help="restrict the sweep to one flip")
-    p.add_argument("--threads", type=int, help="sweep worker threads")
     p.add_argument("--json", action="store_true", help="emit a JSON document")
 
     _add_emit_flags(new("table", "evaluate a minima table preset and write it to disk"))
@@ -164,7 +160,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--eps-pa", dest="eps_pa", type=float, help="hashing security parameter")
     p.add_argument("--beta", type=float, help="smoothing exponent")
     p.add_argument("--seed", type=int, help="run seed; omitted means generate and print")
-    p.add_argument("--threads", type=int, help="sweep worker threads")
     p.add_argument("-o", "--out", dest="out", help="output file stem")
     p.add_argument("--json", action="store_true", help="emit a JSON document")
     return parser
@@ -230,19 +225,13 @@ def _walk_config(opts: dict) -> WalkConfig:
 
 
 def _sweep_grid(opts: dict) -> SweepGrid:
-    kind = str(opts["coin"])
-    flips = None if opts["flip"] is None else (FlipOperator(str(opts["flip"])),)
-    t_min = int(opts["tmin"])
-    if kind == "hadamard":
-        if opts["R"] is not None:
-            raise CliError("--R applies to the general coin only")
-        t_max = 2000 if opts["tmax"] is None else int(opts["tmax"])
-        return SweepGrid(t_min=t_min, t_max=t_max, flips=flips)
-    if kind != "general":
-        raise CliError(f"unknown coin family {kind!r}")
-    t_max = 1000 if opts["tmax"] is None else int(opts["tmax"])
-    R = 16 if opts["R"] is None else int(opts["R"])
-    return SweepGrid(t_min=t_min, t_max=t_max, R=R, flips=flips)
+    return SweepGrid.for_coin(
+        str(opts["coin"]),
+        t_min=int(opts["tmin"]),
+        t_max=None if opts["tmax"] is None else int(opts["tmax"]),
+        R=None if opts["R"] is None else int(opts["R"]),
+        flips=None if opts["flip"] is None else (FlipOperator(str(opts["flip"])),),
+    )
 
 
 def _outcome_labels(P: int, kappa: int, mode: MeasurementMode, d: int) -> list[str]:
@@ -276,8 +265,7 @@ def _cmd_evolve(opts: dict) -> int:
 
 def _cmd_maxprob(opts: dict) -> int:
     mode = MeasurementMode(str(opts["mode"]))
-    res = g_function(int(opts["P"]), int(opts["kappa"]), mode, _sweep_grid(opts),
-                     threads=int(opts["threads"]))
+    res = g_function(int(opts["P"]), int(opts["kappa"]), mode, _sweep_grid(opts))
     items: list[tuple[str, str]] = [
         ("g", repr(res.value)),
         ("gamma", repr(res.gamma)),
@@ -302,7 +290,7 @@ def _emit_preset(opts: dict, run) -> int:
         R=None if opts["R"] is None else int(opts["R"]),
         t_max=None if opts["tmax"] is None else int(opts["tmax"]),
     )
-    result = run(spec, threads=int(opts["threads"]))
+    result = run(spec)
     path = emit(result, fmt=str(opts["format"]), path=str(opts["out"]),
                 timestamp=not opts["no_timestamp"])
     rows = len(result.rows if hasattr(result, "rows") else result.points)
@@ -334,8 +322,7 @@ def _cmd_extract(opts: dict) -> int:
 
     if opts["T"] is None:
         # no fixed step count: sweep for the adversarial optimum and run there
-        res = g_function(int(opts["P"]), int(opts["kappa"]), mode, _sweep_grid(opts),
-                         threads=int(opts["threads"]))
+        res = g_function(int(opts["P"]), int(opts["kappa"]), mode, _sweep_grid(opts))
         cfg, gamma = res.walk_config(), res.gamma
     else:
         cfg, gamma = _walk_config(opts), None

@@ -170,24 +170,18 @@ _FIG_LAYOUTS: dict[str, tuple[tuple[int, ...], tuple[int, ...], MeasurementMode,
 PRESET_NAMES: tuple[str, ...] = tuple(_TABLE_LAYOUTS) + tuple(_FIG_LAYOUTS)
 
 
-def _grid_for(coin_kind: str, R: int | None, t_max: int | None) -> SweepGrid:
-    if coin_kind == "hadamard":
-        return SweepGrid(t_min=1, t_max=t_max or 2000)
-    return SweepGrid(t_min=1, t_max=t_max or 1000, R=R or 16)
-
-
 def preset(name: str, R: int | None = None, t_max: int | None = None) -> ExperimentSpec:
-    """Look up a preset by name; R and t_max override the default grid."""
+    """Look up a preset by name; R (general coin only) and t_max override the default grid."""
     if name in _TABLE_LAYOUTS:
         kappas, Ps, modes, kind = _TABLE_LAYOUTS[name]
-        grid = _grid_for(kind, R, t_max)
+        grid = SweepGrid.for_coin(kind, t_max=t_max, R=R)
         cases = tuple(
             (P, k, mode, grid) for mode in modes for k in kappas for P in Ps
         )
         return ExperimentSpec(name=name, cases=cases)
     if name in _FIG_LAYOUTS:
         kappas, Ps, mode, kind, noises = _FIG_LAYOUTS[name]
-        grid = _grid_for(kind, R, t_max)
+        grid = SweepGrid.for_coin(kind, t_max=t_max, R=R)
         cases = tuple((P, k, mode, grid) for k in kappas for P in Ps)
         return ExperimentSpec(
             name=name, cases=cases, noise_levels=noises, N_grid=default_signal_grid()
@@ -202,33 +196,33 @@ _sweep_cache: dict[tuple[int, int, MeasurementMode, SweepGrid], MaxProbResult] =
 
 
 def g_function_cached(
-    P: int, kappa: int, mode: MeasurementMode, grid: SweepGrid, threads: int = 1
+    P: int, kappa: int, mode: MeasurementMode, grid: SweepGrid
 ) -> MaxProbResult:
     key = (P, kappa, mode, grid)
     if key not in _sweep_cache:
-        for m, res in g_functions(P, kappa, grid, threads=threads).items():
+        for m, res in g_functions(P, kappa, grid).items():
             _sweep_cache[(P, kappa, m, grid)] = res
     return _sweep_cache[key]
 
 
-def _sweep_requested(cases, threads: int) -> None:
+def _sweep_requested(cases) -> None:
     """Cache every cell, one pass per (P, kappa, grid) over only the modes its cells ask for."""
     requested: dict[tuple[int, int, SweepGrid], dict[MeasurementMode, None]] = {}
     for P, kappa, mode, grid in cases:
         if (P, kappa, mode, grid) not in _sweep_cache:
             requested.setdefault((P, kappa, grid), {})[mode] = None
     for (P, kappa, grid), modes in requested.items():
-        for m, res in g_functions(P, kappa, grid, tuple(modes), threads=threads).items():
+        for m, res in g_functions(P, kappa, grid, tuple(modes)).items():
             _sweep_cache[(P, kappa, m, grid)] = res
 
 
-def run_table(spec: ExperimentSpec | str, threads: int = 1) -> ResultTable:
+def run_table(spec: ExperimentSpec | str) -> ResultTable:
     """Evaluate every cell of a table preset, annotating published values."""
     if isinstance(spec, str):
         spec = preset(spec)
     if not spec.cases:
         raise ValueError("spec has no cases")
-    _sweep_requested(spec.cases, threads)
+    _sweep_requested(spec.cases)
     rows = []
     for P, kappa, mode, grid in spec.cases:
         res = _sweep_cache[(P, kappa, mode, grid)]
@@ -251,13 +245,13 @@ def run_table(spec: ExperimentSpec | str, threads: int = 1) -> ResultTable:
     return ResultTable(name=spec.name, rows=tuple(rows), grid=spec.cases[0][3])
 
 
-def run_rate_curve(spec: ExperimentSpec | str, threads: int = 1) -> RateCurve:
+def run_rate_curve(spec: ExperimentSpec | str) -> RateCurve:
     """Analytic rate-versus-N series for every (cell, noise) pair of a preset."""
     if isinstance(spec, str):
         spec = preset(spec)
     if not spec.cases or not spec.noise_levels or not spec.N_grid:
         raise ValueError("curve spec needs cases, noise levels and a signal grid")
-    _sweep_requested(spec.cases, threads)
+    _sweep_requested(spec.cases)
     points = []
     for P, kappa, mode, grid in spec.cases:
         res = _sweep_cache[(P, kappa, mode, grid)]

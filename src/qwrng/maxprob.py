@@ -14,7 +14,6 @@ grid costs O(t_max) batched steps instead of O(sum of t).
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +34,11 @@ _FLIP_RANK = {FlipOperator.I: 0, FlipOperator.X: 1, FlipOperator.Y: 2}
 # lexicographically, which is exactly the documented tie order
 _Candidate = tuple[float, int, int, int, int]
 
+# default sweep windows and angle resolution, applied by SweepGrid.for_coin
+_T_MAX_HADAMARD = 2000
+_T_MAX_GENERAL = 1000
+_R_GENERAL = 16
+
 
 @dataclass(frozen=True)
 class SweepGrid:
@@ -47,7 +51,7 @@ class SweepGrid:
     """
 
     t_min: int = 1
-    t_max: int = 2000
+    t_max: int = _T_MAX_HADAMARD
     R: int | None = None
     flips: tuple[FlipOperator, ...] | None = None
 
@@ -60,6 +64,29 @@ class SweepGrid:
             raise ValueError("angle resolution R must be positive")
         if self.flips is not None and not self.flips:
             raise ValueError("empty flip set")
+
+    @classmethod
+    def for_coin(
+        cls,
+        kind: str,
+        t_min: int = 1,
+        t_max: int | None = None,
+        R: int | None = None,
+        flips: tuple[FlipOperator, ...] | None = None,
+    ) -> SweepGrid:
+        """Grid of coin family `kind`; t_max and R left None take its defaults."""
+        if kind == "hadamard":
+            if R is not None:
+                raise ValueError("angle resolution --R applies to the general coin only")
+            return cls(t_min, _T_MAX_HADAMARD if t_max is None else t_max, flips=flips)
+        if kind != "general":
+            raise ValueError(f"unknown coin family {kind!r}")
+        return cls(
+            t_min,
+            _T_MAX_GENERAL if t_max is None else t_max,
+            _R_GENERAL if R is None else R,
+            flips,
+        )
 
     @property
     def flip_set(self) -> tuple[FlipOperator, ...]:
@@ -183,14 +210,13 @@ def _mode_peaks(weights: np.ndarray, mode: MeasurementMode) -> np.ndarray:
     return position.max(axis=1)
 
 
-def _sweep_chunk(
+def _sweep_flip(
     P: int,
     kappa: int,
     grid: SweepGrid,
     modes: tuple[MeasurementMode, ...],
     flip: FlipOperator,
     coins: np.ndarray,
-    batch_offset: int,
 ) -> dict[MeasurementMode, _Candidate]:
     """Run one flip's coin batch over the time range, tracking per-mode minima."""
     nc = 1 << kappa
@@ -212,13 +238,12 @@ def _sweep_chunk(
         for mode in modes:
             peaks = _mode_peaks(weights, mode)
             b = int(np.argmin(peaks))
-            g = batch_offset + b
             cand: _Candidate = (
                 float(peaks[b]),
                 t,
                 rank,
-                g // n_phi if n_phi else 0,
-                g % n_phi if n_phi else 0,
+                b // n_phi if n_phi else 0,
+                b % n_phi if n_phi else 0,
             )
             if mode not in best or cand < best[mode]:
                 best[mode] = cand
@@ -230,30 +255,14 @@ def _run_sweep(
     kappa: int,
     grid: SweepGrid,
     modes: tuple[MeasurementMode, ...],
-    threads: int,
 ) -> dict[MeasurementMode, MaxProbResult]:
     coins = _coin_batch(grid)
-    B = coins.shape[0]
-    tasks = []
-    n_chunks = max(1, min(threads, B))
-    bounds = np.linspace(0, B, n_chunks + 1, dtype=int)
-    for flip in grid.flip_set:
-        for lo, hi in zip(bounds[:-1], bounds[1:]):
-            if hi > lo:
-                tasks.append((flip, coins[lo:hi], int(lo)))
-
-    if threads > 1 and len(tasks) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            partials = list(
-                pool.map(lambda a: _sweep_chunk(P, kappa, grid, modes, *a), tasks)
-            )
-    else:
-        partials = [_sweep_chunk(P, kappa, grid, modes, *a) for a in tasks]
+    partials = [_sweep_flip(P, kappa, grid, modes, flip, coins) for flip in grid.flip_set]
 
     angles = grid.angles()
     results: dict[MeasurementMode, MaxProbResult] = {}
     for mode in modes:
-        # min over totally ordered tuples is independent of chunk order
+        # min over totally ordered tuples applies the tie order across flips
         value, t, rank, th_i, ph_i = min(p[mode] for p in partials)
         flip = next(f for f, r in _FLIP_RANK.items() if r == rank)
         results[mode] = MaxProbResult(
@@ -274,7 +283,6 @@ def g_function(
     kappa: int,
     mode: MeasurementMode,
     grid: SweepGrid,
-    threads: int = 1,
 ) -> MaxProbResult:
     """Minimum over the grid of the peak outcome probability in `mode`.
 
@@ -282,7 +290,7 @@ def g_function(
     then the smallest theta, then the smallest phi.
     """
     WalkConfig(P=P, kappa=kappa, T=0)  # validates dimensions
-    return _run_sweep(P, kappa, grid, (mode,), threads)[mode]
+    return _run_sweep(P, kappa, grid, (mode,))[mode]
 
 
 def g_functions(
@@ -294,11 +302,10 @@ def g_functions(
         MeasurementMode.MEMORY_ONLY,
         MeasurementMode.POSITION_ONLY,
     ),
-    threads: int = 1,
 ) -> dict[MeasurementMode, MaxProbResult]:
     """All requested modes from a single evolution pass over the grid."""
     WalkConfig(P=P, kappa=kappa, T=0)
-    return _run_sweep(P, kappa, grid, tuple(modes), threads)
+    return _run_sweep(P, kappa, grid, tuple(modes))
 
 
 def min_over_time(
@@ -308,12 +315,12 @@ def min_over_time(
     coin: CoinOperator,
     flip: FlipOperator,
     t_min: int = 1,
-    t_max: int = 2000,
+    t_max: int = _T_MAX_HADAMARD,
 ) -> MaxProbResult:
     """Minimum over t alone at one fixed coin and flip."""
     grid = SweepGrid(t_min=t_min, t_max=t_max)
     coins = coin.matrix()[None, :, :]
-    best = _sweep_chunk(P, kappa, grid, (mode,), flip, coins, 0)[mode]
+    best = _sweep_flip(P, kappa, grid, (mode,), flip, coins)[mode]
     value, t, _, _, _ = best
     theta = None if coin.kind == "hadamard" else coin.theta
     phi = None if coin.kind == "hadamard" else coin.phi

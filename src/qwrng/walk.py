@@ -14,8 +14,7 @@ big-endian bit string: (x, c_0, ..., c_{kappa-1}) sits at index
 x * 2**kappa + sum(c_j << (kappa - 1 - j)), the active coin c_{kappa-1}
 being the least significant bit, and the all-zeros point at index 0.
 Amplitudes are complex128.  Every operation is a pure function returning
-a new state and preserving the 2-norm, so states can be shared freely
-across workers.
+a new state and preserving the 2-norm.
 """
 
 from __future__ import annotations
@@ -100,7 +99,7 @@ class CoinOperator:
 
     def matrix(self) -> np.ndarray:
         if self.kind == "hadamard":
-            return np.array([[1, 1], [1, -1]], dtype=np.complex128) * _SQRT_HALF
+            return FlipOperator.X.matrix()
         return generalized_coin_matrix(self.theta, self.phi)
 
 

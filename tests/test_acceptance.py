@@ -111,7 +111,7 @@ def hadamard_cells():
     for kappa in (1, 2, 3, 4):
         for P in P_FULL:
             for mode in MODES:
-                out[(kappa, P, mode)] = g_function_cached(P, kappa, mode, GRID_H, threads=2)
+                out[(kappa, P, mode)] = g_function_cached(P, kappa, mode, GRID_H)
     return out
 
 
@@ -124,9 +124,7 @@ def general_cells():
         for kappa in (1, 2, 3):
             for P in P_SMALL:
                 for mode in MODES:
-                    out[(R, kappa, P, mode)] = g_function_cached(
-                        P, kappa, mode, grid, threads=2
-                    )
+                    out[(R, kappa, P, mode)] = g_function_cached(P, kappa, mode, grid)
     return out
 
 

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import qwrng.cli as cli
+import qwrng.experiments as experiments
 import qwrng.pipeline as pipeline
 from qwrng.cli import main
 
@@ -134,6 +135,25 @@ class TestTable:
         rc, _, err = run(capsys, "table", "nosuch")
         assert rc == 2
         assert "table1" in last_error(err)["error"]
+
+    def test_empty_sweep_window_fails_before_any_sweep(self, capsys, tmp_path, monkeypatch):
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("sweep ran")
+
+        monkeypatch.setattr(experiments, "g_functions", no_sweep)
+        rc, out, err = run(capsys, "table", "table1", "--tmax", "0", "-o", str(tmp_path))
+        assert rc == 2
+        assert out == ""
+        errors = [json.loads(line) for line in err.splitlines() if '"error"' in line]
+        assert len(errors) == 1 and "empty time range" in errors[0]["error"]
+        assert not list(tmp_path.iterdir())
+
+    def test_thread_option_is_gone(self, capsys, tmp_path):
+        rc, _, err = run(capsys, "table", "table2", "--tmax", "1", "-o", str(tmp_path),
+                         "--threads", "2")
+        assert rc == 2
+        assert "--threads" in last_error(err)["error"]
+        assert "usage" in last_error(err)
 
     def test_timestamped_name_is_default(self, capsys, tmp_path):
         rc, out, _ = run(capsys, "table", "kappa1", "--tmax", "2", "-o", str(tmp_path))
@@ -272,6 +292,14 @@ class TestConfigFile:
         rc, _, err = run(capsys, "maxprob", "-P", "3", "--config", str(cfg))
         assert rc == 2
         assert "bogus" in last_error(err)["error"]
+
+    def test_thread_count_key_rejected(self, capsys, tmp_path):
+        cfg = tmp_path / "old.cfg"
+        cfg.write_text("threads = 2\n")
+        rc, _, err = run(capsys, "table", "table2", "--tmax", "1", "-o", str(tmp_path),
+                         "--config", str(cfg))
+        assert rc == 2
+        assert "unknown config keys" in last_error(err)["error"]
 
     def test_malformed_line_rejected(self, capsys, tmp_path):
         cfg = tmp_path / "bad.cfg"

@@ -68,6 +68,15 @@ class TestPresets:
         g = preset("table2", R=4, t_max=7).cases[0][3]
         assert (g.R, g.t_max) == (4, 7)
 
+    @pytest.mark.parametrize("name, override", [
+        ("table1", {"t_max": 0}),  # an empty window, not the default one
+        ("table2", {"R": 0}),  # no angle grid, not the default one
+        ("table1", {"R": 8}),  # Hadamard presets sweep no angles
+    ])
+    def test_invalid_grid_overrides_rejected(self, name, override):
+        with pytest.raises(ValueError):
+            preset(name, **override)
+
     def test_unknown_preset_lists_options(self):
         with pytest.raises(ValueError, match="table1"):
             preset("table99")
@@ -130,9 +139,9 @@ class TestRunTable:
                  (3, 2, pos, grid), (3, 1, all_, grid))
         calls = []
 
-        def spy(P, kappa, grid, modes, threads=1):
+        def spy(P, kappa, grid, modes):
             calls.append(((P, kappa), tuple(modes)))
-            return g_functions(P, kappa, grid, modes, threads=threads)
+            return g_functions(P, kappa, grid, modes)
 
         monkeypatch.setattr(experiments, "_sweep_cache", {})
         monkeypatch.setattr(experiments, "g_functions", spy)

@@ -79,6 +79,21 @@ def test_grid_defaults():
     assert SweepGrid().angles() is None
 
 
+def test_grid_for_coin_fills_only_unset_fields():
+    assert SweepGrid.for_coin("hadamard") == SweepGrid(1, 2000)
+    assert SweepGrid.for_coin("general") == SweepGrid(1, 1000, R=16)
+    flips = (FlipOperator.X,)
+    assert SweepGrid.for_coin("general", 3, 9, 2, flips) == SweepGrid(3, 9, R=2, flips=flips)
+    with pytest.raises(ValueError, match="general coin only"):
+        SweepGrid.for_coin("hadamard", R=16)
+    with pytest.raises(ValueError, match="empty time range"):
+        SweepGrid.for_coin("hadamard", t_max=0)
+    with pytest.raises(ValueError, match="must be positive"):
+        SweepGrid.for_coin("general", R=0)
+    with pytest.raises(ValueError, match="unknown coin family"):
+        SweepGrid.for_coin("grover")
+
+
 # -- Hadamard sweeps -----------------------------------------------------------
 
 def test_single_coin_sweep_matches_published_value():
@@ -239,13 +254,6 @@ def test_candidate_order_prefers_value_then_time_then_flip():
     ])
     assert ordered[0] == (0.4, 7, 2, 5, 5)
     assert ordered[1] == (0.5, 2, 1, 3, 0)
-
-
-def test_threaded_sweep_is_deterministic():
-    grid = SweepGrid(1, 60, R=3)
-    serial = g_function(3, 2, ALL, grid, threads=1)
-    threaded = g_function(3, 2, ALL, grid, threads=4)
-    assert serial == threaded
 
 
 def test_sweep_validates_dimensions():
