@@ -9,12 +9,8 @@ from qwrng.walk import (
     MeasurementMode,
     WalkConfig,
     WalkState,
-    apply_coin,
-    apply_memory,
-    apply_shift,
     distribution,
     evolve,
-    fidelity_with,
     initial_state,
     mode_dimension,
 )

@@ -95,16 +95,17 @@ _REQUIRED = {
 }
 
 
-def _add_walk_flags(p: argparse.ArgumentParser, with_T: bool) -> None:
+def _add_walk_flags(p: argparse.ArgumentParser, one_walk: bool) -> None:
+    """Walk flags; `one_walk` adds the step count and angles a sweep chooses itself."""
     p.add_argument("-P", dest="P", type=int, help="cycle length (positions)")
     p.add_argument("-k", "--kappa", dest="kappa", type=int, help="coin register size")
-    if with_T:
-        p.add_argument("-T", "--steps", dest="T", type=int, help="walk steps")
     p.add_argument("--mode", choices=("all", "memory", "position"),
                    help="which registers are measured")
     p.add_argument("--coin", choices=("hadamard", "general"), help="coin family")
-    p.add_argument("--theta", type=float, help="general coin mixing angle")
-    p.add_argument("--phi", type=float, help="general coin phase angle")
+    if one_walk:
+        p.add_argument("-T", "--steps", dest="T", type=int, help="walk steps")
+        p.add_argument("--theta", type=float, help="general coin mixing angle")
+        p.add_argument("--phi", type=float, help="general coin phase angle")
 
 
 def _add_sweep_flags(p: argparse.ArgumentParser) -> None:
@@ -135,12 +136,12 @@ def _build_parser() -> _Parser:
         return p
 
     p = new("evolve", "print the outcome distribution of one configured walk")
-    _add_walk_flags(p, with_T=True)
+    _add_walk_flags(p, one_walk=True)
     p.add_argument("--flip", choices=("i", "x", "y"), help="pre-walk active-coin unitary")
     p.add_argument("--json", action="store_true", help="emit a JSON document")
 
     p = new("maxprob", "minimize the peak outcome probability over a sweep grid")
-    _add_walk_flags(p, with_T=False)
+    _add_walk_flags(p, one_walk=False)
     _add_sweep_flags(p)
     p.add_argument("--flip", choices=("i", "x", "y"), help="restrict the sweep to one flip")
     p.add_argument("--json", action="store_true", help="emit a JSON document")
@@ -149,7 +150,7 @@ def _build_parser() -> _Parser:
     _add_emit_flags(new("curve", "evaluate a rate-curve preset and write it to disk"))
 
     p = new("extract", "simulate one sampling round and extract output bits")
-    _add_walk_flags(p, with_T=True)
+    _add_walk_flags(p, one_walk=True)
     _add_sweep_flags(p)
     p.add_argument("--flip", choices=("i", "x", "y"),
                    help="pre-walk flip; without -T, restricts the sweep instead")

@@ -25,7 +25,9 @@ from qwrng.walk import (
     WalkConfig,
     distribution,
     evolve,
-    memory_rotation_gather,
+    generalized_coin_matrix,
+    initial_state,
+    step_source,
 )
 
 _FLIP_RANK = {FlipOperator.I: 0, FlipOperator.X: 1, FlipOperator.Y: 2}
@@ -146,28 +148,7 @@ def _coin_batch(grid: SweepGrid) -> np.ndarray:
     if angles is None:
         return CoinOperator.hadamard().matrix()[None, :, :]
     n = len(angles)
-    th = np.repeat(angles, n)
-    ph = np.tile(angles, n)
-    ct, st = np.cos(th), np.sin(th)
-    ep = np.exp(1j * ph)
-    coins = np.empty((n * n, 2, 2), dtype=np.complex128)
-    coins[:, 0, 0] = ep * ct
-    coins[:, 0, 1] = ep * st
-    coins[:, 1, 0] = -np.conj(ep) * st
-    coins[:, 1, 1] = np.conj(ep) * ct
-    return coins
-
-
-def _step_source(P: int, kappa: int) -> np.ndarray:
-    """Flat source index of one shift plus memory rotation: new[j] = old[src[j]].
-
-    Slot k at position x takes coin code g = rotation[k], which the shift
-    brought from x - 1 when g's active bit is 0 and from x + 1 when it is 1.
-    """
-    nc = 1 << kappa
-    codes = memory_rotation_gather(kappa)  # the identity for kappa = 1
-    origin = (np.arange(P)[:, None] - 1 + 2 * (codes & 1)) % P
-    return (origin * nc + codes).reshape(-1)
+    return generalized_coin_matrix(np.repeat(angles, n), np.tile(angles, n))
 
 
 def _batch_step(states: np.ndarray, coins: np.ndarray, source: np.ndarray) -> np.ndarray:
@@ -219,14 +200,9 @@ def _sweep_flip(
     coins: np.ndarray,
 ) -> dict[MeasurementMode, _Candidate]:
     """Run one flip's coin batch over the time range, tracking per-mode minima."""
-    nc = 1 << kappa
-    B = coins.shape[0]
-    states = np.zeros((B, P, nc), dtype=np.complex128)
-    states[:, 0, 0] = 1.0
-    if flip is not FlipOperator.I:
-        s = states.reshape(B, P * nc // 2, 2)
-        states = (s @ flip.matrix().T).reshape(B, P, nc)
-    source = _step_source(P, kappa)
+    start = initial_state(WalkConfig(P, kappa, 0, flip=flip)).amplitudes
+    states = np.repeat(start.reshape(1, P, -1), coins.shape[0], axis=0)
+    source = step_source(P, kappa)
     n_phi = 0 if grid.R is None else grid.R + 1
     rank = _FLIP_RANK[flip]
     best: dict[MeasurementMode, _Candidate] = {}

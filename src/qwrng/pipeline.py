@@ -110,19 +110,6 @@ def encode_digits(digits: np.ndarray, d: int) -> np.ndarray:
     return ((digits[:, None] >> shifts) & 1).astype(np.uint8).reshape(-1)
 
 
-def decode_digits(bits: np.ndarray, d: int) -> np.ndarray:
-    """Inverse of encode_digits; rejects codes outside the alphabet."""
-    w = digit_width(d)
-    bits = np.asarray(bits, dtype=np.int64)
-    if bits.size % w:
-        raise ValueError("bit count is not a multiple of the digit width")
-    weights = (1 << np.arange(w - 1, -1, -1)).astype(np.int64)
-    digits = bits.reshape(-1, w) @ weights
-    if digits.size and digits.max() >= d:
-        raise ValueError("bit pattern outside the alphabet")
-    return digits
-
-
 def toeplitz_seed_bits(seed: int, ell: int, length: int) -> np.ndarray:
     """Seed bit string s defining the hash matrix T[i, j] = s[i - j + length - 1].
 
@@ -336,5 +323,4 @@ __all__ = [
     "toeplitz_seed_bits",
     "digit_width",
     "encode_digits",
-    "decode_digits",
 ]

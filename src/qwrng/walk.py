@@ -13,8 +13,9 @@ Basis states are indexed position-major with the coin register read as a
 big-endian bit string: (x, c_0, ..., c_{kappa-1}) sits at index
 x * 2**kappa + sum(c_j << (kappa - 1 - j)), the active coin c_{kappa-1}
 being the least significant bit, and the all-zeros point at index 0.
-Amplitudes are complex128.  Every operation is a pure function returning
-a new state and preserving the 2-norm.
+Amplitudes are complex128.  The shift and the memory rotation together
+are one gather, :func:`step_source`, which the sweep in `qwrng.maxprob`
+steps through as well; every function here returns a new state.
 """
 
 from __future__ import annotations
@@ -60,17 +61,25 @@ class FlipOperator(enum.Enum):
         return np.array([[1, 1], [1j, -1j]], dtype=np.complex128) * _SQRT_HALF
 
 
-def generalized_coin_matrix(theta: float, phi: float) -> np.ndarray:
-    """Two-angle coin unitary.
+def generalized_coin_matrix(
+    theta: float | np.ndarray, phi: float | np.ndarray
+) -> np.ndarray:
+    """Two-angle coin unitary, broadcast over array angles to shape (..., 2, 2).
 
     Rows are (e^{i phi} cos theta, e^{i phi} sin theta) and
     (-e^{-i phi} sin theta, e^{-i phi} cos theta); unitary for every
     angle pair, and the identity at theta = phi = 0.
     """
-    ct, st = math.cos(theta), math.sin(theta)
-    ep = complex(math.cos(phi), math.sin(phi))
-    em = ep.conjugate()
-    return np.array([[ep * ct, ep * st], [-em * st, em * ct]], dtype=np.complex128)
+    theta, phi = np.broadcast_arrays(theta, phi)
+    th, ph = theta.reshape(-1), phi.reshape(-1)
+    ct, st = np.cos(th), np.sin(th)
+    ep = np.exp(1j * ph)
+    coins = np.empty((th.size, 2, 2), dtype=np.complex128)
+    coins[:, 0, 0] = ep * ct
+    coins[:, 0, 1] = ep * st
+    coins[:, 1, 0] = -np.conj(ep) * st
+    coins[:, 1, 1] = np.conj(ep) * ct
+    return coins.reshape(theta.shape + (2, 2))
 
 
 @dataclass(frozen=True)
@@ -208,13 +217,6 @@ class Distribution:
         return i, float(self.probs[i])
 
 
-def _apply_active_coin(state: WalkState, u: np.ndarray) -> WalkState:
-    # The active coin is the least significant index bit, so adjacent
-    # amplitude pairs share everything but the active coin.
-    pairs = state.amplitudes.reshape(-1, 2)
-    return WalkState((pairs @ u.T).reshape(-1), state.config)
-
-
 def initial_state(config: WalkConfig) -> WalkState:
     """Basis state at the start point with the flip applied to the active coin.
 
@@ -223,25 +225,11 @@ def initial_state(config: WalkConfig) -> WalkState:
     """
     amps = np.zeros(config.dim, dtype=np.complex128)
     amps[config.start_point().index(config.P)] = 1.0
-    state = WalkState(amps, config)
     if config.flip is not FlipOperator.I:
-        state = _apply_active_coin(state, config.flip.matrix())
-    return state
-
-
-def apply_coin(state: WalkState, coin: CoinOperator) -> WalkState:
-    """Toss the active coin; position and memory coins are untouched."""
-    return _apply_active_coin(state, coin.matrix())
-
-
-def apply_shift(state: WalkState) -> WalkState:
-    """Move the position by +1 where the active coin is 0 and -1 where it is 1."""
-    cfg = state.config
-    grid = state.amplitudes.reshape(cfg.P, -1, 2)
-    out = np.empty_like(grid)
-    out[:, :, 0] = np.roll(grid[:, :, 0], 1, axis=0)
-    out[:, :, 1] = np.roll(grid[:, :, 1], -1, axis=0)
-    return WalkState(out.reshape(-1), cfg)
+        # the active coin is the least significant index bit, so adjacent
+        # amplitude pairs share everything but the active coin
+        amps = (amps.reshape(-1, 2) @ config.flip.matrix().T).reshape(-1)
+    return WalkState(amps, config)
 
 
 def memory_rotation_gather(kappa: int) -> np.ndarray:
@@ -255,23 +243,26 @@ def memory_rotation_gather(kappa: int) -> np.ndarray:
     return ((codes << 1) | (codes >> (kappa - 1))) & (nc - 1)
 
 
-def apply_memory(state: WalkState) -> WalkState:
-    """Rotate the coin register right: the active coin becomes the newest memory."""
-    cfg = state.config
-    if cfg.kappa == 1:
-        return state
-    nc = 1 << cfg.kappa
-    out = state.amplitudes.reshape(cfg.P, nc)[:, memory_rotation_gather(cfg.kappa)]
-    return WalkState(out.reshape(-1).copy(), cfg)
+def step_source(P: int, kappa: int) -> np.ndarray:
+    """Flat source index of one shift plus memory rotation: new[j] = old[src[j]].
+
+    Slot k at position x takes coin code g = rotation[k], which the shift
+    brought from x - 1 when g's active bit is 0 and from x + 1 when it is 1.
+    """
+    nc = 1 << kappa
+    codes = memory_rotation_gather(kappa)  # the identity for kappa = 1
+    origin = (np.arange(P)[:, None] - 1 + 2 * (codes & 1)) % P
+    return (origin * nc + codes).reshape(-1)
 
 
 def evolve(config: WalkConfig) -> WalkState:
     """Run the walk: T repetitions of coin toss, shift, memory rotation."""
-    state = initial_state(config)
-    coin = config.coin
+    amps = initial_state(config).amplitudes
+    u = config.coin.matrix()
+    source = step_source(config.P, config.kappa)
     for _ in range(config.T):
-        state = apply_memory(apply_shift(apply_coin(state, coin)))
-    return state
+        amps = np.take((amps.reshape(-1, 2) @ u.T).reshape(-1), source)
+    return WalkState(amps, config)
 
 
 def distribution(state: WalkState, mode: MeasurementMode) -> Distribution:
@@ -294,13 +285,6 @@ def distribution(state: WalkState, mode: MeasurementMode) -> Distribution:
     return Distribution(probs, mode)
 
 
-def fidelity_with(state_a: WalkState, state_b: WalkState) -> float:
-    """Squared overlap |<a|b>|^2 of two states of equal dimension."""
-    if state_a.amplitudes.shape != state_b.amplitudes.shape:
-        raise ValueError("states live in different walker spaces")
-    return float(abs(np.vdot(state_a.amplitudes, state_b.amplitudes)) ** 2)
-
-
 __all__ = [
     "MeasurementMode",
     "FlipOperator",
@@ -311,12 +295,9 @@ __all__ = [
     "Distribution",
     "generalized_coin_matrix",
     "memory_rotation_gather",
+    "step_source",
     "mode_dimension",
     "initial_state",
-    "apply_coin",
-    "apply_shift",
-    "apply_memory",
     "evolve",
     "distribution",
-    "fidelity_with",
 ]

@@ -114,6 +114,15 @@ class TestMaxprob:
         doc = json.loads(out)
         assert "theta" in doc and "phi" in doc
 
+    def test_angle_flags_rejected(self, capsys):
+        # the sweep chooses theta and phi itself, so the flags would be ignored
+        rc, out, err = run(capsys, "maxprob", "-P", "3", "--coin", "general",
+                           "--R", "4", "--theta", "0.3", "--phi", "1.0")
+        assert rc == 2
+        assert out == ""
+        doc = last_error(err)
+        assert "--theta" in doc["error"] and "usage" in doc
+
     def test_missing_cycle_length(self, capsys):
         rc, _, err = run(capsys, "maxprob")
         assert rc == 2

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -8,7 +9,6 @@ from qwrng.maxprob import (
     _batch_step,
     _coin_batch,
     _mode_peaks,
-    _step_source,
     SweepGrid,
     g_function,
     g_functions,
@@ -22,6 +22,7 @@ from qwrng.walk import (
     MeasurementMode,
     WalkConfig,
     memory_rotation_gather,
+    step_source,
 )
 
 ALL = MeasurementMode.ALL
@@ -214,7 +215,7 @@ def test_step_kernel_is_bit_identical_to_einsum(P, kappa):
     # table CSVs print repr(value), so a last-ulp change in a step or a
     # peak would change the published bytes: equality here is exact
     nc = 1 << kappa
-    source = _step_source(P, kappa)
+    source = step_source(P, kappa)
     for grid in (SweepGrid(R=4), SweepGrid()):
         coins = _coin_batch(grid)
         B = coins.shape[0]
@@ -230,6 +231,17 @@ def test_step_kernel_is_bit_identical_to_einsum(P, kappa):
                 for mode in MeasurementMode:
                     peaks = _mode_peaks(weights, mode)
                     assert np.array_equal(peaks, _einsum_peaks(ref, mode)), (mode, t)
+
+
+@pytest.mark.parametrize("R", [1, 4, 16])
+def test_sweep_coins_are_the_walk_coins(R):
+    # the sweep and evolve build the same coin matrix for the same angles
+    grid = SweepGrid(R=R)
+    angles = grid.angles()
+    coins = _coin_batch(grid)
+    assert coins.shape == ((R + 1) ** 2, 2, 2)
+    for b, (th, ph) in enumerate(itertools.product(angles, angles)):
+        assert coins[b].tobytes() == CoinOperator.generalized(th, ph).matrix().tobytes()
 
 
 # -- tie breaking and determinism ----------------------------------------------

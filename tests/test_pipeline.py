@@ -10,7 +10,6 @@ from qwrng.maxprob import gamma_from_g, g_function, SweepGrid
 from qwrng.pipeline import (
     RunRecord,
     SourceModel,
-    decode_digits,
     digit_width,
     encode_digits,
     privacy_amplify,
@@ -45,10 +44,6 @@ def test_encoding_rejects_out_of_alphabet_digits():
         encode_digits(np.array([10]), 10)
     with pytest.raises(ValueError):
         encode_digits(np.array([-1]), 10)
-    with pytest.raises(ValueError):
-        decode_digits(np.array([1, 1, 1, 1]), 10)  # 15 is no digit
-    with pytest.raises(ValueError):
-        decode_digits(np.array([1, 0, 1]), 10)  # width mismatch
 
 
 @given(
@@ -59,9 +54,11 @@ def test_encoding_rejects_out_of_alphabet_digits():
 @settings(max_examples=100)
 def test_digit_codec_roundtrip(d, seed, n):
     digits = np.random.default_rng(seed).integers(0, d, size=n)
+    w = digit_width(d)
     bits = encode_digits(digits, d)
-    assert bits.shape[0] == n * digit_width(d)
-    np.testing.assert_array_equal(decode_digits(bits, d), digits)
+    assert bits.shape[0] == n * w
+    text = "".join(map(str, bits))
+    assert text == "".join(np.binary_repr(int(x), width=w) for x in digits)
 
 
 # -- source sampling -----------------------------------------------------------
