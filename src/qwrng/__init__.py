@@ -2,7 +2,6 @@
 finite-size security rates, and an end-to-end extraction pipeline."""
 
 from qwrng.walk import (
-    BasisPoint,
     CoinOperator,
     Distribution,
     FlipOperator,

@@ -19,6 +19,7 @@ lost hash precision.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import secrets
@@ -60,6 +61,12 @@ _WALK_DEFAULTS = {
     "phi": 0.0,
 }
 
+
+def _field_default(cls, name: str):
+    """Built-in default of one dataclass field, so each default has one home."""
+    return next(f.default for f in dataclasses.fields(cls) if f.name == name)
+
+
 _EMIT_DEFAULTS = {
     "R": None,
     "tmax": None,
@@ -82,7 +89,11 @@ _DEFAULTS: dict[str, dict] = {
     "extract": {
         "P": None, "N": None, "T": None, "flip": None,
         "tmin": 1, "tmax": None, "R": None,
-        "m": None, "Q": 0.0, "eps": 1e-7, "eps_pa": 1e-6, "beta": 0.25,
+        "m": None,
+        "Q": _field_default(SourceModel, "Q"),
+        "eps": _field_default(ProtocolParams, "epsilon"),
+        "eps_pa": _field_default(ProtocolParams, "epsilon_pa"),
+        "beta": _field_default(ProtocolParams, "beta"),
         "seed": None, "out": "extract", "json": False,
         **_WALK_DEFAULTS,
     },
@@ -193,16 +204,23 @@ def _resolve(args: argparse.Namespace) -> dict:
     merged = dict(_DEFAULTS[cmd])
     flags = {k: v for k, v in vars(args).items() if k not in ("command", "config")}
     config_path = getattr(args, "config", None)
+    given = set(flags)
     if config_path is not None:
         file_opts = _read_config(config_path)
         unknown = sorted(set(file_opts) - set(merged))
         if unknown:
             raise CliError(f"unknown config keys for {cmd}: {', '.join(unknown)}")
         merged.update(file_opts)
+        given |= set(file_opts)
     merged.update(flags)
     for key, flag in _REQUIRED.get(cmd, ()):
         if merged.get(key) is None:
             raise CliError(f"missing required option: {flag}")
+    if cmd == "extract" and merged["T"] is None:
+        # the sweep picks the coin angles, so given ones would go unused
+        for key in ("theta", "phi"):
+            if key in given:
+                raise CliError(f"--{key} needs -T/--steps: without it the sweep picks the angles")
     return merged
 
 
@@ -334,7 +352,6 @@ def _cmd_extract(opts: dict) -> int:
         epsilon=float(opts["eps"]),
         epsilon_pa=float(opts["eps_pa"]),
         beta=float(opts["beta"]),
-        Q=float(opts["Q"]),
     )
     source = SourceModel(config=cfg, Q=float(opts["Q"]), rng_seed=seed)
     record = run_protocol(source, params, mode, gamma=gamma)

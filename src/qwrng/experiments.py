@@ -9,6 +9,7 @@ re-running a preset reproduces its output byte for byte.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import time
@@ -19,7 +20,7 @@ import numpy as np
 
 from qwrng.maxprob import MaxProbResult, SweepGrid, g_functions
 from qwrng.rates import ProtocolCase, ProtocolParams, case_for_mode, rate_for_mode
-from qwrng.walk import FlipOperator, MeasurementMode
+from qwrng.walk import MeasurementMode
 
 _ALL = MeasurementMode.ALL
 _MEM = MeasurementMode.MEMORY_ONLY
@@ -99,36 +100,23 @@ def default_signal_grid(points: int = 40, lo: float = 1e3, hi: float = 1e10) -> 
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """One preset: sweep cells, noise levels, signal grid, security knobs."""
+    """One preset: sweep cells, noise levels and signal grid.
+
+    Rate curves use the `ProtocolParams` security defaults.
+    """
 
     name: str
     cases: tuple[tuple[int, int, MeasurementMode, SweepGrid], ...]
     noise_levels: tuple[float, ...] = ()
     N_grid: tuple[int, ...] = ()
-    epsilon: float = 1e-7
-    epsilon_pa: float = 1e-6
-    beta: float = 0.25
-
-
-@dataclass(frozen=True)
-class TableRow:
-    kappa: int
-    P: int
-    mode: MeasurementMode
-    value: float
-    t: int
-    theta: float | None
-    phi: float | None
-    flip: FlipOperator
-    reference: float | None
-    deviation: float | None
 
 
 @dataclass(frozen=True)
 class ResultTable:
+    """One sweep result per preset cell, in cell order."""
+
     name: str
-    rows: tuple[TableRow, ...]
-    grid: SweepGrid
+    rows: tuple[MaxProbResult, ...]
 
 
 @dataclass(frozen=True)
@@ -189,60 +177,34 @@ def preset(name: str, R: int | None = None, t_max: int | None = None) -> Experim
     raise ValueError(f"unknown preset {name!r}; available: {', '.join(PRESET_NAMES)}")
 
 
-# sweep results keyed by (P, kappa, mode, grid).  A g_function_cached miss
-# runs one evolution pass and stores all three modes, since they share it;
-# run_table and run_rate_curve sweep only the modes their cells request
-_sweep_cache: dict[tuple[int, int, MeasurementMode, SweepGrid], MaxProbResult] = {}
+@functools.lru_cache(maxsize=64)
+def _all_modes(P: int, kappa: int, grid: SweepGrid) -> dict[MeasurementMode, MaxProbResult]:
+    return g_functions(P, kappa, grid)
 
 
 def g_function_cached(
     P: int, kappa: int, mode: MeasurementMode, grid: SweepGrid
 ) -> MaxProbResult:
-    key = (P, kappa, mode, grid)
-    if key not in _sweep_cache:
-        for m, res in g_functions(P, kappa, grid).items():
-            _sweep_cache[(P, kappa, m, grid)] = res
-    return _sweep_cache[key]
+    """One cell of a bounded cache of all-mode sweeps: a miss sweeps all three modes."""
+    return _all_modes(P, kappa, grid)[mode]
 
 
-def _sweep_requested(cases) -> None:
-    """Cache every cell, one pass per (P, kappa, grid) over only the modes its cells ask for."""
+def _sweep_cells(cases) -> list[MaxProbResult]:
+    """Every cell's result, one pass per (P, kappa, grid) over only the modes its cells ask for."""
     requested: dict[tuple[int, int, SweepGrid], dict[MeasurementMode, None]] = {}
     for P, kappa, mode, grid in cases:
-        if (P, kappa, mode, grid) not in _sweep_cache:
-            requested.setdefault((P, kappa, grid), {})[mode] = None
-    for (P, kappa, grid), modes in requested.items():
-        for m, res in g_functions(P, kappa, grid, tuple(modes)).items():
-            _sweep_cache[(P, kappa, m, grid)] = res
+        requested.setdefault((P, kappa, grid), {})[mode] = None
+    swept = {key: g_functions(*key, tuple(modes)) for key, modes in requested.items()}
+    return [swept[(P, kappa, grid)][mode] for P, kappa, mode, grid in cases]
 
 
 def run_table(spec: ExperimentSpec | str) -> ResultTable:
-    """Evaluate every cell of a table preset, annotating published values."""
+    """Evaluate every cell of a table preset."""
     if isinstance(spec, str):
         spec = preset(spec)
     if not spec.cases:
         raise ValueError("spec has no cases")
-    _sweep_requested(spec.cases)
-    rows = []
-    for P, kappa, mode, grid in spec.cases:
-        res = _sweep_cache[(P, kappa, mode, grid)]
-        kind = "hadamard" if grid.R is None else "general"
-        ref = reference_value(kind, mode, kappa, P)
-        rows.append(
-            TableRow(
-                kappa=kappa,
-                P=P,
-                mode=mode,
-                value=res.value,
-                t=res.at_t,
-                theta=res.at_theta,
-                phi=res.at_phi,
-                flip=res.at_flip,
-                reference=ref,
-                deviation=None if ref is None else res.value - ref,
-            )
-        )
-    return ResultTable(name=spec.name, rows=tuple(rows), grid=spec.cases[0][3])
+    return ResultTable(name=spec.name, rows=tuple(_sweep_cells(spec.cases)))
 
 
 def run_rate_curve(spec: ExperimentSpec | str) -> RateCurve:
@@ -251,18 +213,12 @@ def run_rate_curve(spec: ExperimentSpec | str) -> RateCurve:
         spec = preset(spec)
     if not spec.cases or not spec.noise_levels or not spec.N_grid:
         raise ValueError("curve spec needs cases, noise levels and a signal grid")
-    _sweep_requested(spec.cases)
     points = []
-    for P, kappa, mode, grid in spec.cases:
-        res = _sweep_cache[(P, kappa, mode, grid)]
+    for (P, kappa, mode, _), res in zip(spec.cases, _sweep_cells(spec.cases)):
         gamma = res.gamma
         for Q in spec.noise_levels:
             for N in spec.N_grid:
-                params = ProtocolParams(
-                    N=N, epsilon=spec.epsilon, epsilon_pa=spec.epsilon_pa,
-                    beta=spec.beta, Q=Q,
-                )
-                rr = rate_for_mode(params, gamma, P, kappa, mode)
+                rr = rate_for_mode(ProtocolParams(N=N, Q=Q), gamma, P, kappa, mode)
                 if rr.rate > gamma + 1e-9:
                     raise AssertionError("rate exceeded its asymptote; formula misuse")
                 points.append(
@@ -282,10 +238,10 @@ def _table_cells(result: ResultTable) -> list[tuple[str, ...]]:
             str(r.P),
             r.mode.value,
             repr(r.value),
-            str(r.t),
-            "" if r.theta is None else repr(r.theta),
-            "" if r.phi is None else repr(r.phi),
-            r.flip.name,
+            str(r.at_t),
+            "" if r.at_theta is None else repr(r.at_theta),
+            "" if r.at_phi is None else repr(r.at_phi),
+            r.at_flip.name,
         )
         for r in result.rows
     ]
@@ -336,7 +292,6 @@ def emit(
 
 __all__ = [
     "ExperimentSpec",
-    "TableRow",
     "ResultTable",
     "CurvePoint",
     "RateCurve",

@@ -226,12 +226,23 @@ def _sweep_flip(
     return best
 
 
-def _run_sweep(
+def g_functions(
     P: int,
     kappa: int,
     grid: SweepGrid,
-    modes: tuple[MeasurementMode, ...],
+    modes: tuple[MeasurementMode, ...] = (
+        MeasurementMode.ALL,
+        MeasurementMode.MEMORY_ONLY,
+        MeasurementMode.POSITION_ONLY,
+    ),
 ) -> dict[MeasurementMode, MaxProbResult]:
+    """Minimum over the grid of the peak outcome probability in each of `modes`.
+
+    One evolution pass serves every mode.  Ties break toward the smallest
+    t, then the flip in order I, X, Y, then the smallest theta, then the
+    smallest phi.
+    """
+    WalkConfig(P=P, kappa=kappa, T=0)  # validates dimensions
     coins = _coin_batch(grid)
     partials = [_sweep_flip(P, kappa, grid, modes, flip, coins) for flip in grid.flip_set]
 
@@ -260,28 +271,8 @@ def g_function(
     mode: MeasurementMode,
     grid: SweepGrid,
 ) -> MaxProbResult:
-    """Minimum over the grid of the peak outcome probability in `mode`.
-
-    Ties break toward the smallest t, then the flip in order I, X, Y,
-    then the smallest theta, then the smallest phi.
-    """
-    WalkConfig(P=P, kappa=kappa, T=0)  # validates dimensions
-    return _run_sweep(P, kappa, grid, (mode,))[mode]
-
-
-def g_functions(
-    P: int,
-    kappa: int,
-    grid: SweepGrid,
-    modes: tuple[MeasurementMode, ...] = (
-        MeasurementMode.ALL,
-        MeasurementMode.MEMORY_ONLY,
-        MeasurementMode.POSITION_ONLY,
-    ),
-) -> dict[MeasurementMode, MaxProbResult]:
-    """All requested modes from a single evolution pass over the grid."""
-    WalkConfig(P=P, kappa=kappa, T=0)
-    return _run_sweep(P, kappa, grid, tuple(modes))
+    """Minimum over the grid of the peak outcome probability in `mode`."""
+    return g_functions(P, kappa, grid, (mode,))[mode]
 
 
 def min_over_time(

@@ -37,13 +37,6 @@ _S_DEPOLARIZE, _S_TEST, _S_HONEST, _S_MIXED, _S_SUBSET, _S_HASH = range(6)
 # t_subset is written out in full below this size and digested above it
 SUBSET_INLINE_LIMIT = 10_000
 
-# switch from exact integer convolution to FFT above this many
-# multiply-adds.  The FFT path is a cyclic convolution of length
-# M >= ell + L - 1 = len(s): output i < ell reads s[i - j + L - 1] for
-# 0 <= j < L, an index in [0, ell + L - 1), so no wrapped term reaches
-# the ell outputs kept.  They are rounded back to exact bit counts.
-_FFT_MIN_WORK = 1 << 26
-
 
 def _stream(seed: int, which: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=(which,))))
@@ -139,10 +132,14 @@ def _smooth_len(n: int) -> int:
 
 
 def _toeplitz_counts(s: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Integer counts sum_j s[i - j + L - 1] x[j] for i < len(s) - L + 1, L = len(x)."""
+    """Integer counts sum_j s[i - j + L - 1] x[j] for i < len(s) - L + 1, L = len(x).
+
+    One cyclic float64 convolution of length M >= ell + L - 1 = len(s):
+    output i < ell reads s[i - j + L - 1] for 0 <= j < L, an index in
+    [0, ell + L - 1), so no wrapped term reaches the ell outputs kept.
+    They are rounded back to exact bit counts.
+    """
     L = x.shape[0]
-    if s.shape[0] * L <= _FFT_MIN_WORK:
-        return np.convolve(s.astype(np.int64), x.astype(np.int64), mode="valid")
     M = _smooth_len(s.shape[0])
     spectrum = np.fft.rfft(s.astype(np.float64), M)
     spectrum *= np.fft.rfft(x.astype(np.float64), M)
@@ -163,9 +160,9 @@ def privacy_amplify(raw: np.ndarray, ell: int, seed: int, *, d: int) -> np.ndarr
     T[i, j] = s[i - j + L - 1] over the seed bits s.  The Toeplitz
     family is two-universal, and the map is linear over GF(2).  Only
     the ell outputs are computed, as the middle of the convolution of
-    s with x: exact integer arithmetic when small, and when large one
-    float64 cyclic FFT of 5-smooth length M >= ell + L - 1, which no
-    wrapped term reaches, rounded back to integers.
+    s with x: one float64 cyclic FFT of 5-smooth length
+    M >= ell + L - 1, which no wrapped term reaches, rounded back to
+    integers.
     """
     if ell < 0:
         raise ValueError("output length cannot be negative")

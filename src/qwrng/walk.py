@@ -113,50 +113,14 @@ class CoinOperator:
 
 
 @dataclass(frozen=True)
-class BasisPoint:
-    """Computational basis label: position x and coin bits (c_0, ..., c_{kappa-1}).
-
-    The last bit is the active coin; earlier bits are memory coins,
-    oldest first.
-    """
-
-    x: int
-    coins: tuple[int, ...]
-
-    def index(self, P: int) -> int:
-        """Flat index under the position-major, big-endian-coins layout."""
-        kappa = len(self.coins)
-        if kappa < 1:
-            raise ValueError("a basis point needs at least the active coin")
-        if not 0 <= self.x < P:
-            raise ValueError(f"position {self.x} outside the cycle [0, {P})")
-        code = 0
-        for c in self.coins:
-            if c not in (0, 1):
-                raise ValueError(f"coin value {c!r} is not a bit")
-            code = (code << 1) | c
-        return self.x * (1 << kappa) + code
-
-    @classmethod
-    def from_index(cls, i: int, P: int, kappa: int) -> "BasisPoint":
-        nc = 1 << kappa
-        if not 0 <= i < P * nc:
-            raise ValueError(f"index {i} outside the walker space of size {P * nc}")
-        x, code = divmod(i, nc)
-        coins = tuple((code >> (kappa - 1 - j)) & 1 for j in range(kappa))
-        return cls(x, coins)
-
-
-@dataclass(frozen=True)
 class WalkConfig:
-    """Full description of one walk: dimensions, depth, coin, flip, start point."""
+    """Full description of one walk: dimensions, depth, coin and flip."""
 
     P: int
     kappa: int
     T: int
     coin: CoinOperator = CoinOperator("hadamard")
     flip: FlipOperator = FlipOperator.I
-    initial: BasisPoint | None = None  # None means the all-zeros point
 
     def __post_init__(self) -> None:
         if self.P < 2:
@@ -165,22 +129,11 @@ class WalkConfig:
             raise ValueError("need kappa >= 1: the active coin is mandatory")
         if self.T < 0:
             raise ValueError("step count T must be non-negative")
-        if self.initial is not None:
-            if len(self.initial.coins) != self.kappa:
-                raise ValueError(
-                    f"initial point has {len(self.initial.coins)} coins, config has kappa={self.kappa}"
-                )
-            self.initial.index(self.P)  # validates ranges
 
     @property
     def dim(self) -> int:
         """Walker dimension 2**kappa * P."""
         return (1 << self.kappa) * self.P
-
-    def start_point(self) -> BasisPoint:
-        if self.initial is not None:
-            return self.initial
-        return BasisPoint(0, (0,) * self.kappa)
 
 
 @dataclass(frozen=True)
@@ -218,13 +171,13 @@ class Distribution:
 
 
 def initial_state(config: WalkConfig) -> WalkState:
-    """Basis state at the start point with the flip applied to the active coin.
+    """The all-zeros point, index 0, with the flip applied to the active coin.
 
     The identity flip leaves a pure basis state; X and Y spread it over
     the two active-coin values before any step runs.
     """
     amps = np.zeros(config.dim, dtype=np.complex128)
-    amps[config.start_point().index(config.P)] = 1.0
+    amps[0] = 1.0
     if config.flip is not FlipOperator.I:
         # the active coin is the least significant index bit, so adjacent
         # amplitude pairs share everything but the active coin
@@ -289,7 +242,6 @@ __all__ = [
     "MeasurementMode",
     "FlipOperator",
     "CoinOperator",
-    "BasisPoint",
     "WalkConfig",
     "WalkState",
     "Distribution",

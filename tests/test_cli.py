@@ -14,6 +14,7 @@ import qwrng.cli as cli
 import qwrng.experiments as experiments
 import qwrng.pipeline as pipeline
 from qwrng.cli import main
+from qwrng.rates import ProtocolParams
 
 
 def run(capsys, *argv):
@@ -269,7 +270,6 @@ class TestExtract:
         assert str(blocker) in last_error(err)["error"]
 
     def test_lost_hash_precision_is_a_json_error(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setattr(pipeline, "_FFT_MIN_WORK", 0)
         irfft = np.fft.irfft
         monkeypatch.setattr(np.fft, "irfft", lambda *a, **kw: irfft(*a, **kw) + 0.25)
         rc, _, err = run(capsys, "extract", "-P", "5", "-T", "8",
@@ -278,6 +278,47 @@ class TestExtract:
         assert rc == 2
         assert "residual" in last_error(err)["error"]
         assert not (tmp_path / "p.bits").exists()
+
+    @pytest.mark.parametrize("flag", ["--theta", "--phi"])
+    def test_angle_flags_need_fixed_steps(self, capsys, tmp_path, monkeypatch, flag):
+        # without -T the sweep picks theta and phi, so given ones would go unused
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("swept despite an unused angle flag")
+
+        monkeypatch.setattr(cli, "g_function", must_not_run)
+        rc, out, err = run(capsys, "extract", "-P", "3", "--coin", "general",
+                           "--R", "2", "--tmax", "10", "-N", "10000", "--seed", "1",
+                           flag, "0.3", "-o", str(tmp_path / "a"))
+        assert rc == 2
+        assert out == ""
+        assert len(err.strip().splitlines()) == 1
+        assert flag in last_error(err)["error"]
+        assert not (tmp_path / "a.record.txt").exists()
+
+    def test_angle_from_config_file_needs_fixed_steps(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("coin = general\ntheta = 0.3\n")
+        rc, _, err = run(capsys, "extract", "-P", "3", "--config", str(cfg), "--R", "2",
+                         "--tmax", "10", "-N", "10000", "-o", str(tmp_path / "a"))
+        assert rc == 2
+        assert "--theta" in last_error(err)["error"]
+
+    def test_angle_flags_set_the_fixed_walk(self, capsys, tmp_path):
+        rc, _, _ = run(capsys, "extract", "-P", "3", "--coin", "general", "-T", "4",
+                       "--theta", "0.3", "--phi", "1.0", "-N", "10000", "--seed", "1",
+                       "-o", str(tmp_path / "a"))
+        assert rc == 0
+        record = (tmp_path / "a.record.txt").read_text()
+        assert "theta: 0.3\n" in record and "phi: 1.0\n" in record
+
+    def test_security_defaults_are_the_protocol_defaults(self, capsys, tmp_path):
+        rc, out, _ = run(capsys, "extract", "-P", "5", "-T", "8", "-N", "400",
+                         "--seed", "1", "-o", str(tmp_path / "d"), "--json")
+        assert rc == 0
+        doc, defaults = json.loads(out), ProtocolParams(N=400)
+        assert doc["m"] == str(defaults.m)
+        for key in ("epsilon", "epsilon_pa", "beta"):
+            assert doc[key] == repr(getattr(defaults, key))
 
 
 class TestConfigFile:

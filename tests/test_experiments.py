@@ -1,4 +1,4 @@
-"""Preset layout, caching, reference annotation, and file emission."""
+"""Preset layout, sweep sharing and caching, and file emission."""
 
 import json
 import re
@@ -21,7 +21,7 @@ from qwrng.experiments import (
 )
 from qwrng.maxprob import SweepGrid, g_functions, max_outcome_prob
 from qwrng.rates import ProtocolCase
-from qwrng.walk import CoinOperator, MeasurementMode, WalkConfig
+from qwrng.walk import MeasurementMode
 
 
 def _tiny_table_spec(tmax=6):
@@ -105,31 +105,43 @@ class TestRunTable:
         table = run_table(_tiny_table_spec())
         assert len(table.rows) == 4
         for row in table.rows:
-            if row.theta is None:
-                coin = CoinOperator.hadamard()
-            else:
-                coin = CoinOperator.generalized(row.theta, row.phi)
-            cfg = WalkConfig(P=row.P, kappa=row.kappa, T=row.t, coin=coin, flip=row.flip)
-            assert max_outcome_prob(cfg, row.mode) == pytest.approx(row.value, abs=1e-12)
+            assert max_outcome_prob(row.walk_config(), row.mode) == pytest.approx(
+                row.value, abs=1e-12
+            )
 
-    def test_published_cell_annotation(self):
+    def test_published_cell_reproduced(self):
         # one real sweep: the kappa=2, P=3 joint minimum sits at 0.1250
         grid = SweepGrid(t_min=1, t_max=2000)
         spec = ExperimentSpec(name="one", cases=((3, 2, MeasurementMode.ALL, grid),))
         row = run_table(spec).rows[0]
-        assert row.reference == 0.1250
-        assert abs(row.deviation) < 5e-4
+        assert abs(row.value - reference_value("hadamard", MeasurementMode.ALL, 2, 3)) < 5e-4
 
     def test_empty_spec_rejected(self):
         with pytest.raises(ValueError):
             run_table(ExperimentSpec(name="none", cases=()))
 
-    def test_cache_shares_one_pass_across_modes(self):
+    def test_cache_shares_one_pass_across_modes(self, monkeypatch):
+        calls = []
+
+        def spy(P, kappa, grid, *modes):
+            calls.append((P, kappa, grid, *modes))
+            return g_functions(P, kappa, grid, *modes)
+
+        monkeypatch.setattr(experiments, "g_functions", spy)
         grid = SweepGrid(t_min=1, t_max=4)
-        r_all = g_function_cached(7, 1, MeasurementMode.ALL, grid)
-        key_pos = (7, 1, MeasurementMode.POSITION_ONLY, grid)
-        assert key_pos in experiments._sweep_cache
-        assert g_function_cached(7, 1, MeasurementMode.ALL, grid) is r_all
+        experiments._all_modes.cache_clear()
+        got = {mode: g_function_cached(7, 1, mode, grid) for mode in MeasurementMode}
+        assert calls == [(7, 1, grid)]  # one pass over the default, all three modes
+        assert g_function_cached(7, 1, MeasurementMode.ALL, grid) is got[MeasurementMode.ALL]
+        assert got == g_functions(7, 1, grid)
+
+    def test_cache_is_bounded(self):
+        size = experiments._all_modes.cache_info().maxsize
+        assert size is not None
+        experiments._all_modes.cache_clear()
+        for P in range(2, size + 3):
+            g_function_cached(P, 1, MeasurementMode.ALL, SweepGrid(t_min=1, t_max=1))
+        assert experiments._all_modes.cache_info().currsize == size
 
     def test_table_sweeps_only_requested_modes(self, monkeypatch):
         all_, mem, pos = (MeasurementMode.ALL, MeasurementMode.MEMORY_ONLY,
@@ -143,15 +155,25 @@ class TestRunTable:
             calls.append(((P, kappa), tuple(modes)))
             return g_functions(P, kappa, grid, modes)
 
-        monkeypatch.setattr(experiments, "_sweep_cache", {})
         monkeypatch.setattr(experiments, "g_functions", spy)
         rows = run_table(ExperimentSpec(name="mixed", cases=cases)).rows
         assert dict(calls) == {(5, 2): (all_,), (3, 2): (all_, mem, pos), (3, 1): (all_,)}
         assert len(calls) == 3
         for row, (P, kappa, mode, _) in zip(rows, cases):
-            full = g_functions(P, kappa, grid)[mode]
-            got = (row.value, row.t, row.theta, row.phi, row.flip)
-            assert got == (full.value, full.at_t, full.at_theta, full.at_phi, full.at_flip)
+            assert row == g_functions(P, kappa, grid)[mode]
+
+    def test_table_keeps_no_sweeps_between_runs(self, monkeypatch):
+        calls = []
+
+        def spy(P, kappa, grid, modes):
+            calls.append((P, kappa))
+            return g_functions(P, kappa, grid, modes)
+
+        monkeypatch.setattr(experiments, "g_functions", spy)
+        spec = _tiny_table_spec()
+        first = run_table(spec)
+        assert run_table(spec) == first
+        assert len(calls) == 2 * len(spec.cases)  # the second run swept every cell again
 
 
 @pytest.fixture(scope="module")
@@ -244,7 +266,7 @@ class TestEmit:
         assert re.fullmatch(r"tiny_\d{8}T\d{6}\.csv", path.name)
 
     def test_empty_rows_rejected(self, tmp_path):
-        hollow = ResultTable(name="x", rows=(), grid=SweepGrid(1, 2))
+        hollow = ResultTable(name="x", rows=())
         with pytest.raises(ValueError):
             emit(hollow, path=tmp_path)
         with pytest.raises(ValueError):

@@ -1,0 +1,108 @@
+"""Golden outputs: every preset CSV and seeded extraction files, byte for byte.
+
+The digests pin what the program wrote before its walk, sweep and hash
+code were last simplified.  Changing one is a deliberate output change:
+CHANGES.md records the old digest, the new one and why.
+"""
+
+import hashlib
+from pathlib import Path
+
+import pytest
+
+from qwrng.cli import main
+from qwrng.experiments import PRESET_NAMES
+
+PRESET_TMAX = "20"
+
+PRESET_DIGESTS = {
+    "table1": "22aa88fef025b05e4b132f174ce44b8b77dbb471055c7fc0773f76f4872df39b",
+    "table2": "4f84cfe289bed4ecff5aea40ac88f2df51457364b472c29ffa7bd3552c053b5f",
+    "table3": "b4af1344711da05769a81dd5100760aac4aa4a740442515237c4e5008cef56f6",
+    "table4": "30088988534cf74cbd9c2333d697b90aa77ae8686fd7e0a136ba1914ba18b1ba",
+    "table5": "8e1ae740f080e1546c3f0cc2df371a11c87c8a7f088eaf48de315e1928ce2832",
+    "table6": "8ef070eac0839be7cb74627b1d2525be8b90c5070bd8449cb5d06b43dd9fab68",
+    "kappa1": "03358b345b70dd1f0b11d53e9da77c84ed7458b0d8dd163d1853fb9ac61369d6",
+    "fig1": "f66614ae501bbdac343d582bb9e29d9b5f32cdc72e4ef5ca9e5cb5a56c82545f",
+    "fig2": "aa2f0b03d558e3fae52a3b11e8df34a2863a79eca45ed9ef24ac97de2ab9b284",
+    "fig3": "a04bd0a4eff28f9fcedb372bfb6e13afd305b21a1351d1f7216dd9522310ea28",
+    "fig4": "34f46e3f57ecf646bfb22469c37693b52a87e63c7605e4d4c0e3ea7168f2fbeb",
+    "fig5": "a9b14364400b47bcdc291ed3bcee8e8ad1a5fa4471ea614c8bd6c01f06b3ec6f",
+    "fig6": "993cd92214f372bf721822516a2571f42b92254ba74fd4ea6b9f5c4aaa5867d4",
+    "fig7": "5fd2b5b69711e5a8b0ab470736a4070c0c3e8dbe9594723a1ad3ad787db10d66",
+}
+
+# seeded extraction runs: the three readouts at one fixed walk, a kappa = 3
+# position readout (its marginal sums eight coin weights), and one run
+# without -T, whose walk and gamma come from a sweep
+EXTRACT_RUNS = {
+    "all": ("-P", "5", "-k", "2", "-T", "636", "--mode", "all", "--seed", "7"),
+    "memory": ("-P", "5", "-k", "2", "-T", "636", "--mode", "memory", "--seed", "7"),
+    "position": ("-P", "5", "-k", "2", "-T", "636", "--mode", "position", "--seed", "7"),
+    "kappa3-position": ("-P", "5", "-k", "3", "-T", "137", "--mode", "position", "--seed", "3"),
+    "swept": ("-P", "3", "-k", "2", "--coin", "general", "--R", "2", "--tmax", "10",
+              "--mode", "memory", "--seed", "1"),
+}
+# a tenth of the signals tested keeps the finite-size penalty small enough
+# that every run outputs bits
+EXTRACT_SIZE = ("-N", "100000", "-m", "10000")
+
+EXTRACT_DIGESTS = {
+    "all": (
+        "3ae138af8ca7a8c3f05f088e952c88553bb7d5c956ce552a7886338e413c968e",
+        "7bfcd4e799dc9b0f0d59b4b2dd2409ee2de305074d61da680a43e47538c8988f",
+    ),
+    "memory": (
+        "3fb2da751b92a15e5f3ae3f6feabb58697011b1d8780935829cbfd6b3f0972fa",
+        "a483c7df5857a592b67aacdf079b1f2948de6c53a197732309248dc28eef83a7",
+    ),
+    "position": (
+        "e8c4bbb27ba27af85c7742c6dce3aa5bb11ced22b2e9ef0b87ac145398200f86",
+        "ab68988959274c6d43e0fabc922a4608d8e77744550611d8e5bdf350b56b1db3",
+    ),
+    "kappa3-position": (
+        "6faf750cb6ecb4c44d7626520f46e2ee795370e42cdd4836548457229c7f989b",
+        "c005935188125562fac81c3f1976605e73a9c477e23f54280b38211e20edea71",
+    ),
+    "swept": (
+        "564211938b0353f4ab5205bd9ae83675381a8951e67bc33c30d512ecea3d8145",
+        "00d027e36fbe3339d780ee5b8c3e381097f6284d741049816c6a9f89d4d9b763",
+    ),
+}
+
+
+def sha256(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def preset_csvs(out: Path) -> dict[str, str]:
+    """Digest of each preset's CSV at the short sweep window."""
+    for name in PRESET_NAMES:
+        command = "curve" if name.startswith("fig") else "table"
+        rc = main([command, name, "--tmax", PRESET_TMAX, "--no-timestamp", "-o", str(out)])
+        assert rc == 0, name
+    return {name: sha256(out / f"{name}.csv") for name in PRESET_NAMES}
+
+
+def extract_files(name: str, out: Path) -> tuple[str, str]:
+    """Digests of one seeded run's record and its non-empty bits."""
+    stem = out / name
+    assert main(["extract", *EXTRACT_RUNS[name], *EXTRACT_SIZE, "-o", str(stem)]) == 0
+    bits = stem.with_name(name + ".bits")
+    assert bits.stat().st_size > 0, f"{name} aborted"
+    return sha256(stem.with_name(name + ".record.txt")), sha256(bits)
+
+
+@pytest.fixture(scope="module")
+def preset_digests(tmp_path_factory):
+    return preset_csvs(tmp_path_factory.mktemp("presets"))
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_preset_csv_is_golden(preset_digests, name):
+    assert preset_digests[name] == PRESET_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", EXTRACT_RUNS)
+def test_extract_files_are_golden(tmp_path, name):
+    assert extract_files(name, tmp_path) == EXTRACT_DIGESTS[name]

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import qwrng.pipeline as pipeline
 from qwrng.maxprob import gamma_from_g, g_function, SweepGrid
 from qwrng.pipeline import (
     RunRecord,
@@ -161,17 +160,16 @@ def test_hash_edge_cases():
         privacy_amplify(np.array([1, 0]), -1, 9, d=2)
 
 
-def test_fft_convolution_path_agrees_with_exact_path(monkeypatch):
+def test_fft_convolution_path_agrees_with_exact_path():
     # (L, ell): ell = 1 and ell = L, and seed lengths ell + L - 1 that
     # are 5-smooth (the FFT length equals them) or one above one
     cases = [(4096, 512), (1000, 1), (1001, 1), (500, 500), (513, 513), (600, 401), (600, 402)]
     rng = np.random.default_rng(11)
     for L, ell in cases:
         raw = rng.integers(0, 2, size=L)
-        exact = privacy_amplify(raw, ell, 31337, d=2)
-        with monkeypatch.context() as m:
-            m.setattr(pipeline, "_FFT_MIN_WORK", 0)
-            via_fft = privacy_amplify(raw, ell, 31337, d=2)
+        via_fft = privacy_amplify(raw, ell, 31337, d=2)
+        s = toeplitz_seed_bits(31337, ell, L).astype(np.int64)
+        exact = np.convolve(s, raw.astype(np.int64), mode="valid") & 1
         np.testing.assert_array_equal(via_fft, exact, err_msg=f"L={L} ell={ell}")
         dense = (toeplitz_matrix(31337, ell, L) @ raw) % 2
         np.testing.assert_array_equal(via_fft, dense, err_msg=f"L={L} ell={ell}")

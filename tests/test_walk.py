@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qwrng.walk import (
-    BasisPoint,
     CoinOperator,
     FlipOperator,
     MeasurementMode,
@@ -25,8 +24,13 @@ SQ2 = 1.0 / math.sqrt(2.0)
 IDENTITY = CoinOperator.generalized(0.0, 0.0)  # a step with it only shifts and rotates
 
 
-def config(P, kappa, T, coin=None, flip=FlipOperator.I, initial=None):
-    return WalkConfig(P=P, kappa=kappa, T=T, coin=coin or CoinOperator.hadamard(), flip=flip, initial=initial)
+def config(P, kappa, T, coin=None, flip=FlipOperator.I):
+    return WalkConfig(P=P, kappa=kappa, T=T, coin=coin or CoinOperator.hadamard(), flip=flip)
+
+
+def at(x, *coins):
+    """Flat index of position x and coin bits (c_0, ..., c_{kappa-1}), the last one active."""
+    return (x << len(coins)) | int("".join(map(str, coins)), 2)
 
 
 def random_state(cfg, seed):
@@ -38,34 +42,10 @@ def random_state(cfg, seed):
 # -- index layout -------------------------------------------------------------
 
 def test_all_zeros_point_is_index_zero():
-    assert BasisPoint(0, (0,)).index(3) == 0
-    assert BasisPoint(0, (0, 0, 0)).index(5) == 0
-
-
-def test_index_is_position_major_big_endian_coins():
-    # (x, c_0, c_1) -> x*4 + 2*c_0 + c_1, the active coin c_1 least significant
-    assert BasisPoint(2, (1, 0)).index(3) == 2 * 4 + 2
-    assert BasisPoint(1, (0, 1)).index(3) == 1 * 4 + 1
-    assert BasisPoint(4, (1,)).index(5) == 9
-
-
-def test_index_roundtrip_is_bijective():
-    P, kappa = 5, 3
-    seen = set()
-    for i in range(P * 2**kappa):
-        pt = BasisPoint.from_index(i, P, kappa)
-        assert pt.index(P) == i
-        seen.add((pt.x, pt.coins))
-    assert len(seen) == P * 2**kappa
-
-
-def test_index_rejects_out_of_range_labels():
-    with pytest.raises(ValueError):
-        BasisPoint(3, (0,)).index(3)
-    with pytest.raises(ValueError):
-        BasisPoint(0, (2,)).index(3)
-    with pytest.raises(ValueError):
-        BasisPoint.from_index(24, 3, 3)
+    for kappa in (1, 3):
+        st0 = initial_state(config(5, kappa, 0))
+        assert st0.amplitudes[0] == 1.0
+        assert np.count_nonzero(st0.amplitudes) == 1
 
 
 # -- config validation --------------------------------------------------------
@@ -77,8 +57,6 @@ def test_config_rejects_bad_dimensions():
         config(3, 0, 0)
     with pytest.raises(ValueError):
         config(3, 1, -1)
-    with pytest.raises(ValueError):
-        config(3, 2, 0, initial=BasisPoint(0, (0,)))  # coin count mismatch
 
 
 def test_coin_operator_rejects_unknown_kind():
@@ -97,22 +75,17 @@ def test_initial_state_identity_flip_is_basis_state():
 def test_initial_state_x_flip_splits_active_coin():
     st0 = initial_state(config(3, 1, 0, flip=FlipOperator.X))
     expect = np.zeros(6, dtype=complex)
-    expect[BasisPoint(0, (0,)).index(3)] = SQ2
-    expect[BasisPoint(0, (1,)).index(3)] = SQ2
+    expect[at(0, 0)] = SQ2
+    expect[at(0, 1)] = SQ2
     np.testing.assert_allclose(st0.amplitudes, expect, atol=1e-15)
 
 
 def test_initial_state_y_flip_puts_i_on_active_one():
     st0 = initial_state(config(3, 2, 0, flip=FlipOperator.Y))
     expect = np.zeros(12, dtype=complex)
-    expect[BasisPoint(0, (0, 0)).index(3)] = SQ2
-    expect[BasisPoint(0, (0, 1)).index(3)] = 1j * SQ2
+    expect[at(0, 0, 0)] = SQ2
+    expect[at(0, 0, 1)] = 1j * SQ2
     np.testing.assert_allclose(st0.amplitudes, expect, atol=1e-15)
-
-
-def test_initial_state_respects_custom_start_point():
-    st0 = initial_state(config(5, 2, 0, initial=BasisPoint(3, (1, 0))))
-    assert st0.amplitudes[BasisPoint(3, (1, 0)).index(5)] == 1.0
 
 
 # -- step stages --------------------------------------------------------------
@@ -159,14 +132,15 @@ def test_shift_moves_by_active_coin():
     # (|0,0> + |0,1>)/sqrt2 with P=5 -> (|1,0> + |4,1>)/sqrt2
     out = evolve(config(5, 1, 1, coin=IDENTITY, flip=FlipOperator.X))
     expect = np.zeros(10, dtype=complex)
-    expect[BasisPoint(1, (0,)).index(5)] = SQ2
-    expect[BasisPoint(4, (1,)).index(5)] = SQ2
+    expect[at(1, 0)] = SQ2
+    expect[at(4, 1)] = SQ2
     np.testing.assert_allclose(out.amplitudes, expect, atol=1e-15)
 
 
 def test_shift_wraps_around_the_cycle():
-    out = evolve(config(3, 1, 1, coin=IDENTITY, initial=BasisPoint(2, (0,))))
-    assert out.amplitudes[BasisPoint(0, (0,)).index(3)] == 1.0
+    # active coin 0 moves +1 per step: x = 1, 2, then 0 again
+    out = evolve(config(3, 1, 3, coin=IDENTITY))
+    assert out.amplitudes[at(0, 0)] == 1.0
 
 
 def test_shift_applied_P_times_is_identity():
@@ -189,8 +163,7 @@ def test_memory_rotation_is_identity_for_single_coin():
 
 def test_memory_rotation_moves_active_coin_to_front():
     # active coin 1 moves x from 0 to 4, then coins (0,1,1) -> (1,0,1)
-    out = evolve(config(5, 3, 1, coin=IDENTITY, initial=BasisPoint(0, (0, 1, 1))))
-    assert out.amplitudes[BasisPoint(4, (1, 0, 1)).index(5)] == 1.0
+    assert step_source(5, 3)[at(4, 1, 0, 1)] == at(0, 0, 1, 1)
 
 
 def test_memory_rotation_has_order_kappa():
@@ -227,8 +200,8 @@ def test_one_step_single_coin_walk():
     # coin then shift; kappa=1 has no memory rotation
     out = evolve(config(5, 1, 1))
     expect = np.zeros(10, dtype=complex)
-    expect[BasisPoint(1, (0,)).index(5)] = SQ2
-    expect[BasisPoint(4, (1,)).index(5)] = SQ2
+    expect[at(1, 0)] = SQ2
+    expect[at(4, 1)] = SQ2
     np.testing.assert_allclose(out.amplitudes, expect, atol=1e-15)
 
 
@@ -236,8 +209,8 @@ def test_one_step_two_coin_walk_rotates_coins():
     # after the shift the rotation turns coins (0,1) into (1,0)
     out = evolve(config(3, 2, 1))
     expect = np.zeros(12, dtype=complex)
-    expect[BasisPoint(1, (0, 0)).index(3)] = SQ2
-    expect[BasisPoint(2, (1, 0)).index(3)] = SQ2
+    expect[at(1, 0, 0)] = SQ2
+    expect[at(2, 1, 0)] = SQ2
     np.testing.assert_allclose(out.amplitudes, expect, atol=1e-15)
 
 
