@@ -11,7 +11,6 @@ from qwrng.walk import (
     distribution,
     evolve,
     initial_state,
-    mode_dimension,
 )
 
 __version__ = "0.1.0"

@@ -135,14 +135,16 @@ def _add_emit_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--json", action="store_true", help="print a JSON summary")
 
 
-def _build_parser() -> _Parser:
+def _build_parser() -> tuple[_Parser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser, and each subcommand's parser by name."""
     parser = _Parser(prog="qwrng", description=__doc__.splitlines()[0],
                      argument_default=argparse.SUPPRESS)
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
+    commands: dict[str, argparse.ArgumentParser] = {}
 
     def new(name: str, help_: str) -> argparse.ArgumentParser:
-        p = sub.add_parser(name, help=help_, description=help_,
-                           argument_default=argparse.SUPPRESS)
+        p = commands[name] = sub.add_parser(name, help=help_, description=help_,
+                                            argument_default=argparse.SUPPRESS)
         p.add_argument("--config", help="file of key = value lines merged under the flags")
         return p
 
@@ -174,7 +176,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--seed", type=int, help="run seed; omitted means generate and print")
     p.add_argument("-o", "--out", dest="out", help="output file stem")
     p.add_argument("--json", action="store_true", help="emit a JSON document")
-    return parser
+    return parser, commands
 
 
 def _read_config(path: str) -> dict:
@@ -199,7 +201,28 @@ def _read_config(path: str) -> dict:
     return out
 
 
-def _resolve(args: argparse.Namespace) -> dict:
+def _file_value(action: argparse.Action, key: str, value):
+    """A config file value, put through the same type and choice checks as its flag.
+
+    A switch such as --json takes true or false; any other option takes
+    a string or number that its flag would accept as written.
+    """
+    if action.nargs == 0:
+        if isinstance(value, bool):
+            return value
+    elif isinstance(value, (str, int, float)) and not isinstance(value, bool):
+        try:
+            checked = (action.type or str)(str(value))
+        except ValueError:
+            pass
+        else:
+            if action.choices is None or checked in action.choices:
+                return checked
+    flag = "/".join(action.option_strings)
+    raise CliError(f"config key {key}: {json.dumps(value)} is not a valid {flag} value")
+
+
+def _resolve(args: argparse.Namespace, command: argparse.ArgumentParser) -> dict:
     cmd = args.command
     merged = dict(_DEFAULTS[cmd])
     flags = {k: v for k, v in vars(args).items() if k not in ("command", "config")}
@@ -210,46 +233,49 @@ def _resolve(args: argparse.Namespace) -> dict:
         unknown = sorted(set(file_opts) - set(merged))
         if unknown:
             raise CliError(f"unknown config keys for {cmd}: {', '.join(unknown)}")
-        merged.update(file_opts)
+        actions = {a.dest: a for a in command._actions}
+        merged.update({k: _file_value(actions[k], k, v) for k, v in file_opts.items()})
         given |= set(file_opts)
     merged.update(flags)
     for key, flag in _REQUIRED.get(cmd, ()):
         if merged.get(key) is None:
             raise CliError(f"missing required option: {flag}")
-    if cmd == "extract" and merged["T"] is None:
-        # the sweep picks the coin angles, so given ones would go unused
-        for key in ("theta", "phi"):
+    if cmd == "extract":
+        # -T fixes the walk and skips the sweep, which otherwise picks the
+        # coin angles: options of the path not taken would go unused
+        if merged["T"] is None:
+            unused, why = ("theta", "phi"), "needs -T/--steps: without it the sweep picks the angles"
+        else:
+            unused, why = ("tmin", "tmax", "R"), "sets the sweep, which -T/--steps skips"
+        for key in unused:
             if key in given:
-                raise CliError(f"--{key} needs -T/--steps: without it the sweep picks the angles")
+                raise CliError(f"--{key} {why}")
     return merged
 
 
 def _coin_from(opts: dict) -> CoinOperator:
-    kind = str(opts["coin"])
-    if kind == "hadamard":
+    if opts["coin"] == "hadamard":
         return CoinOperator.hadamard()
-    if kind == "general":
-        return CoinOperator.generalized(float(opts["theta"]), float(opts["phi"]))
-    raise CliError(f"unknown coin family {kind!r}")
+    return CoinOperator.generalized(opts["theta"], opts["phi"])
 
 
 def _walk_config(opts: dict) -> WalkConfig:
     return WalkConfig(
-        P=int(opts["P"]),
-        kappa=int(opts["kappa"]),
-        T=int(opts["T"]),
+        P=opts["P"],
+        kappa=opts["kappa"],
+        T=opts["T"],
         coin=_coin_from(opts),
-        flip=FlipOperator(str(opts["flip"] or "i")),
+        flip=FlipOperator(opts["flip"] or "i"),
     )
 
 
 def _sweep_grid(opts: dict) -> SweepGrid:
     return SweepGrid.for_coin(
-        str(opts["coin"]),
-        t_min=int(opts["tmin"]),
-        t_max=None if opts["tmax"] is None else int(opts["tmax"]),
-        R=None if opts["R"] is None else int(opts["R"]),
-        flips=None if opts["flip"] is None else (FlipOperator(str(opts["flip"])),),
+        opts["coin"],
+        t_min=opts["tmin"],
+        t_max=opts["tmax"],
+        R=opts["R"],
+        flips=None if opts["flip"] is None else (FlipOperator(opts["flip"]),),
     )
 
 
@@ -265,7 +291,7 @@ def _outcome_labels(P: int, kappa: int, mode: MeasurementMode, d: int) -> list[s
 
 def _cmd_evolve(opts: dict) -> int:
     cfg = _walk_config(opts)
-    mode = MeasurementMode(str(opts["mode"]))
+    mode = MeasurementMode(opts["mode"])
     dist = distribution(evolve(cfg), mode)
     labels = _outcome_labels(cfg.P, cfg.kappa, mode, dist.d)
     i_max, p_max = dist.max_outcome()
@@ -283,8 +309,8 @@ def _cmd_evolve(opts: dict) -> int:
 
 
 def _cmd_maxprob(opts: dict) -> int:
-    mode = MeasurementMode(str(opts["mode"]))
-    res = g_function(int(opts["P"]), int(opts["kappa"]), mode, _sweep_grid(opts))
+    mode = MeasurementMode(opts["mode"])
+    res = g_function(opts["P"], opts["kappa"], mode, _sweep_grid(opts))
     items: list[tuple[str, str]] = [
         ("g", repr(res.value)),
         ("gamma", repr(res.gamma)),
@@ -304,13 +330,8 @@ def _cmd_maxprob(opts: dict) -> int:
 
 
 def _emit_preset(opts: dict, run) -> int:
-    spec = preset(
-        str(opts["preset"]),
-        R=None if opts["R"] is None else int(opts["R"]),
-        t_max=None if opts["tmax"] is None else int(opts["tmax"]),
-    )
-    result = run(spec)
-    path = emit(result, fmt=str(opts["format"]), path=str(opts["out"]),
+    result = run(preset(opts["preset"], R=opts["R"], t_max=opts["tmax"]))
+    path = emit(result, fmt=opts["format"], path=opts["out"],
                 timestamp=not opts["no_timestamp"])
     rows = len(result.rows if hasattr(result, "rows") else result.points)
     if opts["json"]:
@@ -329,11 +350,11 @@ def _cmd_curve(opts: dict) -> int:
 
 
 def _cmd_extract(opts: dict) -> int:
-    mode = MeasurementMode(str(opts["mode"]))
+    mode = MeasurementMode(opts["mode"])
     generated = opts["seed"] is None
-    seed = secrets.randbits(63) if generated else int(opts["seed"])
+    seed = secrets.randbits(63) if generated else opts["seed"]
     # a bad output path fails here, before the sweep and the sampling run
-    stem = Path(str(opts["out"]))
+    stem = Path(opts["out"])
     if stem.parent != Path("."):
         stem.parent.mkdir(parents=True, exist_ok=True)
     record_path = stem.with_name(stem.name + ".record.txt")
@@ -341,19 +362,19 @@ def _cmd_extract(opts: dict) -> int:
 
     if opts["T"] is None:
         # no fixed step count: sweep for the adversarial optimum and run there
-        res = g_function(int(opts["P"]), int(opts["kappa"]), mode, _sweep_grid(opts))
+        res = g_function(opts["P"], opts["kappa"], mode, _sweep_grid(opts))
         cfg, gamma = res.walk_config(), res.gamma
     else:
         cfg, gamma = _walk_config(opts), None
 
     params = ProtocolParams(
-        N=int(opts["N"]),
-        m=None if opts["m"] is None else int(opts["m"]),
-        epsilon=float(opts["eps"]),
-        epsilon_pa=float(opts["eps_pa"]),
-        beta=float(opts["beta"]),
+        N=opts["N"],
+        m=opts["m"],
+        epsilon=opts["eps"],
+        epsilon_pa=opts["eps_pa"],
+        beta=opts["beta"],
     )
-    source = SourceModel(config=cfg, Q=float(opts["Q"]), rng_seed=seed)
+    source = SourceModel(config=cfg, Q=opts["Q"], rng_seed=seed)
     record = run_protocol(source, params, mode, gamma=gamma)
 
     record_path.write_text(record.to_text(), encoding="ascii")
@@ -385,13 +406,13 @@ _HANDLERS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
+    parser, commands = _build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 0
     try:
-        opts = _resolve(args)
+        opts = _resolve(args, commands[args.command])
         print(json.dumps({"command": args.command,
                           "config": {k: opts[k] for k in sorted(opts)}}),
               file=sys.stderr)

@@ -23,10 +23,9 @@ from qwrng.walk import (
     FlipOperator,
     MeasurementMode,
     WalkConfig,
-    distribution,
-    evolve,
     generalized_coin_matrix,
     initial_state,
+    marginal,
     step_source,
 )
 
@@ -130,11 +129,6 @@ class MaxProbResult:
         return WalkConfig(P=self.P, kappa=self.kappa, T=self.at_t, coin=coin, flip=self.at_flip)
 
 
-def max_outcome_prob(config: WalkConfig, mode: MeasurementMode) -> float:
-    """Largest outcome probability of the evolved walk in `mode`."""
-    return float(distribution(evolve(config), mode).probs.max())
-
-
 def gamma_from_g(g: float) -> float:
     """Min-entropy rate -log2(g) of a guessing probability."""
     if not 0.0 < g <= 1.0:
@@ -175,22 +169,6 @@ def _batch_step(states: np.ndarray, coins: np.ndarray, source: np.ndarray) -> np
     return np.take(coined.reshape(B, -1), source, axis=1).reshape(states.shape)
 
 
-def _mode_peaks(weights: np.ndarray, mode: MeasurementMode) -> np.ndarray:
-    """Per-batch maximum outcome probability; weights has shape (B, P, nc)."""
-    B = weights.shape[0]
-    if mode is MeasurementMode.ALL:
-        return weights.reshape(B, -1).max(axis=1)
-    if mode is MeasurementMode.MEMORY_ONLY:
-        return (weights[..., 0::2] + weights[..., 1::2]).reshape(B, -1).max(axis=1)
-    # left to right over the coin codes, as the sweep has always summed:
-    # numpy's pairwise sum along a contiguous axis rounds differently once
-    # 2**kappa >= 8, and table CSVs print every digit
-    position = weights[..., 0].copy()
-    for code in range(1, weights.shape[2]):
-        position += weights[..., code]
-    return position.max(axis=1)
-
-
 def _sweep_flip(
     P: int,
     kappa: int,
@@ -212,7 +190,7 @@ def _sweep_flip(
             continue
         weights = np.abs(states) ** 2
         for mode in modes:
-            peaks = _mode_peaks(weights, mode)
+            peaks = marginal(weights, mode).max(axis=-1)
             b = int(np.argmin(peaks))
             cand: _Candidate = (
                 float(peaks[b]),
@@ -300,7 +278,6 @@ def min_over_time(
 __all__ = [
     "SweepGrid",
     "MaxProbResult",
-    "max_outcome_prob",
     "gamma_from_g",
     "g_function",
     "g_functions",

@@ -20,15 +20,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from qwrng.maxprob import gamma_from_g, max_outcome_prob
+from qwrng.maxprob import gamma_from_g
 from qwrng.rates import ProtocolCase, ProtocolParams, RateResult, rate_for_mode
-from qwrng.walk import (
-    MeasurementMode,
-    WalkConfig,
-    distribution,
-    evolve,
-    mode_dimension,
-)
+from qwrng.walk import MeasurementMode, WalkConfig, distribution, evolve
 
 # stream numbers: depolarization mask, test outcomes, honest extraction
 # draws, depolarized extraction draws, subset choice, hash seed
@@ -56,22 +50,23 @@ class SourceModel:
 
 
 def sample_outcomes(
-    source: SourceModel, N: int, mode: MeasurementMode
+    source: SourceModel, N: int, probs: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Draw per-signal results for both roles a signal can play.
 
-    Returns (digits, test_bits).  digits[i] is the outcome signal i
-    would give under the extraction measurement in `mode`; test_bits[i]
-    is what the honest-state test would return on it.  Honest signals
-    pass the test with certainty and extract from the exact walk
-    distribution; depolarized ones fail the test with probability
-    1 - 1/(2**kappa P), the maximally mixed state's overlap, and extract
-    uniformly.  Fully deterministic given the source seed.
+    `probs` is the honest walk's outcome distribution under the
+    extraction measurement; the caller evolves the walk once and passes
+    it in.  Returns (digits, test_bits).  digits[i] is the outcome, in
+    0..len(probs)-1, that signal i would give under that measurement;
+    test_bits[i] is what the honest-state test would return on it.
+    Honest signals pass the test with certainty and draw from `probs`;
+    depolarized ones fail the test with probability 1 - 1/(2**kappa P),
+    the maximally mixed state's overlap, and extract uniformly.  Fully
+    deterministic given the source seed.
     """
     if N < 2:
         raise ValueError("need at least two signals")
     cfg = source.config
-    probs = distribution(evolve(cfg), mode).probs
     d = probs.shape[0]
     seed = source.rng_seed
 
@@ -267,11 +262,12 @@ def run_protocol(
     output.
     """
     cfg = source.config
+    probs = distribution(evolve(cfg), case).probs
     if gamma is None:
-        gamma = gamma_from_g(max_outcome_prob(cfg, case))
+        gamma = gamma_from_g(float(probs.max()))
 
     N, m = params.N, params.m
-    digits, test_bits = sample_outcomes(source, N, case)
+    digits, test_bits = sample_outcomes(source, N, probs)
     t_subset = np.sort(_stream(source.rng_seed, _S_SUBSET).choice(N, size=m, replace=False))
     q = test_bits[t_subset]
     w_q = float(q.mean())
@@ -287,9 +283,7 @@ def run_protocol(
     if aborted:
         output = np.zeros(0, dtype=np.uint8)
     else:
-        output = privacy_amplify(
-            raw, ell_bits, seed_matrix_id, d=mode_dimension(cfg.P, cfg.kappa, case)
-        )
+        output = privacy_amplify(raw, ell_bits, seed_matrix_id, d=probs.shape[0])
     return RunRecord(
         case=rr.case,
         config=cfg,

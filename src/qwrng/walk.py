@@ -37,15 +37,6 @@ class MeasurementMode(enum.Enum):
     POSITION_ONLY = "position"  # position alone, d = P
 
 
-def mode_dimension(P: int, kappa: int, mode: MeasurementMode) -> int:
-    """Outcome-space size of `mode` for a (P, kappa) walker."""
-    if mode is MeasurementMode.ALL:
-        return (1 << kappa) * P
-    if mode is MeasurementMode.MEMORY_ONLY:
-        return (1 << (kappa - 1)) * P
-    return P
-
-
 class FlipOperator(enum.Enum):
     """One-shot unitary applied to the active coin before the walk runs."""
 
@@ -218,24 +209,37 @@ def evolve(config: WalkConfig) -> WalkState:
     return WalkState(amps, config)
 
 
+def marginal(weights: np.ndarray, mode: MeasurementMode) -> np.ndarray:
+    """Outcome probabilities of `mode` from basis weights of shape (..., P, 2**kappa).
+
+    The result has shape (..., d).  ALL keeps every basis weight;
+    MEMORY_ONLY adds each active-coin pair; POSITION_ONLY adds the coin
+    codes left to right.  The walk and the sweep both read out through
+    here, so a certified peak and the sampled distribution round alike;
+    numpy's pairwise sum would round differently once 2**kappa >= 8,
+    and table CSVs print every digit.
+    """
+    if mode is MeasurementMode.ALL:
+        return weights.reshape(weights.shape[:-2] + (-1,))
+    if mode is MeasurementMode.MEMORY_ONLY:
+        pairs = weights[..., 0::2] + weights[..., 1::2]
+        return pairs.reshape(weights.shape[:-2] + (-1,))
+    if mode is MeasurementMode.POSITION_ONLY:
+        position = weights[..., 0].copy()
+        for code in range(1, weights.shape[-1]):
+            position += weights[..., code]
+        return position
+    raise ValueError(f"unknown measurement mode {mode!r}")
+
+
 def distribution(state: WalkState, mode: MeasurementMode) -> Distribution:
     """Measurement statistics of the state in the given mode.
 
-    ALL keeps every basis outcome; MEMORY_ONLY marginalizes the active
-    coin; POSITION_ONLY marginalizes the whole coin register.  For
-    kappa = 1 the last two coincide, both tracing out the lone coin.
+    For kappa = 1 MEMORY_ONLY and POSITION_ONLY coincide, both tracing
+    out the lone coin.
     """
-    cfg = state.config
-    weights = np.abs(state.amplitudes) ** 2
-    if mode is MeasurementMode.ALL:
-        probs = weights
-    elif mode is MeasurementMode.MEMORY_ONLY:
-        probs = weights.reshape(-1, 2).sum(axis=1)
-    elif mode is MeasurementMode.POSITION_ONLY:
-        probs = weights.reshape(cfg.P, -1).sum(axis=1)
-    else:
-        raise ValueError(f"unknown measurement mode {mode!r}")
-    return Distribution(probs, mode)
+    weights = np.abs(state.amplitudes.reshape(state.config.P, -1)) ** 2
+    return Distribution(marginal(weights, mode), mode)
 
 
 __all__ = [
@@ -248,8 +252,8 @@ __all__ = [
     "generalized_coin_matrix",
     "memory_rotation_gather",
     "step_source",
-    "mode_dimension",
     "initial_state",
     "evolve",
+    "marginal",
     "distribution",
 ]

@@ -303,6 +303,32 @@ class TestExtract:
         assert rc == 2
         assert "--theta" in last_error(err)["error"]
 
+    @pytest.mark.parametrize("flag,value", [("--tmin", "3"), ("--tmax", "50"), ("--R", "4")])
+    def test_sweep_flags_need_no_fixed_steps(self, capsys, tmp_path, monkeypatch, flag, value):
+        # -T fixes the walk and no sweep runs, so a sweep window would go unused
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("ran despite an unused sweep flag")
+
+        monkeypatch.setattr(cli, "run_protocol", must_not_run)
+        monkeypatch.setattr(cli, "g_function", must_not_run)
+        rc, out, err = run(capsys, "extract", "-P", "3", "--coin", "general", "--theta", "0.3",
+                           "-T", "4", "-N", "10000", "--seed", "1", flag, value,
+                           "-o", str(tmp_path / "a"))
+        assert rc == 2
+        assert out == ""
+        assert len(err.strip().splitlines()) == 1
+        assert flag in last_error(err)["error"]
+        assert not (tmp_path / "a.record.txt").exists()
+
+    def test_sweep_window_from_config_file_needs_no_fixed_steps(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("tmax = 50\n")
+        rc, _, err = run(capsys, "extract", "-P", "3", "--config", str(cfg), "-T", "4",
+                         "-N", "10000", "--seed", "1", "-o", str(tmp_path / "a"))
+        assert rc == 2
+        assert "--tmax" in last_error(err)["error"]
+        assert not (tmp_path / "a.record.txt").exists()
+
     def test_angle_flags_set_the_fixed_walk(self, capsys, tmp_path):
         rc, _, _ = run(capsys, "extract", "-P", "3", "--coin", "general", "-T", "4",
                        "--theta", "0.3", "--phi", "1.0", "-N", "10000", "--seed", "1",
@@ -335,6 +361,36 @@ class TestConfigFile:
         assert logged["config"]["kappa"] == 2
         assert logged["config"]["tmax"] == 50
         assert json.loads(out)["mode"] == "position"
+
+    @pytest.mark.parametrize("argv,line", [
+        (("evolve", "-T", "3"), "P = [3]"),
+        (("evolve", "-P", "3"), "T = 2.9"),
+        (("evolve", "-P", "3", "-T", "2"), "kappa = true"),
+        (("evolve", "-P", "3", "-T", "2"), "mode = both"),
+        (("evolve", "-P", "3", "-T", "2"), "json = 1"),
+        (("maxprob", "-P", "3"), "tmax = [5]"),
+        (("maxprob", "-P", "3"), "R = null"),
+        (("extract", "-P", "3", "-T", "2", "-N", "400"), "Q = {}"),
+    ])
+    def test_config_value_takes_the_flag_checks(self, capsys, tmp_path, argv, line):
+        # a value its flag would refuse is one JSON error line, not a
+        # traceback or a silent conversion
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(line + "\n")
+        rc, out, err = run(capsys, *argv, "--config", str(cfg))
+        assert rc == 2
+        assert out == ""
+        assert len(err.strip().splitlines()) == 1
+        assert line.split(" =")[0] in last_error(err)["error"]
+
+    def test_config_values_are_typed_like_flags(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text('T = "2"\nmode = "memory"\ntheta = 1\ncoin = general\njson = true\n')
+        rc, out, err = run(capsys, "evolve", "-P", "3", "--config", str(cfg))
+        assert rc == 0
+        logged = json.loads(err.splitlines()[0])["config"]
+        assert (logged["T"], logged["mode"], logged["theta"]) == (2, "memory", 1.0)
+        assert json.loads(out)["T"] == 2
 
     def test_unknown_config_key_rejected(self, capsys, tmp_path):
         cfg = tmp_path / "bad.cfg"

@@ -1,4 +1,5 @@
-"""Golden outputs: every preset CSV and seeded extraction files, byte for byte.
+"""Golden outputs: every preset CSV, seeded extraction files and single-walk
+readouts, byte for byte.
 
 The digests pin what the program wrote before its walk, sweep and hash
 code were last simplified.  Changing one is a deliberate output change:
@@ -61,13 +62,32 @@ EXTRACT_DIGESTS = {
         "ab68988959274c6d43e0fabc922a4608d8e77744550611d8e5bdf350b56b1db3",
     ),
     "kappa3-position": (
-        "6faf750cb6ecb4c44d7626520f46e2ee795370e42cdd4836548457229c7f989b",
+        "bad89b674c910d346159030c1e653c1b733d0f9bd81efb8f469efd454166b36e",
         "c005935188125562fac81c3f1976605e73a9c477e23f54280b38211e20edea71",
     ),
     "swept": (
         "564211938b0353f4ab5205bd9ae83675381a8951e67bc33c30d512ecea3d8145",
         "00d027e36fbe3339d780ee5b8c3e381097f6284d741049816c6a9f89d4d9b763",
     ),
+}
+
+
+# `evolve --json` at kappa = 3, where the position marginal adds eight coin
+# weights, in every readout, plus a general-coin walk after a Y flip
+EVOLVE_RUNS = {
+    "all": ("-P", "5", "-k", "3", "-T", "137", "--mode", "all"),
+    "memory": ("-P", "5", "-k", "3", "-T", "137", "--mode", "memory"),
+    "position": ("-P", "5", "-k", "3", "-T", "137", "--mode", "position"),
+    "general-y-position": ("-P", "21", "-k", "3", "-T", "60", "--coin", "general",
+                           "--theta", "0.3", "--phi", "1.0", "--flip", "y",
+                           "--mode", "position"),
+}
+
+EVOLVE_DIGESTS = {
+    "all": "cd86838e860666ef6d497c1f0dd83b0358b20ccd9faf2f73801571599eb9080b",
+    "memory": "9743818bf11009b953aaa6d3e078972c13860a72c9c339a1c858adbedda52a72",
+    "position": "f007ebfc12d3df3f480c9e9bf4d9ba3e2bd95e5bf6411513e6ed6e8a7a0ea4d2",
+    "general-y-position": "50e9c3be9b335741bfc88356f990b5939da29ddbfe2048f7778e1ea7b21a029b",
 }
 
 
@@ -106,3 +126,10 @@ def test_preset_csv_is_golden(preset_digests, name):
 @pytest.mark.parametrize("name", EXTRACT_RUNS)
 def test_extract_files_are_golden(tmp_path, name):
     assert extract_files(name, tmp_path) == EXTRACT_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", EVOLVE_RUNS)
+def test_evolve_json_is_golden(capsys, name):
+    assert main(["evolve", *EVOLVE_RUNS[name], "--json"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == EVOLVE_DIGESTS[name]

@@ -8,12 +8,10 @@ from qwrng.maxprob import (
     MaxProbResult,
     _batch_step,
     _coin_batch,
-    _mode_peaks,
     SweepGrid,
     g_function,
     g_functions,
     gamma_from_g,
-    max_outcome_prob,
     min_over_time,
 )
 from qwrng.walk import (
@@ -21,6 +19,9 @@ from qwrng.walk import (
     FlipOperator,
     MeasurementMode,
     WalkConfig,
+    distribution,
+    evolve,
+    marginal,
     memory_rotation_gather,
     step_source,
 )
@@ -30,20 +31,25 @@ MEM = MeasurementMode.MEMORY_ONLY
 POS = MeasurementMode.POSITION_ONLY
 
 
-# -- max_outcome_prob ----------------------------------------------------------
+def peak(cfg, mode):
+    """Largest outcome probability of the evolved walk in `mode`."""
+    return distribution(evolve(cfg), mode).probs.max()
+
+
+# -- peak outcome probability --------------------------------------------------
 
 def test_zero_steps_is_a_point_mass():
     cfg = WalkConfig(P=7, kappa=2, T=0)
     for mode in MeasurementMode:
-        assert max_outcome_prob(cfg, mode) == 1.0
+        assert peak(cfg, mode) == 1.0
 
 
 def test_one_step_position_peak():
-    assert max_outcome_prob(WalkConfig(P=5, kappa=1, T=1), POS) == pytest.approx(0.5)
+    assert peak(WalkConfig(P=5, kappa=1, T=1), POS) == pytest.approx(0.5)
 
 
 def test_one_step_two_coin_peak():
-    assert max_outcome_prob(WalkConfig(P=3, kappa=2, T=1), ALL) == pytest.approx(0.5)
+    assert peak(WalkConfig(P=3, kappa=2, T=1), ALL) == pytest.approx(0.5)
 
 
 # -- gamma ---------------------------------------------------------------------
@@ -111,7 +117,7 @@ def test_two_coin_sweep_matches_published_value():
 
 def test_recorded_argmin_reproduces_value():
     res = g_function(5, 2, MEM, SweepGrid(1, 300))
-    again = max_outcome_prob(res.walk_config(), MEM)
+    again = peak(res.walk_config(), MEM)
     assert again == pytest.approx(res.value, abs=1e-12)
 
 
@@ -125,9 +131,9 @@ def test_value_bounds():
 def test_mode_ordering_at_fixed_parameters():
     # coarser readout concentrates probability, so the peak can only grow
     for cfg in (WalkConfig(P=5, kappa=2, T=40), WalkConfig(P=3, kappa=3, T=17)):
-        a = max_outcome_prob(cfg, ALL)
-        m = max_outcome_prob(cfg, MEM)
-        p = max_outcome_prob(cfg, POS)
+        a = peak(cfg, ALL)
+        m = peak(cfg, MEM)
+        p = peak(cfg, POS)
         assert a <= m + 1e-12 and m <= p + 1e-12
 
 
@@ -165,7 +171,7 @@ def test_sweep_beats_any_single_grid_point():
 def test_min_over_time_agrees_with_direct_scan():
     coin = CoinOperator.generalized(0.8, 0.3)
     best = min(
-        max_outcome_prob(WalkConfig(P=5, kappa=2, T=t, coin=coin, flip=FlipOperator.X), POS)
+        peak(WalkConfig(P=5, kappa=2, T=t, coin=coin, flip=FlipOperator.X), POS)
         for t in range(1, 31)
     )
     res = min_over_time(5, 2, POS, coin, FlipOperator.X, 1, 30)
@@ -229,7 +235,7 @@ def test_step_kernel_is_bit_identical_to_einsum(P, kappa):
                 assert np.array_equal(got, ref), (grid.R, flip, t)
                 weights = np.abs(got) ** 2
                 for mode in MeasurementMode:
-                    peaks = _mode_peaks(weights, mode)
+                    peaks = marginal(weights, mode).max(axis=-1)
                     assert np.array_equal(peaks, _einsum_peaks(ref, mode)), (mode, t)
 
 

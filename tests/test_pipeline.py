@@ -1,10 +1,12 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qwrng import pipeline
 from qwrng.maxprob import gamma_from_g, g_function, SweepGrid
 from qwrng.pipeline import (
     RunRecord,
@@ -25,6 +27,11 @@ POS = MeasurementMode.POSITION_ONLY
 
 def source(P=5, kappa=1, T=8, Q=0.0, seed=12345):
     return SourceModel(config=WalkConfig(P=P, kappa=kappa, T=T), Q=Q, rng_seed=seed)
+
+
+def sample(src, N, mode):
+    """Sample the source's own walk distribution in `mode`."""
+    return sample_outcomes(src, N, distribution(evolve(src.config), mode).probs)
 
 
 # -- digit codec ---------------------------------------------------------------
@@ -63,7 +70,7 @@ def test_digit_codec_roundtrip(d, seed, n):
 # -- source sampling -----------------------------------------------------------
 
 def test_honest_source_never_fails_the_test():
-    digits, test_bits = sample_outcomes(source(Q=0.0), 5000, ALL)
+    digits, test_bits = sample(source(Q=0.0), 5000, ALL)
     assert test_bits.sum() == 0
     assert digits.shape == (5000,)
 
@@ -72,7 +79,7 @@ def test_depolarized_source_fails_at_the_mixed_state_rate():
     # fully depolarized two-coin walker on P=3: failure rate 1 - 1/12
     src = SourceModel(config=WalkConfig(P=3, kappa=2, T=4), Q=1.0, rng_seed=7)
     N = 100_000
-    _, test_bits = sample_outcomes(src, N, ALL)
+    _, test_bits = sample(src, N, ALL)
     p = 1.0 - 1.0 / 12.0
     sigma = math.sqrt(p * (1 - p) / N)
     assert abs(test_bits.mean() - p) < 3 * sigma
@@ -81,7 +88,7 @@ def test_depolarized_source_fails_at_the_mixed_state_rate():
 def test_honest_extraction_follows_the_walk_distribution():
     src = source(P=5, kappa=1, T=1, seed=99)
     N = 100_000
-    digits, _ = sample_outcomes(src, N, ALL)
+    digits, _ = sample(src, N, ALL)
     probs = distribution(evolve(src.config), ALL).probs
     counts = np.bincount(digits, minlength=10)
     support = probs > 0
@@ -93,22 +100,29 @@ def test_honest_extraction_follows_the_walk_distribution():
 
 def test_depolarized_extraction_covers_the_whole_alphabet():
     src = SourceModel(config=WalkConfig(P=3, kappa=2, T=0), Q=1.0, rng_seed=3)
-    digits, _ = sample_outcomes(src, 50_000, ALL)
+    digits, _ = sample(src, 50_000, ALL)
     assert np.bincount(digits, minlength=12).min() > 0
 
 
 def test_sampling_is_reproducible():
-    a = sample_outcomes(source(seed=42), 1000, POS)
-    b = sample_outcomes(source(seed=42), 1000, POS)
+    a = sample(source(seed=42), 1000, POS)
+    b = sample(source(seed=42), 1000, POS)
     np.testing.assert_array_equal(a[0], b[0])
     np.testing.assert_array_equal(a[1], b[1])
-    c = sample_outcomes(source(seed=43), 1000, POS)
+    c = sample(source(seed=43), 1000, POS)
     assert (a[0] != c[0]).any()
+
+
+def test_sampling_draws_from_the_given_distribution():
+    probs = np.zeros(40)
+    probs[3] = 1.0
+    digits, _ = sample_outcomes(source(P=5, kappa=3, T=137), 1000, probs)
+    assert (digits == 3).all()
 
 
 def test_sampling_needs_two_signals():
     with pytest.raises(ValueError):
-        sample_outcomes(source(), 1, ALL)
+        sample(source(), 1, ALL)
     with pytest.raises(ValueError):
         SourceModel(config=WalkConfig(P=3, kappa=1, T=0), Q=1.5)
 
@@ -190,6 +204,23 @@ def test_honest_run_certifies_the_analytic_length():
     assert rec.output.size == math.floor(expected.ell)
     assert not rec.aborted
     assert rec.raw.size == params.N - params.m
+
+
+def test_run_reads_gamma_and_digits_from_one_evolution(monkeypatch):
+    # a stand-in walk that never leaves the origin: gamma, the sampled
+    # digits and the hash alphabet must all come from its one evolution
+    calls = []
+
+    def frozen(cfg):
+        calls.append(cfg)
+        return evolve(replace(cfg, T=0))
+
+    monkeypatch.setattr(pipeline, "evolve", frozen)
+    src = source(P=5, kappa=3, T=137, seed=3)
+    rec = run_protocol(src, ProtocolParams(N=20_000, m=2000), POS)
+    assert calls == [src.config]
+    assert rec.gamma == 0.0
+    assert not rec.raw.any()
 
 
 def test_run_accepts_a_supplied_gamma():

@@ -15,8 +15,8 @@ from qwrng.walk import (
     evolve,
     generalized_coin_matrix,
     initial_state,
+    marginal,
     memory_rotation_gather,
-    mode_dimension,
     step_source,
 )
 
@@ -304,13 +304,6 @@ def test_position_marginal_of_one_step_walk():
     np.testing.assert_allclose(dist.probs, [0.0, 0.5, 0.0, 0.0, 0.5], atol=1e-15)
 
 
-def test_mode_dimensions():
-    assert mode_dimension(5, 3, MeasurementMode.ALL) == 40
-    assert mode_dimension(5, 3, MeasurementMode.MEMORY_ONLY) == 20
-    assert mode_dimension(5, 3, MeasurementMode.POSITION_ONLY) == 5
-    assert mode_dimension(5, 1, MeasurementMode.MEMORY_ONLY) == 5
-
-
 @given(seed=st.integers(0, 2**32 - 1), kappa=st.integers(1, 4), P=st.integers(2, 7))
 @settings(max_examples=60, deadline=None)
 def test_marginals_are_consistent(seed, kappa, P):
@@ -332,3 +325,29 @@ def test_single_coin_memory_marginal_equals_position_marginal():
     mem = distribution(state, MeasurementMode.MEMORY_ONLY)
     pos = distribution(state, MeasurementMode.POSITION_ONLY)
     np.testing.assert_array_equal(mem.probs, pos.probs)
+
+
+@pytest.mark.parametrize("P,kappa,T", [(5, 3, 137), (51, 4, 2000)])
+def test_position_marginal_adds_coin_codes_left_to_right(P, kappa, T):
+    # the order the sweep has always summed in; numpy's pairwise sum
+    # differs in the last ulp at these walks
+    state = evolve(config(P, kappa, T))
+    weights = np.abs(state.amplitudes.reshape(P, -1)) ** 2
+    expect = weights[:, 0]
+    for code in range(1, 1 << kappa):
+        expect = expect + weights[:, code]
+    got = distribution(state, MeasurementMode.POSITION_ONLY).probs
+    assert np.array_equal(got, expect)
+
+
+@pytest.mark.parametrize("mode", list(MeasurementMode))
+def test_batched_marginal_matches_each_distribution(mode):
+    # the sweep reads a (B, P, 2**kappa) batch through the same function
+    cfgs = [config(5, 3, 40 + 7 * b, CoinOperator.generalized(0.3 * b, 0.5), flip)
+            for b, flip in enumerate(FlipOperator)]
+    states = [evolve(cfg) for cfg in cfgs]
+    weights = np.abs(np.stack([s.amplitudes.reshape(5, 8) for s in states])) ** 2
+    batch = marginal(weights, mode)
+    assert batch.shape == (len(cfgs), distribution(states[0], mode).d)
+    for row, state in zip(batch, states):
+        assert np.array_equal(row, distribution(state, mode).probs)
