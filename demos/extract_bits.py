@@ -7,7 +7,7 @@ Toeplitz matrix.  Everything downstream of the seed is deterministic,
 so rerunning this script reproduces the byte stream exactly.
 """
 
-from qwrng.maxprob import SweepGrid, g_function
+from qwrng.maxprob import SweepGrid, g_functions
 from qwrng.pipeline import SourceModel, run_protocol
 from qwrng.rates import ProtocolParams
 from qwrng.walk import MeasurementMode
@@ -15,7 +15,7 @@ from qwrng.walk import MeasurementMode
 POS = MeasurementMode.POSITION_ONLY
 
 # adversarial optimum for the 5-cycle, single coin, position readout
-res = g_function(5, 1, POS, SweepGrid(t_min=1, t_max=2000))
+res = g_functions(5, 1, SweepGrid.for_coin("hadamard"), (POS,))[POS]
 print(f"walk tuned to t={res.at_t}: peak probability {res.value:.4f}, "
       f"gamma = {res.gamma:.4f} bits/signal")
 

@@ -7,14 +7,14 @@ This table shows both effects at once for the kappa=2, P=3 walker read
 out in full, whose certificate is a clean 3 bits per signal.
 """
 
-from qwrng.maxprob import SweepGrid, g_function
+from qwrng.maxprob import SweepGrid, g_functions
 from qwrng.rates import ProtocolParams, rate_for_mode
 from qwrng.walk import MeasurementMode
 
 ALL = MeasurementMode.ALL
 P, KAPPA = 3, 2
 
-res = g_function(P, KAPPA, ALL, SweepGrid(t_min=1, t_max=2000))
+res = g_functions(P, KAPPA, SweepGrid.for_coin("hadamard"), (ALL,))[ALL]
 gamma = res.gamma
 print(f"certified entropy: gamma = {gamma:.4f} bits per signal\n")
 

@@ -8,14 +8,14 @@ against the stored reference values.
 """
 
 from qwrng.experiments import reference_value
-from qwrng.maxprob import SweepGrid, g_function
+from qwrng.maxprob import SweepGrid, g_functions
 from qwrng.walk import MeasurementMode
 
 ALL = MeasurementMode.ALL
 MEM = MeasurementMode.MEMORY_ONLY
 
-hadamard = SweepGrid(t_min=1, t_max=2000)
-general = SweepGrid(t_min=1, t_max=1000, R=8)
+hadamard = SweepGrid.for_coin("hadamard")
+general = SweepGrid.for_coin("general", R=8)
 
 runs = [
     ("hadamard", 3, 1, ALL, hadamard),
@@ -25,7 +25,7 @@ runs = [
 
 print(f"{'coin':<10}{'kappa':>6}{'P':>4}{'mode':>10}{'minimum':>12}{'reference':>12}")
 for kind, P, kappa, mode, grid in runs:
-    res = g_function(P, kappa, mode, grid)
+    res = g_functions(P, kappa, grid, (mode,))[mode]
     ref = reference_value(kind, mode, kappa, P)
     print(f"{kind:<10}{kappa:>6}{P:>4}{mode.value:>10}{res.value:>12.4f}{ref:>12.4f}")
     extra = "" if res.at_theta is None else f", theta={res.at_theta:.3f}, phi={res.at_phi:.3f}"

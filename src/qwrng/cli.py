@@ -27,7 +27,7 @@ import sys
 from pathlib import Path
 
 from qwrng.experiments import emit, preset, run_rate_curve, run_table
-from qwrng.maxprob import SweepGrid, g_function
+from qwrng.maxprob import SweepGrid, g_functions
 from qwrng.pipeline import SourceModel, run_protocol
 from qwrng.rates import ProtocolParams
 from qwrng.walk import (
@@ -82,13 +82,13 @@ _DEFAULTS: dict[str, dict] = {
     "evolve": {"P": None, "T": None, "flip": "i", "json": False, **_WALK_DEFAULTS},
     "maxprob": {
         "P": None, "kappa": 1, "mode": "all", "coin": "hadamard",
-        "tmin": 1, "tmax": None, "R": None, "flip": None, "json": False,
+        "tmin": None, "tmax": None, "R": None, "flip": None, "json": False,
     },
     "table": dict(_EMIT_DEFAULTS),
     "curve": dict(_EMIT_DEFAULTS),
     "extract": {
         "P": None, "N": None, "T": None, "flip": None,
-        "tmin": 1, "tmax": None, "R": None,
+        "tmin": None, "tmax": None, "R": None,
         "m": None,
         "Q": _field_default(SourceModel, "Q"),
         "eps": _field_default(ProtocolParams, "epsilon"),
@@ -240,14 +240,19 @@ def _resolve(args: argparse.Namespace, command: argparse.ArgumentParser) -> dict
     for key, flag in _REQUIRED.get(cmd, ()):
         if merged.get(key) is None:
             raise CliError(f"missing required option: {flag}")
+    # options of a path not taken would go unused, each with the reason
+    unused: list[tuple[tuple[str, ...], str]] = []
     if cmd == "extract":
-        # -T fixes the walk and skips the sweep, which otherwise picks the
-        # coin angles: options of the path not taken would go unused
+        # -T fixes the walk and skips the sweep, which otherwise picks the coin angles
         if merged["T"] is None:
-            unused, why = ("theta", "phi"), "needs -T/--steps: without it the sweep picks the angles"
+            unused.append((("theta", "phi"),
+                           "needs -T/--steps: without it the sweep picks the angles"))
         else:
-            unused, why = ("tmin", "tmax", "R"), "sets the sweep, which -T/--steps skips"
-        for key in unused:
+            unused.append((("tmin", "tmax", "R"), "sets the sweep, which -T/--steps skips"))
+    if merged.get("coin") == "hadamard":
+        unused.append((("theta", "phi"), "sets the general coin, but --coin is hadamard"))
+    for keys, why in unused:
+        for key in keys:
             if key in given:
                 raise CliError(f"--{key} {why}")
     return merged
@@ -310,7 +315,7 @@ def _cmd_evolve(opts: dict) -> int:
 
 def _cmd_maxprob(opts: dict) -> int:
     mode = MeasurementMode(opts["mode"])
-    res = g_function(opts["P"], opts["kappa"], mode, _sweep_grid(opts))
+    res = g_functions(opts["P"], opts["kappa"], _sweep_grid(opts), (mode,))[mode]
     items: list[tuple[str, str]] = [
         ("g", repr(res.value)),
         ("gamma", repr(res.gamma)),
@@ -362,7 +367,7 @@ def _cmd_extract(opts: dict) -> int:
 
     if opts["T"] is None:
         # no fixed step count: sweep for the adversarial optimum and run there
-        res = g_function(opts["P"], opts["kappa"], mode, _sweep_grid(opts))
+        res = g_functions(opts["P"], opts["kappa"], _sweep_grid(opts), (mode,))[mode]
         cfg, gamma = res.walk_config(), res.gamma
     else:
         cfg, gamma = _walk_config(opts), None

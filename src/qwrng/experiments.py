@@ -9,7 +9,6 @@ re-running a preset reproduces its output byte for byte.
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 import time
@@ -177,18 +176,6 @@ def preset(name: str, R: int | None = None, t_max: int | None = None) -> Experim
     raise ValueError(f"unknown preset {name!r}; available: {', '.join(PRESET_NAMES)}")
 
 
-@functools.lru_cache(maxsize=64)
-def _all_modes(P: int, kappa: int, grid: SweepGrid) -> dict[MeasurementMode, MaxProbResult]:
-    return g_functions(P, kappa, grid)
-
-
-def g_function_cached(
-    P: int, kappa: int, mode: MeasurementMode, grid: SweepGrid
-) -> MaxProbResult:
-    """One cell of a bounded cache of all-mode sweeps: a miss sweeps all three modes."""
-    return _all_modes(P, kappa, grid)[mode]
-
-
 def _sweep_cells(cases) -> list[MaxProbResult]:
     """Every cell's result, one pass per (P, kappa, grid) over only the modes its cells ask for."""
     requested: dict[tuple[int, int, SweepGrid], dict[MeasurementMode, None]] = {}
@@ -300,7 +287,6 @@ __all__ = [
     "reference_value",
     "default_signal_grid",
     "preset",
-    "g_function_cached",
     "run_table",
     "run_rate_curve",
     "emit",

@@ -35,7 +35,7 @@ _FLIP_RANK = {FlipOperator.I: 0, FlipOperator.X: 1, FlipOperator.Y: 2}
 # lexicographically, which is exactly the documented tie order
 _Candidate = tuple[float, int, int, int, int]
 
-# default sweep windows and angle resolution, applied by SweepGrid.for_coin
+# default sweep windows and angle resolution, applied only by SweepGrid.for_coin
 _T_MAX_HADAMARD = 2000
 _T_MAX_GENERAL = 1000
 _R_GENERAL = 16
@@ -43,16 +43,16 @@ _R_GENERAL = 16
 
 @dataclass(frozen=True)
 class SweepGrid:
-    """Search space for the minimization.
+    """Search space for the minimization: the steps t_min..t_max of every grid coin.
 
     R is the angle resolution: theta and phi each range over g*pi/R for
-    g = 0..R.  R None means a Hadamard-only sweep (no angles, flips
-    defaulting to just I); R set selects the two-angle coin family with
-    all three flips unless narrowed explicitly.
+    g = 0..R.  R None means a Hadamard-only sweep with no angles.  flips
+    None becomes (I,) for Hadamard and (I, X, Y) for the two-angle coin
+    family, so `flips` is always the set that gets swept.
     """
 
-    t_min: int = 1
-    t_max: int = _T_MAX_HADAMARD
+    t_min: int
+    t_max: int
     R: int | None = None
     flips: tuple[FlipOperator, ...] | None = None
 
@@ -63,19 +63,23 @@ class SweepGrid:
             raise ValueError("empty time range: t_max below t_min")
         if self.R is not None and self.R < 1:
             raise ValueError("angle resolution R must be positive")
-        if self.flips is not None and not self.flips:
+        if self.flips is None:
+            every = (FlipOperator.I, FlipOperator.X, FlipOperator.Y)
+            object.__setattr__(self, "flips", every[:1] if self.R is None else every)
+        elif not self.flips:
             raise ValueError("empty flip set")
 
     @classmethod
     def for_coin(
         cls,
         kind: str,
-        t_min: int = 1,
+        t_min: int | None = None,
         t_max: int | None = None,
         R: int | None = None,
         flips: tuple[FlipOperator, ...] | None = None,
     ) -> SweepGrid:
-        """Grid of coin family `kind`; t_max and R left None take its defaults."""
+        """Grid of coin family `kind`; t_min, t_max and R left None take its defaults."""
+        t_min = 1 if t_min is None else t_min
         if kind == "hadamard":
             if R is not None:
                 raise ValueError("angle resolution --R applies to the general coin only")
@@ -88,14 +92,6 @@ class SweepGrid:
             _R_GENERAL if R is None else R,
             flips,
         )
-
-    @property
-    def flip_set(self) -> tuple[FlipOperator, ...]:
-        if self.flips is not None:
-            return self.flips
-        if self.R is None:
-            return (FlipOperator.I,)
-        return (FlipOperator.I, FlipOperator.X, FlipOperator.Y)
 
     def angles(self) -> np.ndarray | None:
         if self.R is None:
@@ -222,7 +218,7 @@ def g_functions(
     """
     WalkConfig(P=P, kappa=kappa, T=0)  # validates dimensions
     coins = _coin_batch(grid)
-    partials = [_sweep_flip(P, kappa, grid, modes, flip, coins) for flip in grid.flip_set]
+    partials = [_sweep_flip(P, kappa, grid, modes, flip, coins) for flip in grid.flips]
 
     angles = grid.angles()
     results: dict[MeasurementMode, MaxProbResult] = {}
@@ -243,24 +239,14 @@ def g_functions(
     return results
 
 
-def g_function(
-    P: int,
-    kappa: int,
-    mode: MeasurementMode,
-    grid: SweepGrid,
-) -> MaxProbResult:
-    """Minimum over the grid of the peak outcome probability in `mode`."""
-    return g_functions(P, kappa, grid, (mode,))[mode]
-
-
 def min_over_time(
     P: int,
     kappa: int,
     mode: MeasurementMode,
     coin: CoinOperator,
     flip: FlipOperator,
-    t_min: int = 1,
-    t_max: int = _T_MAX_HADAMARD,
+    t_min: int,
+    t_max: int,
 ) -> MaxProbResult:
     """Minimum over t alone at one fixed coin and flip."""
     grid = SweepGrid(t_min=t_min, t_max=t_max)
@@ -279,7 +265,6 @@ __all__ = [
     "SweepGrid",
     "MaxProbResult",
     "gamma_from_g",
-    "g_function",
     "g_functions",
     "min_over_time",
 ]

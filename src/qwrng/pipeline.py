@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from qwrng.maxprob import gamma_from_g
-from qwrng.rates import ProtocolCase, ProtocolParams, RateResult, rate_for_mode
+from qwrng.rates import ProtocolCase, ProtocolParams, RateResult, pa_margin, rate_for_mode
 from qwrng.walk import MeasurementMode, WalkConfig, distribution, evolve
 
 # stream numbers: depolarization mask, test outcomes, honest extraction
@@ -261,6 +261,8 @@ def run_protocol(
     configured Q, and a non-positive length aborts the run with an empty
     output.
     """
+    if case is MeasurementMode.ALL:
+        pa_margin(params)  # fails before the sampling run, not after it
     cfg = source.config
     probs = distribution(evolve(cfg), case).probs
     if gamma is None:

@@ -144,6 +144,14 @@ def classical_sampling_error(N: int, m: int, delta: float) -> float:
     return 2.0 * math.exp(-(delta**2) * m * N / (N + 2))
 
 
+def pa_margin(params: ProtocolParams) -> float:
+    """epsilon_pa - 2 epsilon, which the full-readout route needs positive."""
+    margin = params.epsilon_pa - 2.0 * params.epsilon
+    if margin <= 0.0:
+        raise ValueError("the full-readout route needs epsilon_pa > 2 * epsilon")
+    return margin
+
+
 def ell_using_all(params: ProtocolParams, gamma: float, d: int) -> RateResult:
     """Secure output length when the raw string keeps every register.
 
@@ -154,9 +162,7 @@ def ell_using_all(params: ProtocolParams, gamma: float, d: int) -> RateResult:
     closeness.
     """
     eps = params.epsilon
-    eps_tilde = params.epsilon_pa - 2.0 * eps
-    if eps_tilde <= 0.0:
-        raise ValueError("this route needs epsilon_pa > 2 * epsilon")
+    eps_tilde = pa_margin(params)
     n = params.n
     dl = sampling_delta(params.m + n, params.m, eps)
     penalty = extended_entropy_d(params.Q + dl, d) * math.log2(d)
@@ -232,6 +238,7 @@ __all__ = [
     "extended_entropy_d",
     "sampling_delta",
     "classical_sampling_error",
+    "pa_margin",
     "ell_using_all",
     "ell_memory_case",
     "rate_for_mode",

@@ -14,8 +14,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from qwrng.experiments import default_signal_grid, g_function_cached
-from qwrng.maxprob import SweepGrid, min_over_time
+from qwrng.experiments import default_signal_grid
+from qwrng.maxprob import SweepGrid, g_functions, min_over_time
 from qwrng.pipeline import (
     SourceModel,
     encode_digits,
@@ -110,8 +110,9 @@ def hadamard_cells():
     out = {}
     for kappa in (1, 2, 3, 4):
         for P in P_FULL:
+            swept = g_functions(P, kappa, GRID_H)
             for mode in MODES:
-                out[(kappa, P, mode)] = g_function_cached(P, kappa, mode, GRID_H)
+                out[(kappa, P, mode)] = swept[mode]
     return out
 
 
@@ -123,8 +124,9 @@ def general_cells():
         grid = SweepGrid(t_min=1, t_max=1000, R=R)
         for kappa in (1, 2, 3):
             for P in P_SMALL:
+                swept = g_functions(P, kappa, grid)
                 for mode in MODES:
-                    out[(R, kappa, P, mode)] = g_function_cached(P, kappa, mode, grid)
+                    out[(R, kappa, P, mode)] = swept[mode]
     return out
 
 

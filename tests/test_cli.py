@@ -81,6 +81,16 @@ class TestEvolve:
         assert rc == 2
         assert "-T" in last_error(err)["error"]
 
+    @pytest.mark.parametrize("flag", ["--theta", "--phi"])
+    def test_angle_flags_need_the_general_coin(self, capsys, flag):
+        # the Hadamard coin has no angles, so given ones would go unused
+        rc, out, err = run(capsys, "evolve", "-P", "5", "-k", "2", "-T", "7", "--json",
+                           flag, "0.3")
+        assert rc == 2
+        assert out == ""
+        assert len(err.strip().splitlines()) == 1
+        assert flag in last_error(err)["error"]
+
 
 class TestMaxprob:
     def test_memory_sweep_matches_published_minimum(self, capsys):
@@ -260,7 +270,7 @@ class TestExtract:
             raise AssertionError("ran before the output path was checked")
 
         monkeypatch.setattr(cli, "run_protocol", must_not_run)
-        monkeypatch.setattr(cli, "g_function", must_not_run)
+        monkeypatch.setattr(cli, "g_functions", must_not_run)
         blocker = tmp_path / "afile"
         blocker.write_text("")
         rc, out, err = run(capsys, "extract", "-P", "5", "--tmax", "20", "-N", "400",
@@ -285,7 +295,7 @@ class TestExtract:
         def must_not_run(*args, **kwargs):
             raise AssertionError("swept despite an unused angle flag")
 
-        monkeypatch.setattr(cli, "g_function", must_not_run)
+        monkeypatch.setattr(cli, "g_functions", must_not_run)
         rc, out, err = run(capsys, "extract", "-P", "3", "--coin", "general",
                            "--R", "2", "--tmax", "10", "-N", "10000", "--seed", "1",
                            flag, "0.3", "-o", str(tmp_path / "a"))
@@ -310,7 +320,7 @@ class TestExtract:
             raise AssertionError("ran despite an unused sweep flag")
 
         monkeypatch.setattr(cli, "run_protocol", must_not_run)
-        monkeypatch.setattr(cli, "g_function", must_not_run)
+        monkeypatch.setattr(cli, "g_functions", must_not_run)
         rc, out, err = run(capsys, "extract", "-P", "3", "--coin", "general", "--theta", "0.3",
                            "-T", "4", "-N", "10000", "--seed", "1", flag, value,
                            "-o", str(tmp_path / "a"))
@@ -328,6 +338,50 @@ class TestExtract:
         assert rc == 2
         assert "--tmax" in last_error(err)["error"]
         assert not (tmp_path / "a.record.txt").exists()
+
+    @pytest.mark.parametrize("flag", ["--theta", "--phi"])
+    def test_angle_flags_need_the_general_coin(self, capsys, tmp_path, monkeypatch, flag):
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("ran despite an unused angle flag")
+
+        monkeypatch.setattr(cli, "run_protocol", must_not_run)
+        rc, out, err = run(capsys, "extract", "-P", "3", "-T", "4", "-N", "10000",
+                           "--seed", "1", flag, "0.3", "-o", str(tmp_path / "a"))
+        assert rc == 2
+        assert out == ""
+        assert len(err.strip().splitlines()) == 1
+        assert flag in last_error(err)["error"]
+
+    def test_angle_from_config_file_needs_the_general_coin(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("phi = 1.0\n")
+        rc, _, err = run(capsys, "extract", "-P", "3", "--config", str(cfg), "-T", "4",
+                         "-N", "10000", "--seed", "1", "-o", str(tmp_path / "a"))
+        assert rc == 2
+        assert "--phi" in last_error(err)["error"]
+        assert not (tmp_path / "a.record.txt").exists()
+
+    def test_hash_margin_fails_before_sampling(self, capsys, tmp_path, monkeypatch):
+        # the full readout needs epsilon_pa > 2 epsilon, which is known before any draw
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("sampled before the security parameters were checked")
+
+        monkeypatch.setattr(pipeline, "sample_outcomes", must_not_run)
+        rc, out, err = run(capsys, "extract", "-P", "5", "-T", "8", "--mode", "all",
+                           "-N", "20000", "--eps", "0.4", "--eps-pa", "0.5", "--seed", "1",
+                           "-o", str(tmp_path / "e"))
+        assert rc == 2
+        assert out == ""
+        assert "epsilon_pa > 2 * epsilon" in last_error(err)["error"]
+        assert not (tmp_path / "e.record.txt").exists()
+
+    @pytest.mark.parametrize("mode", ["memory", "position"])
+    def test_hash_margin_binds_only_the_full_readout(self, capsys, tmp_path, mode):
+        rc, _, _ = run(capsys, "extract", "-P", "5", "-T", "8", "--mode", mode,
+                       "-N", "20000", "--eps", "0.4", "--eps-pa", "0.5", "--seed", "1",
+                       "-o", str(tmp_path / "e"))
+        assert rc == 0
+        assert (tmp_path / "e.record.txt").exists()
 
     def test_angle_flags_set_the_fixed_walk(self, capsys, tmp_path):
         rc, _, _ = run(capsys, "extract", "-P", "3", "--coin", "general", "-T", "4",

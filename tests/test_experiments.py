@@ -1,4 +1,4 @@
-"""Preset layout, sweep sharing and caching, and file emission."""
+"""Preset layout, sweep sharing and file emission."""
 
 import json
 import re
@@ -13,7 +13,6 @@ from qwrng.experiments import (
     ResultTable,
     default_signal_grid,
     emit,
-    g_function_cached,
     preset,
     reference_value,
     run_rate_curve,
@@ -119,29 +118,6 @@ class TestRunTable:
         with pytest.raises(ValueError):
             run_table(ExperimentSpec(name="none", cases=()))
 
-    def test_cache_shares_one_pass_across_modes(self, monkeypatch):
-        calls = []
-
-        def spy(P, kappa, grid, *modes):
-            calls.append((P, kappa, grid, *modes))
-            return g_functions(P, kappa, grid, *modes)
-
-        monkeypatch.setattr(experiments, "g_functions", spy)
-        grid = SweepGrid(t_min=1, t_max=4)
-        experiments._all_modes.cache_clear()
-        got = {mode: g_function_cached(7, 1, mode, grid) for mode in MeasurementMode}
-        assert calls == [(7, 1, grid)]  # one pass over the default, all three modes
-        assert g_function_cached(7, 1, MeasurementMode.ALL, grid) is got[MeasurementMode.ALL]
-        assert got == g_functions(7, 1, grid)
-
-    def test_cache_is_bounded(self):
-        size = experiments._all_modes.cache_info().maxsize
-        assert size is not None
-        experiments._all_modes.cache_clear()
-        for P in range(2, size + 3):
-            g_function_cached(P, 1, MeasurementMode.ALL, SweepGrid(t_min=1, t_max=1))
-        assert experiments._all_modes.cache_info().currsize == size
-
     def test_table_sweeps_only_requested_modes(self, monkeypatch):
         all_, mem, pos = (MeasurementMode.ALL, MeasurementMode.MEMORY_ONLY,
                           MeasurementMode.POSITION_ONLY)
@@ -184,9 +160,8 @@ def curve():
         noise_levels=(0.0, 0.2),
         N_grid=(10**3, 10**5, 10**7, 10**9),
     )
-    return run_rate_curve(spec), g_function_cached(
-        5, 1, MeasurementMode.POSITION_ONLY, grid
-    ).gamma
+    pos = MeasurementMode.POSITION_ONLY
+    return run_rate_curve(spec), g_functions(5, 1, grid, (pos,))[pos].gamma
 
 
 class TestRunRateCurve:

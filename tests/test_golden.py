@@ -4,9 +4,20 @@ readouts, byte for byte.
 The digests pin what the program wrote before its walk, sweep and hash
 code were last simplified.  Changing one is a deliberate output change:
 CHANGES.md records the old digest, the new one and why.
+
+The preset digests hold under every OpenBLAS kernel, because the sweep
+makes no BLAS call.  The `evolve` and `extract -T` digests do not: `evolve`
+steps with a complex matmul, which a DYNAMIC_ARCH OpenBLAS runs on a
+kernel it picks per CPU at run time.  They were taken on its SkylakeX
+kernel; under Sandybridge every one of them differs, and under Haswell
+the general-coin flip-Y `evolve` digest does (ROADMAP item 1).
 """
 
 import hashlib
+import os
+import platform
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -133,3 +144,22 @@ def test_evolve_json_is_golden(capsys, name):
     assert main(["evolve", *EVOLVE_RUNS[name], "--json"]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == EVOLVE_DIGESTS[name]
+
+
+@pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"),
+                    reason="OpenBLAS core names are x86-64 ones")
+def test_table_csvs_do_not_depend_on_the_blas_kernel(tmp_path):
+    # Prescott is OpenBLAS's oldest x86-64 core, so every x86-64 CPU runs it;
+    # a core newer than the CPU could stop the run with SIGILL
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, OPENBLAS_CORETYPE="Prescott", PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    names = ("table2", "table5")
+    script = ("import sys; from qwrng.cli import main; "
+              "sys.exit(max(main(['table', name, '--tmax', sys.argv[1], '--no-timestamp', "
+              "'-o', sys.argv[2]]) for name in sys.argv[3:]))")
+    done = subprocess.run([sys.executable, "-c", script, PRESET_TMAX, str(tmp_path), *names],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    for name in names:
+        assert sha256(tmp_path / f"{name}.csv") == PRESET_DIGESTS[name], name

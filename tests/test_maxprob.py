@@ -9,7 +9,6 @@ from qwrng.maxprob import (
     _batch_step,
     _coin_batch,
     SweepGrid,
-    g_function,
     g_functions,
     gamma_from_g,
     min_over_time,
@@ -74,22 +73,35 @@ def test_grid_rejects_empty_ranges():
     with pytest.raises(ValueError):
         SweepGrid(t_min=0, t_max=10)
     with pytest.raises(ValueError):
-        SweepGrid(R=0)
+        SweepGrid(1, 10, R=0)
     with pytest.raises(ValueError):
-        SweepGrid(flips=())
+        SweepGrid(1, 10, flips=())
+
+
+def test_grid_needs_its_window():
+    # the window's defaults live in SweepGrid.for_coin alone
+    with pytest.raises(TypeError):
+        SweepGrid(R=16)
+    with pytest.raises(TypeError):
+        SweepGrid(1)
 
 
 def test_grid_defaults():
-    assert SweepGrid().flip_set == (FlipOperator.I,)
-    assert SweepGrid(R=4).flip_set == (FlipOperator.I, FlipOperator.X, FlipOperator.Y)
-    np.testing.assert_allclose(SweepGrid(R=4).angles(), np.arange(5) * math.pi / 4)
-    assert SweepGrid().angles() is None
+    assert SweepGrid(1, 10).flips == (FlipOperator.I,)
+    assert SweepGrid(1, 10, R=4).flips == (FlipOperator.I, FlipOperator.X, FlipOperator.Y)
+    assert SweepGrid(1, 10, flips=(FlipOperator.Y,)).flips == (FlipOperator.Y,)
+    np.testing.assert_allclose(SweepGrid(1, 10, R=4).angles(), np.arange(5) * math.pi / 4)
+    assert SweepGrid(1, 10).angles() is None
 
 
 def test_grid_for_coin_fills_only_unset_fields():
-    assert SweepGrid.for_coin("hadamard") == SweepGrid(1, 2000)
-    assert SweepGrid.for_coin("general") == SweepGrid(1, 1000, R=16)
-    flips = (FlipOperator.X,)
+    I, X, Y = FlipOperator.I, FlipOperator.X, FlipOperator.Y
+    hadamard, general = SweepGrid.for_coin("hadamard"), SweepGrid.for_coin("general")
+    assert (hadamard.t_min, hadamard.t_max, hadamard.R, hadamard.flips) == (1, 2000, None, (I,))
+    assert (general.t_min, general.t_max, general.R, general.flips) == (1, 1000, 16, (I, X, Y))
+    assert SweepGrid.for_coin("general", t_min=None, t_max=9) == SweepGrid(1, 9, R=16)
+    assert SweepGrid.for_coin("hadamard", t_min=5).t_min == 5
+    flips = (X,)
     assert SweepGrid.for_coin("general", 3, 9, 2, flips) == SweepGrid(3, 9, R=2, flips=flips)
     with pytest.raises(ValueError, match="general coin only"):
         SweepGrid.for_coin("hadamard", R=16)
@@ -104,27 +116,27 @@ def test_grid_for_coin_fills_only_unset_fields():
 # -- Hadamard sweeps -----------------------------------------------------------
 
 def test_single_coin_sweep_matches_published_value():
-    res = g_function(3, 1, ALL, SweepGrid(1, 2000))
+    res = g_functions(3, 1, SweepGrid(1, 2000), (ALL,))[ALL]
     assert res.value == pytest.approx(0.2224, abs=5e-4)
     assert res.at_flip is FlipOperator.I
     assert res.at_theta is None and res.at_phi is None
 
 
 def test_two_coin_sweep_matches_published_value():
-    res = g_function(3, 2, ALL, SweepGrid(1, 2000))
+    res = g_functions(3, 2, SweepGrid(1, 2000), (ALL,))[ALL]
     assert res.value == pytest.approx(0.1250, abs=5e-4)
 
 
 def test_recorded_argmin_reproduces_value():
-    res = g_function(5, 2, MEM, SweepGrid(1, 300))
+    res = g_functions(5, 2, SweepGrid(1, 300), (MEM,))[MEM]
     again = peak(res.walk_config(), MEM)
     assert again == pytest.approx(res.value, abs=1e-12)
 
 
 def test_value_bounds():
-    res_all = g_function(3, 2, ALL, SweepGrid(1, 100))
+    res_all = g_functions(3, 2, SweepGrid(1, 100), (ALL,))[ALL]
     assert 1.0 / 12 <= res_all.value <= 1.0
-    res_pos = g_function(3, 2, POS, SweepGrid(1, 100))
+    res_pos = g_functions(3, 2, SweepGrid(1, 100), (POS,))[POS]
     assert 1.0 / 3 <= res_pos.value <= 1.0
 
 
@@ -139,8 +151,8 @@ def test_mode_ordering_at_fixed_parameters():
 
 def test_single_coin_memory_sweep_equals_position_sweep():
     grid = SweepGrid(1, 400)
-    mem = g_function(5, 1, MEM, grid)
-    pos = g_function(5, 1, POS, grid)
+    mem = g_functions(5, 1, grid, (MEM,))[MEM]
+    pos = g_functions(5, 1, grid, (POS,))[POS]
     assert mem.value == pos.value
     assert mem.at_t == pos.at_t
 
@@ -148,20 +160,20 @@ def test_single_coin_memory_sweep_equals_position_sweep():
 # -- generalized sweeps --------------------------------------------------------
 
 def test_angle_grid_refinement_only_improves():
-    coarse = g_function(3, 1, ALL, SweepGrid(1, 60, R=2))
-    fine = g_function(3, 1, ALL, SweepGrid(1, 60, R=4))  # contains the R=2 angles
+    coarse = g_functions(3, 1, SweepGrid(1, 60, R=2), (ALL,))[ALL]
+    fine = g_functions(3, 1, SweepGrid(1, 60, R=4), (ALL,))[ALL]  # contains the R=2 angles
     assert fine.value <= coarse.value + 1e-15
 
 
 def test_flip_set_refinement_only_improves():
-    base = g_function(3, 2, ALL, SweepGrid(1, 40, R=2, flips=(FlipOperator.I,)))
-    full = g_function(3, 2, ALL, SweepGrid(1, 40, R=2))
+    base = g_functions(3, 2, SweepGrid(1, 40, R=2, flips=(FlipOperator.I,)), (ALL,))[ALL]
+    full = g_functions(3, 2, SweepGrid(1, 40, R=2), (ALL,))[ALL]
     assert full.value <= base.value + 1e-15
 
 
 def test_sweep_beats_any_single_grid_point():
     grid = SweepGrid(1, 50, R=4)
-    res = g_function(3, 1, ALL, grid)
+    res = g_functions(3, 1, grid, (ALL,))[ALL]
     fixed = min_over_time(
         3, 1, ALL, CoinOperator.generalized(math.pi / 4, 0.0), FlipOperator.I, 1, 50
     )
@@ -183,7 +195,7 @@ def test_shared_sweep_matches_individual_sweeps():
     grid = SweepGrid(1, 80, R=2)
     combined = g_functions(5, 2, grid)
     for mode in (ALL, MEM, POS):
-        single = g_function(5, 2, mode, grid)
+        single = g_functions(5, 2, grid, (mode,))[mode]
         assert combined[mode] == single
 
 
@@ -222,7 +234,7 @@ def test_step_kernel_is_bit_identical_to_einsum(P, kappa):
     # peak would change the published bytes: equality here is exact
     nc = 1 << kappa
     source = step_source(P, kappa)
-    for grid in (SweepGrid(R=4), SweepGrid()):
+    for grid in (SweepGrid(1, 60, R=4), SweepGrid(1, 60)):
         coins = _coin_batch(grid)
         B = coins.shape[0]
         for flip in FlipOperator:
@@ -242,7 +254,7 @@ def test_step_kernel_is_bit_identical_to_einsum(P, kappa):
 @pytest.mark.parametrize("R", [1, 4, 16])
 def test_sweep_coins_are_the_walk_coins(R):
     # the sweep and evolve build the same coin matrix for the same angles
-    grid = SweepGrid(R=R)
+    grid = SweepGrid(1, 1, R=R)
     angles = grid.angles()
     coins = _coin_batch(grid)
     assert coins.shape == ((R + 1) ** 2, 2, 2)
@@ -255,7 +267,7 @@ def test_sweep_coins_are_the_walk_coins(R):
 def test_ties_resolve_to_smallest_parameters():
     # theta in {0, pi} keeps the coin diagonal so every (theta, phi) pair
     # pins the peak at probability 1 for every t: a full grid of exact ties
-    res = g_function(3, 1, ALL, SweepGrid(1, 3, R=1, flips=(FlipOperator.I,)))
+    res = g_functions(3, 1, SweepGrid(1, 3, R=1, flips=(FlipOperator.I,)), (ALL,))[ALL]
     assert res.value == 1.0
     assert res.at_t == 1
     assert res.at_theta == 0.0
@@ -276,7 +288,7 @@ def test_candidate_order_prefers_value_then_time_then_flip():
 
 def test_sweep_validates_dimensions():
     with pytest.raises(ValueError):
-        g_function(1, 1, ALL, SweepGrid(1, 10))
+        g_functions(1, 1, SweepGrid(1, 10))
 
 
 def test_result_gamma_property():

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qwrng import pipeline
-from qwrng.maxprob import gamma_from_g, g_function, SweepGrid
+from qwrng.maxprob import gamma_from_g, g_functions, SweepGrid
 from qwrng.pipeline import (
     RunRecord,
     SourceModel,
@@ -225,7 +225,7 @@ def test_run_reads_gamma_and_digits_from_one_evolution(monkeypatch):
 
 def test_run_accepts_a_supplied_gamma():
     src = source(seed=5)
-    res = g_function(5, 1, POS, SweepGrid(1, 200))
+    res = g_functions(5, 1, SweepGrid(1, 200), (POS,))[POS]
     rec = run_protocol(
         SourceModel(config=res.walk_config(), Q=0.0, rng_seed=5),
         ProtocolParams(N=10_000),
@@ -265,7 +265,7 @@ def test_noisy_run_aborts_with_empty_output():
 
 
 def test_honest_output_passes_a_monobit_check():
-    res = g_function(5, 1, POS, SweepGrid(1, 200))
+    res = g_functions(5, 1, SweepGrid(1, 200), (POS,))[POS]
     src = SourceModel(config=res.walk_config(), Q=0.0, rng_seed=31415)
     rec = run_protocol(src, ProtocolParams(N=100_000, m=10_000), POS, gamma=res.gamma)
     assert rec.output.size >= 10_000
