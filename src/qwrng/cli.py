@@ -8,8 +8,9 @@ Subcommands:
 * curve    evaluate a rate-curve preset and write it to disk
 * extract  simulate one sampling round and extract output bits
 
-Options resolve in three layers: built-in defaults, then a --config file
-of flat `key = value` lines, then explicit flags.  The resolved
+Each flag declares its own default.  A --config file of flat
+`key = value` lines is read as flags and parsed by the same subcommand
+parser, ahead of the explicit flags, which therefore win.  The resolved
 configuration and every error go to stderr as single JSON lines, so
 stdout carries only results.  Exit status is 0 on success, 2 on any
 usage or validation problem, file system error, failed allocation or
@@ -29,7 +30,7 @@ from pathlib import Path
 from qwrng.experiments import emit, preset, run_rate_curve, run_table
 from qwrng.maxprob import SweepGrid, g_functions
 from qwrng.pipeline import SourceModel, run_protocol
-from qwrng.rates import ProtocolParams
+from qwrng.rates import ProtocolParams, pa_margin
 from qwrng.walk import (
     CoinOperator,
     FlipOperator,
@@ -53,52 +54,12 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(2)
 
 
-_WALK_DEFAULTS = {
-    "kappa": 1,
-    "mode": "all",
-    "coin": "hadamard",
-    "theta": math.pi / 4,
-    "phi": 0.0,
-}
-
-
 def _field_default(cls, name: str):
     """Built-in default of one dataclass field, so each default has one home."""
     return next(f.default for f in dataclasses.fields(cls) if f.name == name)
 
 
-_EMIT_DEFAULTS = {
-    "R": None,
-    "tmax": None,
-    "out": ".",
-    "format": "csv",
-    "no_timestamp": False,
-    "json": False,
-}
-
-# every option dest a subcommand understands, with its built-in default;
-# None marks "not set", which for required options becomes an error
-_DEFAULTS: dict[str, dict] = {
-    "evolve": {"P": None, "T": None, "flip": "i", "json": False, **_WALK_DEFAULTS},
-    "maxprob": {
-        "P": None, "kappa": 1, "mode": "all", "coin": "hadamard",
-        "tmin": None, "tmax": None, "R": None, "flip": None, "json": False,
-    },
-    "table": dict(_EMIT_DEFAULTS),
-    "curve": dict(_EMIT_DEFAULTS),
-    "extract": {
-        "P": None, "N": None, "T": None, "flip": None,
-        "tmin": None, "tmax": None, "R": None,
-        "m": None,
-        "Q": _field_default(SourceModel, "Q"),
-        "eps": _field_default(ProtocolParams, "epsilon"),
-        "eps_pa": _field_default(ProtocolParams, "epsilon_pa"),
-        "beta": _field_default(ProtocolParams, "beta"),
-        "seed": None, "out": "extract", "json": False,
-        **_WALK_DEFAULTS,
-    },
-}
-
+# argparse's required= cannot see values that come from a config file
 _REQUIRED = {
     "evolve": (("P", "-P"), ("T", "-T/--steps")),
     "maxprob": (("P", "-P"),),
@@ -109,83 +70,99 @@ _REQUIRED = {
 def _add_walk_flags(p: argparse.ArgumentParser, one_walk: bool) -> None:
     """Walk flags; `one_walk` adds the step count and angles a sweep chooses itself."""
     p.add_argument("-P", dest="P", type=int, help="cycle length (positions)")
-    p.add_argument("-k", "--kappa", dest="kappa", type=int, help="coin register size")
-    p.add_argument("--mode", choices=("all", "memory", "position"),
+    p.add_argument("-k", "--kappa", dest="kappa", type=int, default=1,
+                   help="coin register size")
+    p.add_argument("--mode", choices=("all", "memory", "position"), default="all",
                    help="which registers are measured")
-    p.add_argument("--coin", choices=("hadamard", "general"), help="coin family")
+    p.add_argument("--coin", choices=("hadamard", "general"), default="hadamard",
+                   help="coin family")
     if one_walk:
         p.add_argument("-T", "--steps", dest="T", type=int, help="walk steps")
-        p.add_argument("--theta", type=float, help="general coin mixing angle")
-        p.add_argument("--phi", type=float, help="general coin phase angle")
+        p.add_argument("--theta", type=float, help="general coin mixing angle (pi/4 if unset)")
+        p.add_argument("--phi", type=float, help="general coin phase angle (0 if unset)")
 
 
-def _add_sweep_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--tmin", type=int, help="first step count of the sweep")
+def _add_sweep_flags(p: argparse.ArgumentParser, tmin: bool) -> None:
+    """Sweep window flags; a preset fixes its own first step, so it takes no --tmin."""
+    if tmin:
+        p.add_argument("--tmin", type=int, help="first step count of the sweep")
     p.add_argument("--tmax", type=int, help="last step count of the sweep")
     p.add_argument("--R", type=int, help="angle grid resolution for the general coin")
 
 
 def _add_emit_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("preset", help="preset name, e.g. table1 or fig4")
-    _add_sweep_flags(p)
-    p.add_argument("-o", "--out", dest="out", help="output directory")
-    p.add_argument("--format", choices=("csv", "json"), help="file format")
+    _add_sweep_flags(p, tmin=False)
+    p.add_argument("-o", "--out", dest="out", default=".", help="output directory")
+    p.add_argument("--format", choices=("csv", "json"), default="csv", help="file format")
     p.add_argument("--no-timestamp", action="store_true",
                    help="deterministic file name without a timestamp")
-    p.add_argument("--json", action="store_true", help="print a JSON summary")
 
 
 def _build_parser() -> tuple[_Parser, dict[str, argparse.ArgumentParser]]:
     """The top-level parser, and each subcommand's parser by name."""
-    parser = _Parser(prog="qwrng", description=__doc__.splitlines()[0],
-                     argument_default=argparse.SUPPRESS)
+    parser = _Parser(prog="qwrng", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
     commands: dict[str, argparse.ArgumentParser] = {}
 
     def new(name: str, help_: str) -> argparse.ArgumentParser:
-        p = commands[name] = sub.add_parser(name, help=help_, description=help_,
-                                            argument_default=argparse.SUPPRESS)
-        p.add_argument("--config", help="file of key = value lines merged under the flags")
+        p = commands[name] = sub.add_parser(name, help=help_, description=help_)
+        p.add_argument("--config",
+                       help="file of key = value lines, each parsed as its flag before the flags")
+        p.add_argument("--json", action="store_true", help="print the result as JSON")
         return p
 
     p = new("evolve", "print the outcome distribution of one configured walk")
     _add_walk_flags(p, one_walk=True)
-    p.add_argument("--flip", choices=("i", "x", "y"), help="pre-walk active-coin unitary")
-    p.add_argument("--json", action="store_true", help="emit a JSON document")
+    p.add_argument("--flip", choices=("i", "x", "y"), default="i",
+                   help="pre-walk active-coin unitary")
 
     p = new("maxprob", "minimize the peak outcome probability over a sweep grid")
     _add_walk_flags(p, one_walk=False)
-    _add_sweep_flags(p)
+    _add_sweep_flags(p, tmin=True)
     p.add_argument("--flip", choices=("i", "x", "y"), help="restrict the sweep to one flip")
-    p.add_argument("--json", action="store_true", help="emit a JSON document")
 
     _add_emit_flags(new("table", "evaluate a minima table preset and write it to disk"))
     _add_emit_flags(new("curve", "evaluate a rate-curve preset and write it to disk"))
 
     p = new("extract", "simulate one sampling round and extract output bits")
     _add_walk_flags(p, one_walk=True)
-    _add_sweep_flags(p)
+    _add_sweep_flags(p, tmin=True)
     p.add_argument("--flip", choices=("i", "x", "y"),
                    help="pre-walk flip; without -T, restricts the sweep instead")
     p.add_argument("-N", dest="N", type=int, help="total signals per run")
     p.add_argument("-m", dest="m", type=int, help="test subset size")
-    p.add_argument("-Q", dest="Q", type=float, help="source depolarization weight")
-    p.add_argument("--eps", type=float, help="sampling security parameter")
-    p.add_argument("--eps-pa", dest="eps_pa", type=float, help="hashing security parameter")
-    p.add_argument("--beta", type=float, help="smoothing exponent")
+    p.add_argument("-Q", dest="Q", type=float, default=_field_default(SourceModel, "Q"),
+                   help="source depolarization weight")
+    p.add_argument("--eps", type=float, default=_field_default(ProtocolParams, "epsilon"),
+                   help="sampling security parameter")
+    p.add_argument("--eps-pa", dest="eps_pa", type=float,
+                   default=_field_default(ProtocolParams, "epsilon_pa"),
+                   help="hashing security parameter")
+    p.add_argument("--beta", type=float, default=_field_default(ProtocolParams, "beta"),
+                   help="smoothing exponent")
     p.add_argument("--seed", type=int, help="run seed; omitted means generate and print")
-    p.add_argument("-o", "--out", dest="out", help="output file stem")
-    p.add_argument("--json", action="store_true", help="emit a JSON document")
+    p.add_argument("-o", "--out", dest="out", default="extract", help="output file stem")
     return parser, commands
 
 
-def _read_config(path: str) -> dict:
-    """Flat option file: one `key = value` per line, '#' starts a comment."""
+def _config_flags(path: str, cmd: str, command: argparse.ArgumentParser) -> list[str]:
+    """A flat option file as flags of `command`: one `key = value` per line.
+
+    '#' starts a comment, and a key names an option as the logged
+    configuration does (T, kappa, eps_pa), dashes and underscores alike.
+    A JSON string value is unquoted and any other value is passed as
+    written; a switch such as --json takes true or false.  The parser
+    then checks each value as it checks its flag.
+    """
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise CliError(f"cannot read config file: {exc}") from exc
-    out: dict = {}
+    actions = {a.dest: a for a in command._actions
+               if a.option_strings and a.dest not in ("help", "config")}
+    flags: list[str] = []
+    unknown: set[str] = set()
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -194,74 +171,61 @@ def _read_config(path: str) -> dict:
             raise CliError(f"config line is not `key = value`: {raw.strip()!r}")
         key, value = (part.strip() for part in line.split("=", 1))
         key = key.replace("-", "_")
+        if key not in actions:
+            unknown.add(key)
+            continue
+        flag = actions[key].option_strings[-1]
+        if actions[key].nargs == 0 and value in ("true", "false"):
+            flags += [flag] * (value == "true")
+            continue
         try:
-            out[key] = json.loads(value)
+            unquoted = json.loads(value)
         except json.JSONDecodeError:
-            out[key] = value
-    return out
+            unquoted = None
+        # one token, so a value that starts with '-' is not read as a flag
+        flags.append(f"{flag}={unquoted if isinstance(unquoted, str) else value}")
+    if unknown:
+        raise CliError(f"unknown config keys for {cmd}: {', '.join(sorted(unknown))}")
+    return flags
 
 
-def _file_value(action: argparse.Action, key: str, value):
-    """A config file value, put through the same type and choice checks as its flag.
-
-    A switch such as --json takes true or false; any other option takes
-    a string or number that its flag would accept as written.
-    """
-    if action.nargs == 0:
-        if isinstance(value, bool):
-            return value
-    elif isinstance(value, (str, int, float)) and not isinstance(value, bool):
-        try:
-            checked = (action.type or str)(str(value))
-        except ValueError:
-            pass
-        else:
-            if action.choices is None or checked in action.choices:
-                return checked
-    flag = "/".join(action.option_strings)
-    raise CliError(f"config key {key}: {json.dumps(value)} is not a valid {flag} value")
-
-
-def _resolve(args: argparse.Namespace, command: argparse.ArgumentParser) -> dict:
+def _resolve(argv: list[str]) -> tuple[str, dict]:
+    """The subcommand and its options, with a --config file parsed as leading flags."""
+    parser, commands = _build_parser()
+    args = parser.parse_args(argv)
     cmd = args.command
-    merged = dict(_DEFAULTS[cmd])
-    flags = {k: v for k, v in vars(args).items() if k not in ("command", "config")}
-    config_path = getattr(args, "config", None)
-    given = set(flags)
-    if config_path is not None:
-        file_opts = _read_config(config_path)
-        unknown = sorted(set(file_opts) - set(merged))
-        if unknown:
-            raise CliError(f"unknown config keys for {cmd}: {', '.join(unknown)}")
-        actions = {a.dest: a for a in command._actions}
-        merged.update({k: _file_value(actions[k], k, v) for k, v in file_opts.items()})
-        given |= set(file_opts)
-    merged.update(flags)
+    if args.config is not None:
+        at = argv.index(cmd) + 1
+        file_flags = _config_flags(args.config, cmd, commands[cmd])
+        args = parser.parse_args([*argv[:at], *file_flags, *argv[at:]])
+    opts = {k: v for k, v in vars(args).items() if k not in ("command", "config")}
     for key, flag in _REQUIRED.get(cmd, ()):
-        if merged.get(key) is None:
+        if opts[key] is None:
             raise CliError(f"missing required option: {flag}")
     # options of a path not taken would go unused, each with the reason
     unused: list[tuple[tuple[str, ...], str]] = []
     if cmd == "extract":
         # -T fixes the walk and skips the sweep, which otherwise picks the coin angles
-        if merged["T"] is None:
+        if opts["T"] is None:
             unused.append((("theta", "phi"),
                            "needs -T/--steps: without it the sweep picks the angles"))
         else:
             unused.append((("tmin", "tmax", "R"), "sets the sweep, which -T/--steps skips"))
-    if merged.get("coin") == "hadamard":
+    if opts.get("coin") == "hadamard":
         unused.append((("theta", "phi"), "sets the general coin, but --coin is hadamard"))
     for keys, why in unused:
         for key in keys:
-            if key in given:
+            if opts.get(key) is not None:
                 raise CliError(f"--{key} {why}")
-    return merged
+    return cmd, opts
 
 
 def _coin_from(opts: dict) -> CoinOperator:
     if opts["coin"] == "hadamard":
         return CoinOperator.hadamard()
-    return CoinOperator.generalized(opts["theta"], opts["phi"])
+    theta, phi = opts["theta"], opts["phi"]
+    return CoinOperator.generalized(math.pi / 4 if theta is None else theta,
+                                    0.0 if phi is None else phi)
 
 
 def _walk_config(opts: dict) -> WalkConfig:
@@ -365,21 +329,19 @@ def _cmd_extract(opts: dict) -> int:
     record_path = stem.with_name(stem.name + ".record.txt")
     bits_path = stem.with_name(stem.name + ".bits")
 
+    # every input is checked before the sweep; until the sweep picks the
+    # walk, the source holds the same walk at T = 0
+    cfg = _walk_config({**opts, "T": opts["T"] or 0})
+    params = ProtocolParams(N=opts["N"], m=opts["m"], epsilon=opts["eps"],
+                            epsilon_pa=opts["eps_pa"], beta=opts["beta"])
+    if mode is MeasurementMode.ALL:
+        pa_margin(params)
+    source = SourceModel(config=cfg, Q=opts["Q"], rng_seed=seed)
+    gamma = None
     if opts["T"] is None:
         # no fixed step count: sweep for the adversarial optimum and run there
         res = g_functions(opts["P"], opts["kappa"], _sweep_grid(opts), (mode,))[mode]
-        cfg, gamma = res.walk_config(), res.gamma
-    else:
-        cfg, gamma = _walk_config(opts), None
-
-    params = ProtocolParams(
-        N=opts["N"],
-        m=opts["m"],
-        epsilon=opts["eps"],
-        epsilon_pa=opts["eps_pa"],
-        beta=opts["beta"],
-    )
-    source = SourceModel(config=cfg, Q=opts["Q"], rng_seed=seed)
+        source, gamma = dataclasses.replace(source, config=res.walk_config()), res.gamma
     record = run_protocol(source, params, mode, gamma=gamma)
 
     record_path.write_text(record.to_text(), encoding="ascii")
@@ -411,17 +373,15 @@ _HANDLERS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser, commands = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 0
-    try:
-        opts = _resolve(args, commands[args.command])
-        print(json.dumps({"command": args.command,
-                          "config": {k: opts[k] for k in sorted(opts)}}),
+        try:
+            cmd, opts = _resolve(argv)
+        except SystemExit as exc:  # argparse has printed its usage error or the help
+            return exc.code if isinstance(exc.code, int) else 0
+        print(json.dumps({"command": cmd, "config": {k: opts[k] for k in sorted(opts)}}),
               file=sys.stderr)
-        return _HANDLERS[args.command](opts)
+        return _HANDLERS[cmd](opts)
     except (CliError, ValueError, OSError, MemoryError, FloatingPointError) as exc:
         print(json.dumps({"error": str(exc) or type(exc).__name__}), file=sys.stderr)
         return 2

@@ -3,6 +3,7 @@
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -174,6 +175,24 @@ class TestTable:
         assert rc == 2
         assert "--threads" in last_error(err)["error"]
         assert "usage" in last_error(err)
+
+    @pytest.mark.parametrize("command,name", [("table", "table1"), ("curve", "fig1")])
+    def test_preset_takes_no_first_step(self, capsys, tmp_path, command, name):
+        # a preset fixes its own first step, so --tmin would go unused
+        rc, out, err = run(capsys, command, name, "--tmax", "20", "--tmin", "15",
+                           "-o", str(tmp_path))
+        assert rc == 2
+        assert out == ""
+        assert len(err.strip().splitlines()) == 1
+        doc = last_error(err)
+        assert "--tmin" in doc["error"] and "usage" in doc
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("tmin = 15\n")
+        rc, _, err = run(capsys, command, name, "--tmax", "20", "-o", str(tmp_path),
+                         "--config", str(cfg))
+        assert rc == 2
+        assert f"unknown config keys for {command}: tmin" in last_error(err)["error"]
+        assert not list(tmp_path.glob("*.csv"))
 
     def test_timestamped_name_is_default(self, capsys, tmp_path):
         rc, out, _ = run(capsys, "table", "kappa1", "--tmax", "2", "-o", str(tmp_path))
@@ -375,6 +394,26 @@ class TestExtract:
         assert "epsilon_pa > 2 * epsilon" in last_error(err)["error"]
         assert not (tmp_path / "e.record.txt").exists()
 
+    @pytest.mark.parametrize("extra,message", [
+        (("-N", "100", "-m", "90"), "1 <= m <= N/2"),
+        (("-N", "1000", "--eps", "0.4", "--eps-pa", "0.5"), "epsilon_pa > 2 * epsilon"),
+        (("-N", "1000", "-Q", "2"), "Q must lie in [0, 1]"),
+    ], ids=["m", "eps-pa", "Q"])
+    def test_protocol_inputs_fail_before_the_sweep(self, capsys, tmp_path, monkeypatch,
+                                                   extra, message):
+        # the sweep only picks the walk, so it need not run to find a bad size,
+        # security parameter or noise weight
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("swept before the protocol inputs were checked")
+
+        monkeypatch.setattr(cli, "g_functions", must_not_run)
+        rc, out, err = run(capsys, "extract", "-P", "21", "-k", "3", "--coin", "general",
+                           *extra, "--seed", "1", "-o", str(tmp_path / "v"))
+        assert rc == 2
+        assert out == ""
+        assert message in last_error(err)["error"]
+        assert not (tmp_path / "v.record.txt").exists()
+
     @pytest.mark.parametrize("mode", ["memory", "position"])
     def test_hash_margin_binds_only_the_full_readout(self, capsys, tmp_path, mode):
         rc, _, _ = run(capsys, "extract", "-P", "5", "-T", "8", "--mode", mode,
@@ -446,6 +485,43 @@ class TestConfigFile:
         assert (logged["T"], logged["mode"], logged["theta"]) == (2, "memory", 1.0)
         assert json.loads(out)["T"] == 2
 
+    @pytest.mark.parametrize("head,flags,lines", [
+        (("evolve",),
+         ("-P", "5", "-k", "2", "-T", "7", "--mode", "position", "--coin", "general",
+          "--theta", "0.3", "--phi", "-0.5", "--json"),
+         'P = 5\nkappa = 2\nT = 7\nmode = "position"\ncoin = general\n'
+         "theta = 0.3\nphi = -0.5\njson = true\n"),
+        (("maxprob",),
+         ("-P", "3", "-k", "2", "--mode", "memory", "--tmax", "5", "--flip", "x", "--json"),
+         "P = 3\nkappa = 2\nmode = memory\ntmax = 5\nflip = x\njson = true\n"),
+        (("table", "table2"),
+         ("--tmax", "5", "--R", "2", "-o", "out", "--no-timestamp", "--format", "json"),
+         "tmax = 5\nR = 2\nout = out\nno-timestamp = true\nformat = json\n"),
+        (("extract",),
+         ("-P", "5", "-k", "2", "-T", "8", "--mode", "position", "-N", "10000", "-m", "100",
+          "-Q", "0.01", "--seed", "3", "-o", "run"),
+         "P = 5\nkappa = 2\nT = 8\nmode = position\nN = 10000\nm = 100\nQ = 0.01\n"
+         "seed = 3\nout = run\n"),
+    ], ids=["evolve", "maxprob", "table", "extract-T"])
+    def test_config_file_runs_as_its_flags(self, capsys, tmp_path, monkeypatch,
+                                           head, flags, lines):
+        # one parse path: the same options from flags or from a file give
+        # the same logged configuration, stdout and files
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(lines)
+        runs = []
+        for name, argv in (("flags", (*head, *flags)),
+                           ("file", (*head, "--config", str(cfg)))):
+            workdir = tmp_path / name
+            workdir.mkdir()
+            monkeypatch.chdir(workdir)
+            rc, out, err = run(capsys, *argv)
+            assert rc == 0, err
+            files = {str(f.relative_to(workdir)): f.read_bytes()
+                     for f in sorted(workdir.rglob("*")) if f.is_file()}
+            runs.append((err, out, files))
+        assert runs[0] == runs[1]
+
     def test_unknown_config_key_rejected(self, capsys, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("bogus = 1\n")
@@ -499,6 +575,18 @@ class TestParserBasics:
         )
         assert logged["command"] == "evolve"
         assert logged["config"]["P"] == 3
+
+    def test_readme_examples_parse(self):
+        # the documented commands only parse here; nothing runs
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        cli_section = readme.read_text(encoding="utf-8").split("## CLI", 1)[1]
+        block = cli_section.split("```sh", 1)[1].split("```", 1)[0]
+        examples = [shlex.split(line) for line in block.splitlines()
+                    if line.startswith("qwrng ")]
+        assert len(examples) >= 5
+        parser = cli._build_parser()[0]
+        for example in examples:
+            parser.parse_args(example[1:])
 
     def test_import_pulls_in_no_scipy(self):
         # scipy's import costs more than the rest of the CLI's start-up
