@@ -29,9 +29,11 @@ _P_FULL = (3, 5, 11, 21, 51)
 _P_SMALL = (3, 5, 11, 21)
 _NOISE_WIDE = (0.0, 0.15, 0.2, 0.3)
 _NOISE_NARROW = (0.0, 0.15, 0.2)
+# signal counts of the rate curves: _N_POINTS log-spaced from _N_LO to _N_HI
+_N_POINTS, _N_LO, _N_HI = 40, 1e3, 1e10
 
-# published sweep minima, used to annotate preset rows; single-coin walks
-# read the same value through the memory and position marginals.
+# published sweep minima, read by demos/sweep_minima.py and the tests;
+# single-coin walks read the same value through both marginals.
 #
 # Erratum at Hadamard (kappa=4, P=51), joint readout: the source table
 # prints 0.0274, but the minimum over t=1..2000 is 0.02398994728554 at
@@ -86,9 +88,9 @@ def reference_value(coin_kind: str, mode: MeasurementMode, kappa: int, P: int) -
     return REFERENCE_VALUES.get((coin_kind, mode.value), {}).get((kappa, P))
 
 
-def default_signal_grid(points: int = 40, lo: float = 1e3, hi: float = 1e10) -> tuple[int, ...]:
+def default_signal_grid() -> tuple[int, ...]:
     """Log-spaced signal counts, deduplicated after rounding to integers."""
-    grid = np.logspace(math.log10(lo), math.log10(hi), points)
+    grid = np.logspace(math.log10(_N_LO), math.log10(_N_HI), _N_POINTS)
     out: list[int] = []
     for v in grid:
         n = int(round(v))

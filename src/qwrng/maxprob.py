@@ -29,12 +29,6 @@ from qwrng.walk import (
     step_source,
 )
 
-_FLIP_RANK = {FlipOperator.I: 0, FlipOperator.X: 1, FlipOperator.Y: 2}
-
-# candidate tuples (value, t, flip rank, theta index, phi index) compare
-# lexicographically, which is exactly the documented tie order
-_Candidate = tuple[float, int, int, int, int]
-
 # default sweep windows and angle resolution, applied only by SweepGrid.for_coin
 _T_MAX_HADAMARD = 2000
 _T_MAX_GENERAL = 1000
@@ -48,7 +42,7 @@ class SweepGrid:
     R is the angle resolution: theta and phi each range over g*pi/R for
     g = 0..R.  R None means a Hadamard-only sweep with no angles.  flips
     None becomes (I,) for Hadamard and (I, X, Y) for the two-angle coin
-    family, so `flips` is always the set that gets swept.
+    family, so `flips` is always the set that gets swept, in I, X, Y order.
     """
 
     t_min: int
@@ -63,11 +57,13 @@ class SweepGrid:
             raise ValueError("empty time range: t_max below t_min")
         if self.R is not None and self.R < 1:
             raise ValueError("angle resolution R must be positive")
-        if self.flips is None:
-            every = (FlipOperator.I, FlipOperator.X, FlipOperator.Y)
-            object.__setattr__(self, "flips", every[:1] if self.R is None else every)
-        elif not self.flips:
+        flips = self.flips
+        if flips is None:
+            flips = (FlipOperator.I,) if self.R is None else tuple(FlipOperator)
+        if not flips:
             raise ValueError("empty flip set")
+        # I, X, Y order is the sweep's tie order across flips
+        object.__setattr__(self, "flips", tuple(f for f in FlipOperator if f in flips))
 
     @classmethod
     def for_coin(
@@ -165,38 +161,44 @@ def _batch_step(states: np.ndarray, coins: np.ndarray, source: np.ndarray) -> np
     return np.take(coined.reshape(B, -1), source, axis=1).reshape(states.shape)
 
 
-def _sweep_flip(
+def _sweep(
     P: int,
     kappa: int,
     grid: SweepGrid,
     modes: tuple[MeasurementMode, ...],
-    flip: FlipOperator,
     coins: np.ndarray,
-) -> dict[MeasurementMode, _Candidate]:
-    """Run one flip's coin batch over the time range, tracking per-mode minima."""
-    start = initial_state(WalkConfig(P, kappa, 0, flip=flip)).amplitudes
-    states = np.repeat(start.reshape(1, P, -1), coins.shape[0], axis=0)
+) -> dict[MeasurementMode, tuple[float, int, FlipOperator, int]]:
+    """Smallest peak of each mode over the grid's steps and flips and a coin batch.
+
+    Each flip runs the whole batch over the time range.  For every
+    (t, flip) the record keeps the batch's smallest peak and the first coin
+    reaching it; one row-major argmin over the record then picks the
+    smallest t, then the first flip.  Returns (value, t, flip, coin index)
+    per mode.
+    """
+    WalkConfig(P=P, kappa=kappa, T=0)  # validates dimensions
     source = step_source(P, kappa)
-    n_phi = 0 if grid.R is None else grid.R + 1
-    rank = _FLIP_RANK[flip]
-    best: dict[MeasurementMode, _Candidate] = {}
-    for t in range(1, grid.t_max + 1):
-        states = _batch_step(states, coins, source)
-        if t < grid.t_min:
-            continue
-        weights = np.abs(states) ** 2
-        for mode in modes:
-            peaks = marginal(weights, mode).max(axis=-1)
-            b = int(np.argmin(peaks))
-            cand: _Candidate = (
-                float(peaks[b]),
-                t,
-                rank,
-                b // n_phi if n_phi else 0,
-                b % n_phi if n_phi else 0,
-            )
-            if mode not in best or cand < best[mode]:
-                best[mode] = cand
+    shape = (len(modes), grid.t_max - grid.t_min + 1, len(grid.flips))
+    values = np.empty(shape)
+    coin_at = np.empty(shape, dtype=np.intp)
+    for j, flip in enumerate(grid.flips):
+        start = initial_state(WalkConfig(P, kappa, 0, flip=flip)).amplitudes
+        states = np.repeat(start.reshape(1, P, -1), coins.shape[0], axis=0)
+        for t in range(1, grid.t_max + 1):
+            states = _batch_step(states, coins, source)
+            i = t - grid.t_min
+            if i < 0:
+                continue
+            weights = np.abs(states) ** 2
+            for m, mode in enumerate(modes):
+                peaks = marginal(weights, mode).max(axis=-1)
+                b = np.argmin(peaks)
+                values[m, i, j], coin_at[m, i, j] = peaks[b], b
+    best = {}
+    for m, mode in enumerate(modes):
+        i, j = np.unravel_index(np.argmin(values[m]), shape[1:])
+        value, t = float(values[m, i, j]), grid.t_min + int(i)
+        best[mode] = (value, t, grid.flips[j], int(coin_at[m, i, j]))
     return best
 
 
@@ -216,26 +218,12 @@ def g_functions(
     t, then the flip in order I, X, Y, then the smallest theta, then the
     smallest phi.
     """
-    WalkConfig(P=P, kappa=kappa, T=0)  # validates dimensions
-    coins = _coin_batch(grid)
-    partials = [_sweep_flip(P, kappa, grid, modes, flip, coins) for flip in grid.flips]
-
     angles = grid.angles()
     results: dict[MeasurementMode, MaxProbResult] = {}
-    for mode in modes:
-        # min over totally ordered tuples applies the tie order across flips
-        value, t, rank, th_i, ph_i = min(p[mode] for p in partials)
-        flip = next(f for f, r in _FLIP_RANK.items() if r == rank)
-        results[mode] = MaxProbResult(
-            value=value,
-            at_t=t,
-            at_flip=flip,
-            mode=mode,
-            P=P,
-            kappa=kappa,
-            at_theta=None if angles is None else float(angles[th_i]),
-            at_phi=None if angles is None else float(angles[ph_i]),
-        )
+    for mode, (value, t, flip, b) in _sweep(P, kappa, grid, modes, _coin_batch(grid)).items():
+        # the batch is theta-major, so its first coin has the smallest theta, then phi
+        at = (None, None) if angles is None else [float(angles[i]) for i in divmod(b, len(angles))]
+        results[mode] = MaxProbResult(value, t, flip, mode, P, kappa, *at)
     return results
 
 
@@ -249,16 +237,10 @@ def min_over_time(
     t_max: int,
 ) -> MaxProbResult:
     """Minimum over t alone at one fixed coin and flip."""
-    grid = SweepGrid(t_min=t_min, t_max=t_max)
-    coins = coin.matrix()[None, :, :]
-    best = _sweep_flip(P, kappa, grid, (mode,), flip, coins)[mode]
-    value, t, _, _, _ = best
-    theta = None if coin.kind == "hadamard" else coin.theta
-    phi = None if coin.kind == "hadamard" else coin.phi
-    return MaxProbResult(
-        value=value, at_t=t, at_flip=flip, mode=mode, P=P, kappa=kappa,
-        at_theta=theta, at_phi=phi,
-    )
+    grid = SweepGrid(t_min, t_max, flips=(flip,))
+    value, t, _, _ = _sweep(P, kappa, grid, (mode,), coin.matrix()[None, :, :])[mode]
+    at = (None, None) if coin.kind == "hadamard" else (coin.theta, coin.phi)
+    return MaxProbResult(value, t, flip, mode, P, kappa, *at)
 
 
 __all__ = [

@@ -47,6 +47,8 @@ class SourceModel:
     def __post_init__(self) -> None:
         if not 0.0 <= self.Q <= 1.0:
             raise ValueError("depolarization weight Q must lie in [0, 1]")
+        if self.rng_seed < 0:
+            raise ValueError("run seed must be a non-negative integer")
 
 
 def sample_outcomes(

@@ -168,11 +168,9 @@ def initial_state(config: WalkConfig) -> WalkState:
     the two active-coin values before any step runs.
     """
     amps = np.zeros(config.dim, dtype=np.complex128)
-    amps[0] = 1.0
-    if config.flip is not FlipOperator.I:
-        # the active coin is the least significant index bit, so adjacent
-        # amplitude pairs share everything but the active coin
-        amps = (amps.reshape(-1, 2) @ config.flip.matrix().T).reshape(-1)
+    # the active coin is the least significant index bit, so indices 0 and 1
+    # are the origin with active coin 0 and 1: the flip's first column
+    amps[:2] = config.flip.matrix()[:, 0]
     return WalkState(amps, config)
 
 

@@ -398,17 +398,18 @@ class TestExtract:
         (("-N", "100", "-m", "90"), "1 <= m <= N/2"),
         (("-N", "1000", "--eps", "0.4", "--eps-pa", "0.5"), "epsilon_pa > 2 * epsilon"),
         (("-N", "1000", "-Q", "2"), "Q must lie in [0, 1]"),
-    ], ids=["m", "eps-pa", "Q"])
+        (("-N", "1000", "--seed", "-1"), "run seed must be a non-negative integer"),
+    ], ids=["m", "eps-pa", "Q", "seed"])
     def test_protocol_inputs_fail_before_the_sweep(self, capsys, tmp_path, monkeypatch,
                                                    extra, message):
         # the sweep only picks the walk, so it need not run to find a bad size,
-        # security parameter or noise weight
+        # security parameter, noise weight or seed
         def must_not_run(*args, **kwargs):
             raise AssertionError("swept before the protocol inputs were checked")
 
         monkeypatch.setattr(cli, "g_functions", must_not_run)
         rc, out, err = run(capsys, "extract", "-P", "21", "-k", "3", "--coin", "general",
-                           *extra, "--seed", "1", "-o", str(tmp_path / "v"))
+                           "--seed", "1", *extra, "-o", str(tmp_path / "v"))
         assert rc == 2
         assert out == ""
         assert message in last_error(err)["error"]

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from qwrng import maxprob
 from qwrng.maxprob import (
     MaxProbResult,
     _batch_step,
@@ -274,16 +275,32 @@ def test_ties_resolve_to_smallest_parameters():
     assert res.at_phi == 0.0
 
 
-def test_candidate_order_prefers_value_then_time_then_flip():
-    ordered = sorted([
-        (0.5, 9, 0, 0, 0),
-        (0.5, 2, 2, 0, 0),
-        (0.5, 2, 1, 3, 1),
-        (0.5, 2, 1, 3, 0),
-        (0.4, 7, 2, 5, 5),
-    ])
-    assert ordered[0] == (0.4, 7, 2, 5, 5)
-    assert ordered[1] == (0.5, 2, 1, 3, 0)
+def test_cross_flip_tie_resolves_to_flip_order():
+    # X and Y reach the same peak at t = 1 here, to the last bit; the grid
+    # stores its flips in I, X, Y order whatever order they were given in
+    grid = SweepGrid(1, 3, R=1, flips=(FlipOperator.Y, FlipOperator.X))
+    assert grid.flips == (FlipOperator.X, FlipOperator.Y)
+    res = g_functions(3, 1, grid, (ALL,))[ALL]
+    assert res.at_flip is FlipOperator.X
+    assert res.at_t == 1
+    assert res.at_theta == 0.0
+    assert res.at_phi == 0.0
+
+
+def test_record_argmin_takes_smallest_t_then_flip_then_coin(monkeypatch):
+    # planted peaks of a four-coin batch, flip by flip and then step by step:
+    # 0.5 is reached at (t=3, I), at (t=2, X) by coins 2 and 3, and at
+    # (t=2, Y); the earliest t wins over the earlier flip
+    hi, lo = [0.9] * 4, [0.5] * 4
+    rows = iter(np.array(r) for r in (
+        hi, hi, [0.9, 0.5, 0.9, 0.9],     # I
+        hi, [0.9, 0.9, 0.5, 0.5], lo,     # X
+        hi, [0.5, 0.9, 0.9, 0.9], lo,     # Y
+    ))
+    monkeypatch.setattr(maxprob, "marginal", lambda weights, mode: next(rows)[:, None])
+    res = g_functions(3, 1, SweepGrid(1, 3, R=1), (ALL,))[ALL]
+    assert (res.value, res.at_t, res.at_flip) == (0.5, 2, FlipOperator.X)
+    assert (res.at_theta, res.at_phi) == (math.pi, 0.0)
 
 
 def test_sweep_validates_dimensions():

@@ -125,6 +125,8 @@ def test_sampling_needs_two_signals():
         sample(source(), 1, ALL)
     with pytest.raises(ValueError):
         SourceModel(config=WalkConfig(P=3, kappa=1, T=0), Q=1.5)
+    with pytest.raises(ValueError, match="run seed must be a non-negative integer"):
+        SourceModel(config=WalkConfig(P=3, kappa=1, T=0), rng_seed=-1)
 
 
 # -- Toeplitz hashing ----------------------------------------------------------

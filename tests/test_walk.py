@@ -77,7 +77,7 @@ def test_initial_state_x_flip_splits_active_coin():
     expect = np.zeros(6, dtype=complex)
     expect[at(0, 0)] = SQ2
     expect[at(0, 1)] = SQ2
-    np.testing.assert_allclose(st0.amplitudes, expect, atol=1e-15)
+    np.testing.assert_array_equal(st0.amplitudes, expect)
 
 
 def test_initial_state_y_flip_puts_i_on_active_one():
@@ -85,7 +85,7 @@ def test_initial_state_y_flip_puts_i_on_active_one():
     expect = np.zeros(12, dtype=complex)
     expect[at(0, 0, 0)] = SQ2
     expect[at(0, 0, 1)] = 1j * SQ2
-    np.testing.assert_allclose(st0.amplitudes, expect, atol=1e-15)
+    np.testing.assert_array_equal(st0.amplitudes, expect)
 
 
 # -- step stages --------------------------------------------------------------
