@@ -137,28 +137,82 @@ def _coin_batch(grid: SweepGrid) -> np.ndarray:
     return generalized_coin_matrix(np.repeat(angles, n), np.tile(angles, n))
 
 
-def _batch_step(states: np.ndarray, coins: np.ndarray, source: np.ndarray) -> np.ndarray:
-    """One walk step on a (B, P, 2**kappa) batch, coin b applied to batch entry b.
+class _BatchWalk:
+    """A batch of walks on one (P, kappa), coin b driving walk b, stepped in place.
 
-    The coin runs as separate float64 multiplies and adds on views of the
-    complex state, with the inner loops along the pair axis.  Output coin
-    value a is (Re/Im of c=0 products) + (Re/Im of c=1 products), the same
-    roundings in the same order as a complex einsum over c, so the step is
-    bit-identical to it; a batched matmul or complex multiply differs in
-    the last ulp.  One gather then applies the shift and the memory
-    rotation.
+    The state is float64 of shape (re/im, row, B): planar and batch-minor.
+    Amplitude 2p + c (amplitude pair p, active coin c) sits at row
+    c*(n/2) + p, so the real and imaginary parts of each active-coin half
+    are contiguous (n/2, B) blocks, and every coin product and sum is one
+    flat ufunc call over a block, written with `out=` into buffers that
+    live as long as the walk.  Each coin entry is tiled once to (n/2, B).
+    Output coin value a is (Re/Im of c=0 products) + (Re/Im of c=1
+    products): the roundings, in the order, of a complex einsum over c,
+    so the step is bit-identical to it; a batched matmul or complex
+    multiply differs in the last ulp.  The shift and memory rotation are
+    `walk.step_source` carried over to rows, applied as one take.
     """
-    B = states.shape[0]
-    v = states.view(np.float64).reshape(B, -1, 2, 2)
-    re0, im0, re1, im1 = v[:, :, 0, 0], v[:, :, 0, 1], v[:, :, 1, 0], v[:, :, 1, 1]
-    cr, ci = coins.real[..., None], coins.imag[..., None]
-    coined = np.empty_like(states)
-    out = coined.view(np.float64).reshape(B, -1, 2, 2)
-    for a in (0, 1):
-        cr0, ci0, cr1, ci1 = cr[:, a, 0], ci[:, a, 0], cr[:, a, 1], ci[:, a, 1]
-        np.add(re0 * cr0 - im0 * ci0, re1 * cr1 - im1 * ci1, out=out[:, :, a, 0])
-        np.add(re0 * ci0 + im0 * cr0, re1 * ci1 + im1 * cr1, out=out[:, :, a, 1])
-    return np.take(coined.reshape(B, -1), source, axis=1).reshape(states.shape)
+
+    def __init__(self, P: int, kappa: int, coins: np.ndarray) -> None:
+        n, B = P << kappa, coins.shape[0]
+        h = n // 2
+        # rows[r] is the amplitude at row r; its inverse is the row of each amplitude
+        self.rows = np.arange(n).reshape(h, 2).T.reshape(-1)
+        self.source = np.argsort(self.rows)[step_source(P, kappa)[self.rows]]
+        self.state = np.empty((2, n, B))
+        self.coined = np.empty((2, n, B))
+        # two (n/2, B) blocks of step scratch, which the readout reuses as (n, B)
+        scratch = np.empty((2, h, B))
+        # cr[a, c] and ci[a, c]: real and imaginary part of coin entry (a, c), tiled
+        entries = np.stack([coins.real, coins.imag]).transpose(0, 2, 3, 1)
+        cr, ci = np.ascontiguousarray(np.broadcast_to(entries[..., None, :], (2, 2, 2, h, B)))
+        re, im = self.state.reshape(2, 2, h, B)
+        out_re, out_im = self.coined.reshape(2, 2, h, B)
+        t, u = scratch
+        # output a, Re: sum over c of re*cr - im*ci; Im: sum over c of re*ci + im*cr
+        self.ops = []
+        for a in (0, 1):
+            for out, x, y, combine in ((out_re[a], cr, ci, np.subtract),
+                                       (out_im[a], ci, cr, np.add)):
+                for c, dst in ((0, out), (1, t)):
+                    self.ops += [(np.multiply, re[c], x[a, c], dst),
+                                 (np.multiply, im[c], y[a, c], u),
+                                 (combine, dst, u, dst)]
+                self.ops.append((np.add, out, t, out))
+        # the readout's complex buffer shares memory with the coin output
+        self.interleaved = self.coined.reshape(-1).view(np.complex128).reshape(n, B)
+        self.abs2 = scratch.reshape(n, B)
+        self.readout = np.moveaxis(self.abs2.reshape(2, P, -1, B), 0, 2)
+
+    def start(self, amplitudes: np.ndarray) -> None:
+        """Set every walk of the batch to the same amplitude vector."""
+        self.state[0] = amplitudes.real[self.rows, None]
+        self.state[1] = amplitudes.imag[self.rows, None]
+
+    def step(self) -> None:
+        """One coin toss, shift and memory rotation of every walk."""
+        for ufunc, x, y, out in self.ops:
+            ufunc(x, y, out)
+        # mode="raise" would buffer `out`; the source rows are all in range
+        np.take(self.coined, self.source, axis=1, out=self.state, mode="clip")
+
+    def weights(self) -> np.ndarray:
+        """|amplitude|^2 of every walk, as marginal's (P, 2**(kappa-1), 2, B) view.
+
+        The planes go through a complex buffer, for the same complex `np.abs`
+        that `walk.distribution` takes.
+        """
+        np.copyto(self.interleaved.real, self.state[0])
+        np.copyto(self.interleaved.imag, self.state[1])
+        np.abs(self.interleaved, out=self.abs2)
+        np.square(self.abs2, out=self.abs2)
+        return self.readout
+
+
+def _peaks(weights: np.ndarray, mode: MeasurementMode) -> np.ndarray:
+    """Largest outcome probability of `mode` in each walk of a batch of weights."""
+    outcomes = marginal(weights, mode)
+    return outcomes.max(axis=tuple(range(outcomes.ndim - 1)))
 
 
 def _sweep(
@@ -177,21 +231,20 @@ def _sweep(
     per mode.
     """
     WalkConfig(P=P, kappa=kappa, T=0)  # validates dimensions
-    source = step_source(P, kappa)
+    walk = _BatchWalk(P, kappa, coins)
     shape = (len(modes), grid.t_max - grid.t_min + 1, len(grid.flips))
     values = np.empty(shape)
     coin_at = np.empty(shape, dtype=np.intp)
     for j, flip in enumerate(grid.flips):
-        start = initial_state(WalkConfig(P, kappa, 0, flip=flip)).amplitudes
-        states = np.repeat(start.reshape(1, P, -1), coins.shape[0], axis=0)
+        walk.start(initial_state(WalkConfig(P, kappa, 0, flip=flip)).amplitudes)
         for t in range(1, grid.t_max + 1):
-            states = _batch_step(states, coins, source)
+            walk.step()
             i = t - grid.t_min
             if i < 0:
                 continue
-            weights = np.abs(states) ** 2
+            weights = walk.weights()
             for m, mode in enumerate(modes):
-                peaks = marginal(weights, mode).max(axis=-1)
+                peaks = _peaks(weights, mode)
                 b = np.argmin(peaks)
                 values[m, i, j], coin_at[m, i, j] = peaks[b], b
     best = {}

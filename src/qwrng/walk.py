@@ -208,24 +208,28 @@ def evolve(config: WalkConfig) -> WalkState:
 
 
 def marginal(weights: np.ndarray, mode: MeasurementMode) -> np.ndarray:
-    """Outcome probabilities of `mode` from basis weights of shape (..., P, 2**kappa).
+    """Outcome probabilities of `mode` from basis weights of shape (P, 2**(kappa-1), 2, ...).
 
-    The result has shape (..., d).  ALL keeps every basis weight;
-    MEMORY_ONLY adds each active-coin pair; POSITION_ONLY adds the coin
-    codes left to right.  The walk and the sweep both read out through
-    here, so a certified peak and the sampled distribution round alike;
-    numpy's pairwise sum would round differently once 2**kappa >= 8,
-    and table CSVs print every digit.
+    The axes are position, memory coins and active coin, then any batch
+    axes, whose walks are read out side by side.  The result has shape
+    (P, 2**(kappa-1), 2, ...) for ALL, which keeps every basis weight,
+    (P, 2**(kappa-1), ...) for MEMORY_ONLY, which adds each active-coin
+    pair, and (P, ...) for POSITION_ONLY, which adds the coin codes left
+    to right; its outcome axes flattened in C order are the dense outcome
+    index.  The walk and the sweep both read out through here, so a
+    certified peak and the sampled distribution round alike; numpy's
+    pairwise sum would round differently once 2**kappa >= 8, and table
+    CSVs print every digit.
     """
     if mode is MeasurementMode.ALL:
-        return weights.reshape(weights.shape[:-2] + (-1,))
+        return weights
     if mode is MeasurementMode.MEMORY_ONLY:
-        pairs = weights[..., 0::2] + weights[..., 1::2]
-        return pairs.reshape(weights.shape[:-2] + (-1,))
+        return weights[:, :, 0] + weights[:, :, 1]
     if mode is MeasurementMode.POSITION_ONLY:
-        position = weights[..., 0].copy()
-        for code in range(1, weights.shape[-1]):
-            position += weights[..., code]
+        codes = [weights[:, m, c] for m in range(weights.shape[1]) for c in (0, 1)]
+        position = codes[0].copy()
+        for code in codes[1:]:
+            position += code
         return position
     raise ValueError(f"unknown measurement mode {mode!r}")
 
@@ -236,8 +240,8 @@ def distribution(state: WalkState, mode: MeasurementMode) -> Distribution:
     For kappa = 1 MEMORY_ONLY and POSITION_ONLY coincide, both tracing
     out the lone coin.
     """
-    weights = np.abs(state.amplitudes.reshape(state.config.P, -1)) ** 2
-    return Distribution(marginal(weights, mode), mode)
+    weights = np.abs(state.amplitudes.reshape(state.config.P, -1, 2)) ** 2
+    return Distribution(marginal(weights, mode).reshape(-1), mode)
 
 
 __all__ = [

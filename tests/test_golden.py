@@ -6,11 +6,14 @@ code were last simplified.  Changing one is a deliberate output change:
 CHANGES.md records the old digest, the new one and why.
 
 The preset digests hold under every OpenBLAS kernel, because the sweep
-makes no BLAS call.  The `evolve` and `extract -T` digests do not: `evolve`
-steps with a complex matmul, which a DYNAMIC_ARCH OpenBLAS runs on a
-kernel it picks per CPU at run time.  They were taken on its SkylakeX
+makes no BLAS call, and under every numpy SIMD level tried.  The
+`evolve` and `extract -T` digests do not: `evolve` steps with a complex
+matmul, which a DYNAMIC_ARCH OpenBLAS runs on a kernel it picks per CPU
+at run time.  They were taken on its SkylakeX
 kernel; under Sandybridge every one of them differs, and under Haswell
-the general-coin flip-Y `evolve` digest does (ROADMAP item 1).
+the general-coin flip-Y `evolve` digest does (ROADMAP item 1).  That
+digest also differs under numpy's X86_V2 baseline loops, whose complex
+`np.abs` rounds some values apart from the AVX2 and AVX-512 loops.
 """
 
 import hashlib
@@ -146,13 +149,10 @@ def test_evolve_json_is_golden(capsys, name):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == EVOLVE_DIGESTS[name]
 
 
-@pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"),
-                    reason="OpenBLAS core names are x86-64 ones")
-def test_table_csvs_do_not_depend_on_the_blas_kernel(tmp_path):
-    # Prescott is OpenBLAS's oldest x86-64 core, so every x86-64 CPU runs it;
-    # a core newer than the CPU could stop the run with SIGILL
+def run_tables_under(tmp_path: Path, **env_vars: str) -> None:
+    """Run table2 and table5 in a fresh interpreter under `env_vars`; check their digests."""
     src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, OPENBLAS_CORETYPE="Prescott", PYTHONPATH=os.pathsep.join(
+    env = dict(os.environ, **env_vars, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
     names = ("table2", "table5")
     script = ("import sys; from qwrng.cli import main; "
@@ -163,3 +163,20 @@ def test_table_csvs_do_not_depend_on_the_blas_kernel(tmp_path):
     assert done.returncode == 0, done.stderr
     for name in names:
         assert sha256(tmp_path / f"{name}.csv") == PRESET_DIGESTS[name], name
+
+
+@pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"),
+                    reason="OpenBLAS core names are x86-64 ones")
+def test_table_csvs_do_not_depend_on_the_blas_kernel(tmp_path):
+    # Prescott is OpenBLAS's oldest x86-64 core, so every x86-64 CPU runs it;
+    # a core newer than the CPU could stop the run with SIGILL
+    run_tables_under(tmp_path, OPENBLAS_CORETYPE="Prescott")
+
+
+def test_table_csvs_do_not_depend_on_numpy_simd_dispatch(tmp_path):
+    # the sweep's ufuncs run numpy's SIMD loops, chosen per CPU at run time;
+    # disabling every dispatch target leaves the build's baseline loops
+    targets = pytest.importorskip("numpy._core._multiarray_umath").__cpu_dispatch__
+    if not targets:
+        pytest.skip("this numpy build has no SIMD dispatch targets")
+    run_tables_under(tmp_path, NPY_DISABLE_CPU_FEATURES=" ".join(targets))

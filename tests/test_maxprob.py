@@ -7,8 +7,9 @@ import pytest
 from qwrng import maxprob
 from qwrng.maxprob import (
     MaxProbResult,
-    _batch_step,
+    _BatchWalk,
     _coin_batch,
+    _peaks,
     SweepGrid,
     g_functions,
     gamma_from_g,
@@ -21,9 +22,7 @@ from qwrng.walk import (
     WalkConfig,
     distribution,
     evolve,
-    marginal,
     memory_rotation_gather,
-    step_source,
 )
 
 ALL = MeasurementMode.ALL
@@ -200,6 +199,63 @@ def test_shared_sweep_matches_individual_sweeps():
         assert combined[mode] == single
 
 
+# -- grid symmetries -----------------------------------------------------------
+# Equivalent coins must give equal minima through the sweep engine, so a
+# kernel change that breaks one fails here by name, not only as a moved digest.
+
+SYMMETRY_CELLS = [(3, 1), (5, 2), (11, 3)]
+
+
+def _minima(P, kappa, flip, theta, phi):
+    """min_over_time at one coin and flip, t <= 60, in each mode."""
+    coin = CoinOperator.generalized(theta, phi)
+    return [min_over_time(P, kappa, mode, coin, flip, 1, 60) for mode in MeasurementMode]
+
+
+def _random_angles(P, kappa):
+    return np.random.default_rng(100 * P + kappa).uniform(0.0, math.pi, size=(3, 2)).tolist()
+
+
+@pytest.mark.parametrize("P,kappa", SYMMETRY_CELLS)
+def test_phi_sign_symmetry_is_exact_for_real_start_states(P, kappa):
+    # phi -> -phi conjugates the coin, and flips I and X start from real
+    # amplitudes, so the walk is conjugated and every |amplitude|^2 is the
+    # same float; the Y flip's start state is complex and breaks this
+    for theta, phi in _random_angles(P, kappa):
+        for flip in (FlipOperator.I, FlipOperator.X):
+            for a, b in zip(_minima(P, kappa, flip, theta, phi),
+                            _minima(P, kappa, flip, theta, -phi)):
+                assert (b.value, b.at_t) == (a.value, a.at_t), (
+                    f"symmetry phi -> -phi broken: {a.mode.value} minimum, flip {flip.value}, "
+                    f"theta={theta!r}, phi={phi!r}: {a.value!r} at t={a.at_t} "
+                    f"against {b.value!r} at t={b.at_t}")
+
+
+@pytest.mark.parametrize("P,kappa", SYMMETRY_CELLS)
+def test_phi_shift_by_pi_negates_the_coin(P, kappa):
+    # e^{i(phi + pi)} = -e^{i phi}: a global sign, equal up to the rounding of exp
+    for theta, phi in _random_angles(P, kappa):
+        for flip in FlipOperator:
+            for a, b in zip(_minima(P, kappa, flip, theta, phi),
+                            _minima(P, kappa, flip, theta, phi + math.pi)):
+                assert abs(b.value - a.value) <= 1e-13, (
+                    f"symmetry phi -> phi + pi broken: {a.mode.value} minimum, flip {flip.value}, "
+                    f"theta={theta!r}, phi={phi!r}: {a.value!r} against {b.value!r}")
+
+
+@pytest.mark.parametrize("P,kappa", SYMMETRY_CELLS)
+def test_theta_reflection_symmetry_for_flip_i(P, kappa):
+    # theta -> pi - theta turns the coin U into -ZUZ, Z = diag(1, -1), so each
+    # path picks up a sign set by its first and last coin values; from the
+    # unflipped start, whose coins are all 0, every |amplitude|^2 is unchanged
+    for theta, phi in _random_angles(P, kappa):
+        for a, b in zip(_minima(P, kappa, FlipOperator.I, theta, phi),
+                        _minima(P, kappa, FlipOperator.I, math.pi - theta, phi)):
+            assert abs(b.value - a.value) <= 1e-13, (
+                f"symmetry theta -> pi - theta broken: {a.mode.value} minimum, flip i, "
+                f"theta={theta!r}, phi={phi!r}: {a.value!r} against {b.value!r}")
+
+
 # -- step kernel ---------------------------------------------------------------
 
 def _einsum_step(states, coins, kappa):
@@ -229,26 +285,41 @@ def _einsum_peaks(states, mode):
     return weights.sum(axis=2).max(axis=1)
 
 
+def _amplitudes(state):
+    """The kernel's (re/im, row, B) state as (B, P*2**kappa) complex amplitudes.
+
+    Row c*(n/2) + p holds amplitude 2p + c: amplitude pair p, active coin c.
+    """
+    _, n, B = state.shape
+    j = np.arange(n)
+    rows = (j % 2) * (n // 2) + j // 2
+    amps = np.empty((B, n), dtype=np.complex128)
+    amps.real, amps.imag = state[0, rows].T, state[1, rows].T
+    return amps
+
+
 @pytest.mark.parametrize("P,kappa", [(3, 1), (5, 2), (21, 3), (51, 4)])
 def test_step_kernel_is_bit_identical_to_einsum(P, kappa):
     # table CSVs print repr(value), so a last-ulp change in a step or a
     # peak would change the published bytes: equality here is exact
     nc = 1 << kappa
-    source = step_source(P, kappa)
     for grid in (SweepGrid(1, 60, R=4), SweepGrid(1, 60)):
         coins = _coin_batch(grid)
         B = coins.shape[0]
+        walk = _BatchWalk(P, kappa, coins)  # one walk for every flip: start resets it
         for flip in FlipOperator:
             start = np.zeros((B, P * nc // 2, 2), dtype=np.complex128)
             start[:, 0, 0] = 1.0
-            ref = got = (start @ flip.matrix().T).reshape(B, P, nc)
+            ref = (start @ flip.matrix().T).reshape(B, P, nc)
+            walk.start(ref[0].reshape(-1))
             for t in range(1, 61):
                 ref = _einsum_step(ref, coins, kappa)
-                got = _batch_step(got, coins, source)
+                walk.step()
+                got = _amplitudes(walk.state).reshape(B, P, nc)
                 assert np.array_equal(got, ref), (grid.R, flip, t)
-                weights = np.abs(got) ** 2
+                weights = walk.weights()
                 for mode in MeasurementMode:
-                    peaks = marginal(weights, mode).max(axis=-1)
+                    peaks = _peaks(weights, mode)
                     assert np.array_equal(peaks, _einsum_peaks(ref, mode)), (mode, t)
 
 
@@ -297,7 +368,8 @@ def test_record_argmin_takes_smallest_t_then_flip_then_coin(monkeypatch):
         hi, [0.9, 0.9, 0.5, 0.5], lo,     # X
         hi, [0.5, 0.9, 0.9, 0.9], lo,     # Y
     ))
-    monkeypatch.setattr(maxprob, "marginal", lambda weights, mode: next(rows)[:, None])
+    # the batch is the readout's last axis, after the outcome axes
+    monkeypatch.setattr(maxprob, "marginal", lambda weights, mode: next(rows)[None, :])
     res = g_functions(3, 1, SweepGrid(1, 3, R=1), (ALL,))[ALL]
     assert (res.value, res.at_t, res.at_flip) == (0.5, 2, FlipOperator.X)
     assert (res.at_theta, res.at_phi) == (math.pi, 0.0)

@@ -342,12 +342,12 @@ def test_position_marginal_adds_coin_codes_left_to_right(P, kappa, T):
 
 @pytest.mark.parametrize("mode", list(MeasurementMode))
 def test_batched_marginal_matches_each_distribution(mode):
-    # the sweep reads a (B, P, 2**kappa) batch through the same function
+    # the sweep reads a batch, on a last axis, through the same function
     cfgs = [config(5, 3, 40 + 7 * b, CoinOperator.generalized(0.3 * b, 0.5), flip)
             for b, flip in enumerate(FlipOperator)]
     states = [evolve(cfg) for cfg in cfgs]
-    weights = np.abs(np.stack([s.amplitudes.reshape(5, 8) for s in states])) ** 2
-    batch = marginal(weights, mode)
-    assert batch.shape == (len(cfgs), distribution(states[0], mode).d)
-    for row, state in zip(batch, states):
-        assert np.array_equal(row, distribution(state, mode).probs)
+    weights = np.abs(np.stack([s.amplitudes.reshape(5, 4, 2) for s in states], axis=-1)) ** 2
+    batch = marginal(weights, mode).reshape(-1, len(cfgs))
+    assert batch.shape == (distribution(states[0], mode).d, len(cfgs))
+    for column, state in zip(batch.T, states):
+        assert np.array_equal(column, distribution(state, mode).probs)
