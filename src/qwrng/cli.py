@@ -23,13 +23,14 @@ import argparse
 import dataclasses
 import json
 import math
+import os
 import secrets
 import sys
 from pathlib import Path
 
 from qwrng.experiments import emit, preset, run_rate_curve, run_table
 from qwrng.maxprob import SweepGrid, g_functions
-from qwrng.pipeline import SourceModel, run_protocol
+from qwrng.pipeline import SourceModel, run_bytes, run_protocol
 from qwrng.rates import ProtocolParams, pa_margin
 from qwrng.walk import (
     CoinOperator,
@@ -38,6 +39,7 @@ from qwrng.walk import (
     WalkConfig,
     distribution,
     evolve,
+    initial_state,
 )
 
 
@@ -337,6 +339,14 @@ def _cmd_extract(opts: dict) -> int:
     if mode is MeasurementMode.ALL:
         pa_margin(params)
     source = SourceModel(config=cfg, Q=opts["Q"], rng_seed=seed)
+    # an overcommitted array can be killed mid-fill, so a run that cannot
+    # fit in physical memory fails here instead
+    d = distribution(initial_state(cfg), mode).probs.shape[0]
+    need = run_bytes(params.N, params.m, d)
+    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > have:
+        raise MemoryError(f"a run of N = {params.N} signals needs about {need / 2**30:.1f} GiB "
+                          f"of memory, more than the {have / 2**30:.1f} GiB this machine has")
     gamma = None
     if opts["T"] is None:
         # no fixed step count: sweep for the adversarial optimum and run there

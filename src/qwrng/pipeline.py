@@ -31,6 +31,17 @@ _S_DEPOLARIZE, _S_TEST, _S_HONEST, _S_MIXED, _S_SUBSET, _S_HASH = range(6)
 # t_subset is written out in full below this size and digested above it
 SUBSET_INLINE_LIMIT = 10_000
 
+# signals sampled per pass; any size gives the same bits
+_SAMPLE_CHUNK = 1 << 16
+
+# bytes the hash's FFT working set may hold (_fft_working_set); the hash
+# picks its tile sizes to fit
+_FFT_BUDGET = 17 << 26  # 1.0625 GiB
+
+# what a transform costs beyond its points (the call, encoding and staging
+# an input block), in points, so that many tiny tiles never look cheapest
+_CALL_POINTS = 1 << 10
+
 
 def _stream(seed: int, which: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=(which,))))
@@ -64,24 +75,36 @@ def sample_outcomes(
     Honest signals pass the test with certainty and draw from `probs`;
     depolarized ones fail the test with probability 1 - 1/(2**kappa P),
     the maximally mixed state's overlap, and extract uniformly.  Fully
-    deterministic given the source seed.
+    deterministic given the source seed.  The draws are made
+    _SAMPLE_CHUNK signals at a time into preallocated outputs; chunked
+    float and integer draws continue each Philox stream exactly where a
+    single draw of N would, so the chunk size changes no bit.
     """
     if N < 2:
         raise ValueError("need at least two signals")
     cfg = source.config
     d = probs.shape[0]
-    seed = source.rng_seed
-
-    depolarized = _stream(seed, _S_DEPOLARIZE).random(N) < source.Q
-    test_bits = depolarized & (
-        _stream(seed, _S_TEST).random(N) < 1.0 - 1.0 / cfg.dim
+    depolarize, test, honest, mixed = (
+        _stream(source.rng_seed, which) for which in (_S_DEPOLARIZE, _S_TEST, _S_HONEST, _S_MIXED)
     )
     cdf = np.cumsum(probs)
     cdf[-1] = 1.0  # guard accumulated rounding so every draw lands
-    honest = np.searchsorted(cdf, _stream(seed, _S_HONEST).random(N), side="right")
-    mixed = _stream(seed, _S_MIXED).integers(0, d, size=N)
-    digits = np.where(depolarized, mixed, honest).astype(np.int64)
-    return digits, test_bits.astype(np.uint8)
+    digits = np.empty(N, dtype=_digit_dtype(d))
+    test_bits = np.empty(N, dtype=np.uint8)
+    draws = np.empty(min(N, _SAMPLE_CHUNK))
+    for c0 in range(0, N, _SAMPLE_CHUNK):
+        u = draws[: min(N - c0, _SAMPLE_CHUNK)]
+        c1 = c0 + u.shape[0]
+        depolarized = depolarize.random(out=u) < source.Q
+        test_bits[c0:c1] = depolarized & (test.random(out=u) < 1.0 - 1.0 / cfg.dim)
+        honest_digits = np.searchsorted(cdf, honest.random(out=u), side="right")
+        digits[c0:c1] = np.where(depolarized, mixed.integers(0, d, size=u.shape[0]), honest_digits)
+    return digits, test_bits
+
+
+def _digit_dtype(d: int) -> np.dtype:
+    """Smallest unsigned dtype holding every digit 0..d-1."""
+    return np.min_scalar_type(d - 1)
 
 
 def digit_width(d: int) -> int:
@@ -91,13 +114,32 @@ def digit_width(d: int) -> int:
     return (d - 1).bit_length()
 
 
-def encode_digits(digits: np.ndarray, d: int) -> np.ndarray:
-    """Big-endian fixed-width bit encoding of a digit string over 0..d-1."""
-    digits = np.asarray(digits, dtype=np.int64)
+def _checked_digits(digits: np.ndarray, d: int) -> np.ndarray:
+    digits = np.asarray(digits)
     if digits.size and (digits.min() < 0 or digits.max() >= d):
         raise ValueError("digit outside the alphabet")
-    shifts = np.arange(digit_width(d) - 1, -1, -1, dtype=np.int64)
-    return ((digits[:, None] >> shifts) & 1).astype(np.uint8).reshape(-1)
+    return digits
+
+
+def encode_digits(digits: np.ndarray, d: int) -> np.ndarray:
+    """Big-endian fixed-width bit encoding of a digit string over 0..d-1."""
+    digits = _checked_digits(digits, d)
+    w = digit_width(d)
+    # row v holds the w bits of v, so encoding is one gather
+    table = ((np.arange(d)[:, None] >> np.arange(w - 1, -1, -1)) & 1).astype(np.uint8)
+    return table[digits].reshape(-1)
+
+
+def run_bytes(N: int, m: int, d: int) -> int:
+    """Bytes a run of N signals, m of them tested, over d outcomes holds at most.
+
+    Its O(N) arrays (digits, test bits, the kept-signal mask, the kept
+    digits, ell + L - 1 seed bits and the ell output bits, with
+    ell <= L = (N - m) ceil(log2 d)) plus the hash's FFT budget.
+    """
+    digit = _digit_dtype(d).itemsize
+    L = (N - m) * digit_width(d)
+    return N * digit + 2 * N + (N - m) * digit + 3 * L + _FFT_BUDGET
 
 
 def toeplitz_seed_bits(seed: int, ell: int, length: int) -> np.ndarray:
@@ -128,25 +170,112 @@ def _smooth_len(n: int) -> int:
     return best
 
 
-def _toeplitz_counts(s: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Integer counts sum_j s[i - j + L - 1] x[j] for i < len(s) - L + 1, L = len(x).
+def _fft_working_set(M: int, b_i: int) -> int:
+    """Bytes one tile pass of the hash holds at its peak.
 
-    One cyclic float64 convolution of length M >= ell + L - 1 = len(s):
-    output i < ell reads s[i - j + L - 1] for 0 <= j < L, an index in
-    [0, ell + L - 1), so no wrapped term reaches the ell outputs kept.
-    They are rounded back to exact bit counts.
+    Three spectra of M // 2 + 1 complex bins (the running sum, a tile
+    spectrum and a staging buffer whose float view feeds each seed
+    segment and receives the inverse transform), an input block's bits
+    and the float64 copy numpy makes of them, and pocketfft's own
+    twiddles and scratch, about 16 bytes per point.
     """
-    L = x.shape[0]
-    M = _smooth_len(s.shape[0])
-    spectrum = np.fft.rfft(s.astype(np.float64), M)
-    spectrum *= np.fft.rfft(x.astype(np.float64), M)
-    counts = np.fft.irfft(spectrum, M)[L - 1 : s.shape[0]]
-    rounded = np.rint(counts)
-    # entries are exact bit counts; a residual near 0.5 would mean the
-    # float path lost them
-    if np.abs(counts - rounded).max() > 1e-2:
-        raise FloatingPointError("convolution residual too large for exact bit counts")
-    return rounded.astype(np.int64)
+    return 3 * 16 * (M // 2 + 1) + 9 * b_i + 16 * M
+
+
+def _hash_plan(ell: int, L: int) -> tuple[int, int]:
+    """Output and input block sizes (b_o, b_i) of the tiled hash.
+
+    With n_out = ceil(ell / b_o) output blocks and n_in = ceil(L / b_i)
+    input blocks, each output block transforms every input block and its
+    seed segment and inverts their summed products once:
+    n_out (2 n_in + 1) transforms of length M = smooth(b_o + b_i - 1).
+    Of the splits whose working set fits _FFT_BUDGET, this returns the
+    cheapest, a transform costing M + _CALL_POINTS points, and the first
+    in (n_out, n_in) order on a tie.
+    """
+
+    def fits(n_out: int, n_in: int) -> bool:
+        b_i = -(-L // n_in)
+        return _fft_working_set(_smooth_len(-(-ell // n_out) + b_i - 1), b_i) <= _FFT_BUDGET
+
+    best: tuple[int, int, int] | None = None
+    # a split costs more than 2 n_out L, since (2 n_in + 1) b_i > 2 L
+    for n_out in range(1, ell + 1):
+        if best is not None and 2 * n_out * L >= best[0]:
+            break
+        if not fits(n_out, L):
+            continue
+        b_o = -(-ell // n_out)
+        n_in = 1  # the working set shrinks as n_in grows, and n_in = L fits
+        while not fits(n_out, n_in):
+            n_in += 1
+        while n_in <= L:
+            b_i = -(-L // n_in)
+            # a lower bound on this split's cost that grows with n_in
+            bound = n_out * ((2 * n_in + 1) * (b_o - 1 + _CALL_POINTS) + 2 * L)
+            if best is not None and bound >= best[0]:
+                break
+            cost = n_out * (2 * n_in + 1) * (_smooth_len(b_o + b_i - 1) + _CALL_POINTS)
+            if best is None or cost < best[0]:
+                best = (cost, b_o, b_i)
+            n_in += 1
+    if best is None:
+        raise MemoryError("the hash does not fit its FFT memory budget")
+    return best[1], best[2]
+
+
+def _toeplitz_parity(s: np.ndarray, raw: np.ndarray, d: int) -> np.ndarray:
+    """Parities of sum_j s[i - j + L - 1] x[j] for i < len(s) - L + 1, x = encode_digits(raw, d).
+
+    The middle product is tiled by _hash_plan.  Output block [i0, i1)
+    and input block [j0, j1) read the seed segment
+    s[L - j1 + i0 : i1 - j0 + L - 1].  A ragged last block is padded
+    with zeros (a zero input bit, or a seed bit outside s), so every
+    tile is b_o by b_i and keeps the slice [b_i - 1, b_i - 1 + b_o) of
+    a cyclic convolution of length M >= b_o + b_i - 1, which no wrapped
+    term reaches.  An output block sums its tiles' spectra and inverts
+    once; its counts, at most L, are rounded back to exact integers.
+    Each input block is encoded from its own digits, so the L-bit string
+    never exists.
+    """
+    w = digit_width(d)
+    L = raw.shape[0] * w
+    ell = s.shape[0] - L + 1
+    b_o, b_i = _hash_plan(ell, L)
+    M = _smooth_len(b_o + b_i - 1)
+    acc, spec, stage = (np.empty(M // 2 + 1, dtype=np.complex128) for _ in range(3))
+    stage_r = stage.view(np.float64)
+    out = np.empty(ell, dtype=np.uint8)
+    for i0 in range(0, ell, b_o):
+        n = min(b_o, ell - i0)
+        for j0 in range(0, L, b_i):
+            lo = L - j0 - b_i + i0
+            hi = min(i0 + b_o - j0 + L - 1, s.shape[0])
+            # lo < 0 only under a ragged input block: the seed bits before s
+            # meet only its zero padding, but a stale NaN would still spread
+            pad = max(0, -lo)
+            stage_r[:pad] = 0.0
+            stage_r[pad : hi - lo] = s[lo + pad : hi]
+            j1 = min(j0 + b_i, L)
+            x = encode_digits(raw[j0 // w : -(-j1 // w)], d)[j0 % w :][: j1 - j0]
+            # the seed segment goes first, so the input block's transform
+            # can reuse the staging buffer
+            if j0 == 0:
+                np.fft.rfft(stage_r[: hi - lo], M, out=acc)
+                acc *= np.fft.rfft(x, M, out=spec)
+            else:
+                np.fft.rfft(stage_r[: hi - lo], M, out=spec)
+                spec *= np.fft.rfft(x, M, out=stage)
+                acc += spec
+        counts = np.fft.irfft(acc, M, out=stage_r[:M])[b_i - 1 : b_i - 1 + n]
+        rounded = np.rint(counts, out=spec.view(np.float64)[:n])
+        # entries are exact bit counts; a residual near 0.5 would mean the
+        # float path lost them
+        residual = np.abs(np.subtract(counts, rounded, out=counts), out=counts)
+        if residual.max() > 1e-2:
+            raise FloatingPointError("convolution residual too large for exact bit counts")
+        out[i0 : i0 + n] = np.remainder(rounded, 2.0, out=rounded)
+    return out
 
 
 def privacy_amplify(raw: np.ndarray, ell: int, seed: int, *, d: int) -> np.ndarray:
@@ -157,20 +286,19 @@ def privacy_amplify(raw: np.ndarray, ell: int, seed: int, *, d: int) -> np.ndarr
     T[i, j] = s[i - j + L - 1] over the seed bits s.  The Toeplitz
     family is two-universal, and the map is linear over GF(2).  Only
     the ell outputs are computed, as the middle of the convolution of
-    s with x: one float64 cyclic FFT of 5-smooth length
-    M >= ell + L - 1, which no wrapped term reaches, rounded back to
-    integers.
+    s with x, in float64 FFT tiles whose working set fits _FFT_BUDGET;
+    the counts are exact integers, so the bits do not depend on the
+    tiling.
     """
     if ell < 0:
         raise ValueError("output length cannot be negative")
-    bits = encode_digits(raw, d)
-    L = bits.shape[0]
+    raw = _checked_digits(raw, d)
+    L = raw.shape[0] * digit_width(d)
     if ell > L:
         raise ValueError(f"cannot stretch {L} input bits to {ell} output bits")
     if ell == 0:
         return np.zeros(0, dtype=np.uint8)
-    s = toeplitz_seed_bits(seed, ell, L)
-    return (_toeplitz_counts(s, bits) & 1).astype(np.uint8)
+    return _toeplitz_parity(toeplitz_seed_bits(seed, ell, L), raw, d)
 
 
 @dataclass(frozen=True)
@@ -278,6 +406,7 @@ def run_protocol(
     keep = np.ones(N, dtype=bool)
     keep[t_subset] = False
     raw = digits[keep]
+    del digits, test_bits, keep  # only raw and q are read from here on
 
     observed = replace(params, Q=w_q)
     rr: RateResult = rate_for_mode(observed, gamma, cfg.P, cfg.kappa, case)
@@ -315,6 +444,7 @@ __all__ = [
     "sample_outcomes",
     "run_protocol",
     "privacy_amplify",
+    "run_bytes",
     "toeplitz_seed_bits",
     "digit_width",
     "encode_digits",

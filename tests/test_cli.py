@@ -394,6 +394,21 @@ class TestExtract:
         assert "epsilon_pa > 2 * epsilon" in last_error(err)["error"]
         assert not (tmp_path / "e.record.txt").exists()
 
+    def test_run_larger_than_memory_fails_before_the_sweep(self, capsys, tmp_path, monkeypatch):
+        # sampling fills preallocated arrays, so an overcommitted one could be
+        # killed mid-fill; the size is checked before any sweep or draw instead
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("swept or sampled a run that cannot fit in memory")
+
+        monkeypatch.setattr(cli, "g_functions", must_not_run)
+        monkeypatch.setattr(pipeline, "sample_outcomes", must_not_run)
+        rc, out, err = run(capsys, "extract", "-P", "5", "--mode", "position",
+                           "-N", str(10**12), "--seed", "1", "-o", str(tmp_path / "big"))
+        assert rc == 2
+        assert out == ""
+        assert "memory" in last_error(err)["error"]
+        assert not (tmp_path / "big.record.txt").exists()
+
     @pytest.mark.parametrize("extra,message", [
         (("-N", "100", "-m", "90"), "1 <= m <= N/2"),
         (("-N", "1000", "--eps", "0.4", "--eps-pa", "0.5"), "epsilon_pa > 2 * epsilon"),

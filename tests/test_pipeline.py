@@ -129,6 +129,41 @@ def test_sampling_needs_two_signals():
         SourceModel(config=WalkConfig(P=3, kappa=1, T=0), rng_seed=-1)
 
 
+def single_shot_sample(src, N, probs):
+    """The sampling draws made in one call per stream, the layout chunking must keep."""
+    seed, d = src.rng_seed, probs.shape[0]
+    depolarized = pipeline._stream(seed, pipeline._S_DEPOLARIZE).random(N) < src.Q
+    test_bits = depolarized & (
+        pipeline._stream(seed, pipeline._S_TEST).random(N) < 1.0 - 1.0 / src.config.dim
+    )
+    cdf = np.cumsum(probs)
+    cdf[-1] = 1.0
+    u = pipeline._stream(seed, pipeline._S_HONEST).random(N)
+    honest = np.searchsorted(cdf, u, side="right")
+    mixed = pipeline._stream(seed, pipeline._S_MIXED).integers(0, d, size=N)
+    return np.where(depolarized, mixed, honest).astype(np.int64), test_bits.astype(np.uint8)
+
+
+@pytest.mark.parametrize("chunk", [1, 7])
+def test_chunked_sampling_reproduces_the_single_shot_streams(monkeypatch, chunk):
+    # the stream layout is part of the file-format contract, so the chunk
+    # size must not move a bit
+    monkeypatch.setattr(pipeline, "_SAMPLE_CHUNK", chunk)
+    rng = np.random.default_rng(chunk)
+    for d in (2, 5, 300):
+        probs = rng.random(d)
+        probs /= probs.sum()
+        for Q in (0.0, 0.3, 1.0):
+            for N in (2, 7, 8, 1000):
+                src = source(P=5, kappa=2, Q=Q, seed=int(rng.integers(0, 2**63)))
+                digits, test_bits = sample_outcomes(src, N, probs)
+                want_digits, want_bits = single_shot_sample(src, N, probs)
+                assert digits.dtype == np.min_scalar_type(d - 1)
+                np.testing.assert_array_equal(digits, want_digits)
+                np.testing.assert_array_equal(test_bits, want_bits)
+                assert test_bits.dtype == np.uint8
+
+
 # -- Toeplitz hashing ----------------------------------------------------------
 
 def toeplitz_matrix(seed, ell, length):
@@ -189,6 +224,84 @@ def test_fft_convolution_path_agrees_with_exact_path():
         np.testing.assert_array_equal(via_fft, exact, err_msg=f"L={L} ell={ell}")
         dense = (toeplitz_matrix(31337, ell, L) @ raw) % 2
         np.testing.assert_array_equal(via_fft, dense, err_msg=f"L={L} ell={ell}")
+
+
+def tile_counts(ell, L):
+    b_o, b_i = pipeline._hash_plan(ell, L)
+    return -(-ell // b_o), -(-L // b_i)
+
+
+def test_hash_plan_at_the_benchmark_size():
+    # extract-1e7 hashes L = 29,990,514 bits to ell = 8,510,981: one output
+    # block and two input blocks, within 2% of the FFT points of one
+    # untiled transform set
+    ell, L = 8_510_981, 29_990_514
+    b_o, b_i = pipeline._hash_plan(ell, L)
+    M = pipeline._smooth_len(b_o + b_i - 1)
+    assert tile_counts(ell, L) == (1, 2)
+    assert M == 23_592_960
+    assert 5 * M <= 1.02 * 3 * pipeline._smooth_len(ell + L - 1)
+    assert pipeline._fft_working_set(M, b_i) <= pipeline._FFT_BUDGET
+
+
+def test_hash_plan_fits_the_budget_at_1e8_signals():
+    # the seed-7 run of extract-1e7's walk at N = 1e8
+    ell, L = 128_702_601, (10**8 - 10**4) * 3
+    b_o, b_i = pipeline._hash_plan(ell, L)
+    assert 0 < b_o <= ell and 0 < b_i <= L
+    M = pipeline._smooth_len(b_o + b_i - 1)
+    assert pipeline._fft_working_set(M, b_i) <= pipeline._FFT_BUDGET
+
+
+def test_hash_plan_is_the_cheapest_split_that_fits(monkeypatch):
+    monkeypatch.setattr(pipeline, "_FFT_BUDGET", 3000)
+    for ell, L in [(1, 1), (1, 300), (40, 41), (90, 300), (300, 300), (17, 250)]:
+        cheapest = None
+        for n_out in range(1, ell + 1):
+            for n_in in range(1, L + 1):
+                b_o, b_i = -(-ell // n_out), -(-L // n_in)
+                M = pipeline._smooth_len(b_o + b_i - 1)
+                if pipeline._fft_working_set(M, b_i) <= pipeline._FFT_BUDGET:
+                    cost = n_out * (2 * n_in + 1) * (M + pipeline._CALL_POINTS)
+                    cheapest = cost if cheapest is None else min(cheapest, cost)
+        b_o, b_i = pipeline._hash_plan(ell, L)
+        n_out, n_in = tile_counts(ell, L)
+        M = pipeline._smooth_len(b_o + b_i - 1)
+        assert n_out * (2 * n_in + 1) * (M + pipeline._CALL_POINTS) == cheapest, (ell, L)
+
+
+def test_hash_plan_reports_a_budget_nothing_fits(monkeypatch):
+    monkeypatch.setattr(pipeline, "_FFT_BUDGET", 10)
+    with pytest.raises(MemoryError):
+        pipeline._hash_plan(5, 5)
+
+
+@pytest.mark.parametrize("budget", [700, 2000, 4000])
+@pytest.mark.parametrize("d", [2, 5, 17])
+def test_tiled_hash_agrees_with_exact_paths(monkeypatch, budget, d):
+    # a small budget forces many tiles; sizes give ragged last blocks,
+    # ell = 1 and ell = L
+    monkeypatch.setattr(pipeline, "_FFT_BUDGET", budget)
+    w = digit_width(d)
+    rng = np.random.default_rng(budget + d)
+    seen = set()
+    for n, ell in [(97, 1), (97, 97 * w), (61, 50), (128, 101), (150, 37)]:
+        L = n * w
+        raw = rng.integers(0, d, size=n).astype(np.min_scalar_type(d - 1))
+        seed = int(rng.integers(0, 2**63))
+        got = privacy_amplify(raw, ell, seed, d=d)
+        x = encode_digits(raw, d).astype(np.int64)
+        s = toeplitz_seed_bits(seed, ell, L).astype(np.int64)
+        np.testing.assert_array_equal(got, np.convolve(s, x, mode="valid") & 1,
+                                      err_msg=f"n={n} ell={ell}")
+        np.testing.assert_array_equal(got, (toeplitz_matrix(seed, ell, L) @ x) % 2,
+                                      err_msg=f"n={n} ell={ell}")
+        b_o, b_i = pipeline._hash_plan(ell, L)
+        n_out, n_in = tile_counts(ell, L)
+        seen.add((n_out > 1, n_in > 1, ell % b_o != 0, L % b_i != 0))
+    assert any(split_out and split_in for split_out, split_in, _, _ in seen)
+    assert any(ragged_out for _, _, ragged_out, _ in seen)
+    assert any(ragged_in for _, _, _, ragged_in in seen)
 
 
 # -- full protocol -------------------------------------------------------------
