@@ -29,7 +29,7 @@ import sys
 from pathlib import Path
 
 from qwrng.experiments import emit, preset, run_rate_curve, run_table
-from qwrng.maxprob import SweepGrid, g_functions
+from qwrng.maxprob import SweepGrid, g_functions, sweep_bytes
 from qwrng.pipeline import SourceModel, run_bytes, run_protocol
 from qwrng.rates import ProtocolParams, pa_margin
 from qwrng.walk import (
@@ -250,6 +250,14 @@ def _sweep_grid(opts: dict) -> SweepGrid:
     )
 
 
+def _check_memory(need: int, what: str) -> None:
+    """Fail when `what` needs more memory than the machine has, before it can be killed mid-fill."""
+    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > have:
+        raise MemoryError(f"{what} needs about {need / 2**30:.1f} GiB of memory, "
+                          f"more than the {have / 2**30:.1f} GiB this machine has")
+
+
 def _outcome_labels(P: int, kappa: int, mode: MeasurementMode, d: int) -> list[str]:
     if mode is MeasurementMode.ALL:
         mask = (1 << kappa) - 1
@@ -263,6 +271,9 @@ def _outcome_labels(P: int, kappa: int, mode: MeasurementMode, d: int) -> list[s
 def _cmd_evolve(opts: dict) -> int:
     cfg = _walk_config(opts)
     mode = MeasurementMode(opts["mode"])
+    # the walk and its printout peaked at 190 bytes per amplitude (P = 400000, kappa = 2, --json)
+    _check_memory(sweep_bytes(cfg.P, cfg.kappa) + 192 * cfg.dim,
+                  f"a walk over P = {cfg.P}, kappa = {cfg.kappa}")
     dist = distribution(evolve(cfg), mode)
     labels = _outcome_labels(cfg.P, cfg.kappa, mode, dist.d)
     i_max, p_max = dist.max_outcome()
@@ -281,7 +292,9 @@ def _cmd_evolve(opts: dict) -> int:
 
 def _cmd_maxprob(opts: dict) -> int:
     mode = MeasurementMode(opts["mode"])
-    res = g_functions(opts["P"], opts["kappa"], _sweep_grid(opts), (mode,))[mode]
+    P, kappa, grid = opts["P"], opts["kappa"], _sweep_grid(opts)
+    _check_memory(sweep_bytes(P, kappa, grid.R), f"a sweep over P = {P}, kappa = {kappa}")
+    res = g_functions(P, kappa, grid, (mode,))[mode]
     items: list[tuple[str, str]] = [
         ("g", repr(res.value)),
         ("gamma", repr(res.gamma)),
@@ -300,24 +313,20 @@ def _cmd_maxprob(opts: dict) -> int:
     return 0
 
 
-def _emit_preset(opts: dict, run) -> int:
-    result = run(preset(opts["preset"], R=opts["R"], t_max=opts["tmax"]))
+def _cmd_preset(opts: dict, run) -> int:
+    """`table` and `curve`: evaluate a preset with `run` and write the result."""
+    spec = preset(opts["preset"], R=opts["R"], t_max=opts["tmax"])
+    need, P, kappa = max((sweep_bytes(P, k, grid.R), P, k) for P, k, _, grid in spec.cases)
+    _check_memory(need, f"the sweep over P = {P}, kappa = {kappa} of {spec.name}")
+    result = run(spec)
     path = emit(result, fmt=opts["format"], path=opts["out"],
                 timestamp=not opts["no_timestamp"])
-    rows = len(result.rows if hasattr(result, "rows") else result.points)
+    rows = len(result.rows)
     if opts["json"]:
         print(json.dumps({"name": result.name, "rows": rows, "path": str(path)}))
     else:
         print(f"wrote {rows} rows to {path}")
     return 0
-
-
-def _cmd_table(opts: dict) -> int:
-    return _emit_preset(opts, run_table)
-
-
-def _cmd_curve(opts: dict) -> int:
-    return _emit_preset(opts, run_rate_curve)
 
 
 def _cmd_extract(opts: dict) -> int:
@@ -339,18 +348,16 @@ def _cmd_extract(opts: dict) -> int:
     if mode is MeasurementMode.ALL:
         pa_margin(params)
     source = SourceModel(config=cfg, Q=opts["Q"], rng_seed=seed)
-    # an overcommitted array can be killed mid-fill, so a run that cannot
-    # fit in physical memory fails here instead
+    # without -T a sweep picks the walk; with it, one walk runs
+    grid = None if opts["T"] is not None else _sweep_grid(opts)
+    _check_memory(sweep_bytes(cfg.P, cfg.kappa, None if grid is None else grid.R),
+                  f"the walk over P = {cfg.P}, kappa = {cfg.kappa}")
     d = distribution(initial_state(cfg), mode).probs.shape[0]
-    need = run_bytes(params.N, params.m, d)
-    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    if need > have:
-        raise MemoryError(f"a run of N = {params.N} signals needs about {need / 2**30:.1f} GiB "
-                          f"of memory, more than the {have / 2**30:.1f} GiB this machine has")
+    _check_memory(run_bytes(params.N, params.m, d), f"a run of N = {params.N} signals")
     gamma = None
-    if opts["T"] is None:
+    if grid is not None:
         # no fixed step count: sweep for the adversarial optimum and run there
-        res = g_functions(opts["P"], opts["kappa"], _sweep_grid(opts), (mode,))[mode]
+        res = g_functions(cfg.P, cfg.kappa, grid, (mode,))[mode]
         source, gamma = dataclasses.replace(source, config=res.walk_config()), res.gamma
     record = run_protocol(source, params, mode, gamma=gamma)
 
@@ -376,8 +383,8 @@ def _cmd_extract(opts: dict) -> int:
 _HANDLERS = {
     "evolve": _cmd_evolve,
     "maxprob": _cmd_maxprob,
-    "table": _cmd_table,
-    "curve": _cmd_curve,
+    "table": lambda opts: _cmd_preset(opts, run_table),
+    "curve": lambda opts: _cmd_preset(opts, run_rate_curve),
     "extract": _cmd_extract,
 }
 

@@ -101,15 +101,14 @@ def default_signal_grid() -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """One preset: sweep cells, noise levels and signal grid.
+    """One preset: sweep cells, and the noise levels of a rate curve.
 
-    Rate curves use the `ProtocolParams` security defaults.
+    Rate curves use the `ProtocolParams` security defaults and `default_signal_grid`.
     """
 
     name: str
     cases: tuple[tuple[int, int, MeasurementMode, SweepGrid], ...]
     noise_levels: tuple[float, ...] = ()
-    N_grid: tuple[int, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -118,6 +117,22 @@ class ResultTable:
 
     name: str
     rows: tuple[MaxProbResult, ...]
+    header = ("kappa", "P", "mode", "value", "t", "theta", "phi", "flip")
+
+    def cells(self) -> list[tuple[str, ...]]:
+        return [
+            (
+                str(r.kappa),
+                str(r.P),
+                r.mode.value,
+                repr(r.value),
+                str(r.at_t),
+                "" if r.at_theta is None else repr(r.at_theta),
+                "" if r.at_phi is None else repr(r.at_phi),
+                r.at_flip.name,
+            )
+            for r in self.rows
+        ]
 
 
 @dataclass(frozen=True)
@@ -133,53 +148,51 @@ class CurvePoint:
 @dataclass(frozen=True)
 class RateCurve:
     name: str
-    points: tuple[CurvePoint, ...]
+    rows: tuple[CurvePoint, ...]
+    header = ("case", "kappa", "P", "Q", "N", "rate")
+
+    def cells(self) -> list[tuple[str, ...]]:
+        return [
+            (p.case.value, str(p.kappa), str(p.P), repr(p.Q), str(p.N), repr(p.rate))
+            for p in self.rows
+        ]
 
 
-_TABLE_LAYOUTS: dict[str, tuple[tuple[int, ...], tuple[int, ...], tuple[MeasurementMode, ...], str]] = {
-    "table1": ((2, 3, 4), _P_FULL, (_ALL,), "hadamard"),
-    "table2": ((1, 2, 3), _P_SMALL, (_ALL,), "general"),
-    "table3": ((2, 3, 4), _P_FULL, (_MEM,), "hadamard"),
-    "table4": ((1, 2, 3), _P_SMALL, (_MEM,), "general"),
-    "table5": ((2, 3, 4), _P_FULL, (_POS,), "hadamard"),
-    "table6": ((1, 2, 3), _P_SMALL, (_POS,), "general"),
-    "kappa1": ((1,), _P_FULL, (_ALL, _MEM, _POS), "hadamard"),
+# (kappas, Ps, modes, coin family, noise levels); a preset with noise levels is a rate curve
+_PRESETS: dict[str, tuple] = {
+    "table1": ((2, 3, 4), _P_FULL, (_ALL,), "hadamard", ()),
+    "table2": ((1, 2, 3), _P_SMALL, (_ALL,), "general", ()),
+    "table3": ((2, 3, 4), _P_FULL, (_MEM,), "hadamard", ()),
+    "table4": ((1, 2, 3), _P_SMALL, (_MEM,), "general", ()),
+    "table5": ((2, 3, 4), _P_FULL, (_POS,), "hadamard", ()),
+    "table6": ((1, 2, 3), _P_SMALL, (_POS,), "general", ()),
+    "kappa1": ((1,), _P_FULL, (_ALL, _MEM, _POS), "hadamard", ()),
+    "fig1": ((1, 3), _P_FULL, (_ALL,), "hadamard", _NOISE_WIDE),
+    "fig2": ((2, 4), _P_FULL, (_ALL,), "hadamard", _NOISE_WIDE),
+    "fig3": ((1, 2, 3), _P_SMALL, (_ALL,), "general", _NOISE_WIDE),
+    "fig4": ((1, 2, 3, 4), _P_FULL, (_MEM,), "hadamard", _NOISE_NARROW),
+    "fig5": ((1, 2, 3), _P_SMALL, (_MEM,), "general", _NOISE_NARROW),
+    "fig6": ((1, 2, 3, 4), _P_FULL, (_POS,), "hadamard", _NOISE_NARROW),
+    "fig7": ((1, 2, 3), _P_SMALL, (_POS,), "general", _NOISE_NARROW),
 }
 
-_FIG_LAYOUTS: dict[str, tuple[tuple[int, ...], tuple[int, ...], MeasurementMode, str, tuple[float, ...]]] = {
-    "fig1": ((1, 3), _P_FULL, _ALL, "hadamard", _NOISE_WIDE),
-    "fig2": ((2, 4), _P_FULL, _ALL, "hadamard", _NOISE_WIDE),
-    "fig3": ((1, 2, 3), _P_SMALL, _ALL, "general", _NOISE_WIDE),
-    "fig4": ((1, 2, 3, 4), _P_FULL, _MEM, "hadamard", _NOISE_NARROW),
-    "fig5": ((1, 2, 3), _P_SMALL, _MEM, "general", _NOISE_NARROW),
-    "fig6": ((1, 2, 3, 4), _P_FULL, _POS, "hadamard", _NOISE_NARROW),
-    "fig7": ((1, 2, 3), _P_SMALL, _POS, "general", _NOISE_NARROW),
-}
-
-PRESET_NAMES: tuple[str, ...] = tuple(_TABLE_LAYOUTS) + tuple(_FIG_LAYOUTS)
+PRESET_NAMES: tuple[str, ...] = tuple(_PRESETS)
 
 
 def preset(name: str, R: int | None = None, t_max: int | None = None) -> ExperimentSpec:
     """Look up a preset by name; R (general coin only) and t_max override the default grid."""
-    if name in _TABLE_LAYOUTS:
-        kappas, Ps, modes, kind = _TABLE_LAYOUTS[name]
-        grid = SweepGrid.for_coin(kind, t_max=t_max, R=R)
-        cases = tuple(
-            (P, k, mode, grid) for mode in modes for k in kappas for P in Ps
-        )
-        return ExperimentSpec(name=name, cases=cases)
-    if name in _FIG_LAYOUTS:
-        kappas, Ps, mode, kind, noises = _FIG_LAYOUTS[name]
-        grid = SweepGrid.for_coin(kind, t_max=t_max, R=R)
-        cases = tuple((P, k, mode, grid) for k in kappas for P in Ps)
-        return ExperimentSpec(
-            name=name, cases=cases, noise_levels=noises, N_grid=default_signal_grid()
-        )
-    raise ValueError(f"unknown preset {name!r}; available: {', '.join(PRESET_NAMES)}")
+    if name not in _PRESETS:
+        raise ValueError(f"unknown preset {name!r}; available: {', '.join(PRESET_NAMES)}")
+    kappas, Ps, modes, kind, noises = _PRESETS[name]
+    grid = SweepGrid.for_coin(kind, t_max=t_max, R=R)
+    cases = tuple((P, k, mode, grid) for mode in modes for k in kappas for P in Ps)
+    return ExperimentSpec(name=name, cases=cases, noise_levels=noises)
 
 
 def _sweep_cells(cases) -> list[MaxProbResult]:
     """Every cell's result, one pass per (P, kappa, grid) over only the modes its cells ask for."""
+    if not cases:
+        raise ValueError("spec has no cases")
     requested: dict[tuple[int, int, SweepGrid], dict[MeasurementMode, None]] = {}
     for P, kappa, mode, grid in cases:
         requested.setdefault((P, kappa, grid), {})[mode] = None
@@ -187,60 +200,27 @@ def _sweep_cells(cases) -> list[MaxProbResult]:
     return [swept[(P, kappa, grid)][mode] for P, kappa, mode, grid in cases]
 
 
-def run_table(spec: ExperimentSpec | str) -> ResultTable:
-    """Evaluate every cell of a table preset."""
-    if isinstance(spec, str):
-        spec = preset(spec)
-    if not spec.cases:
-        raise ValueError("spec has no cases")
+def run_table(spec: ExperimentSpec) -> ResultTable:
+    """Evaluate every cell of a preset."""
     return ResultTable(name=spec.name, rows=tuple(_sweep_cells(spec.cases)))
 
 
-def run_rate_curve(spec: ExperimentSpec | str) -> RateCurve:
+def run_rate_curve(spec: ExperimentSpec) -> RateCurve:
     """Analytic rate-versus-N series for every (cell, noise) pair of a preset."""
-    if isinstance(spec, str):
-        spec = preset(spec)
-    if not spec.cases or not spec.noise_levels or not spec.N_grid:
-        raise ValueError("curve spec needs cases, noise levels and a signal grid")
+    if not spec.noise_levels:
+        raise ValueError(f"{spec.name} is a table preset, not a rate curve: use `qwrng table`")
     points = []
     for (P, kappa, mode, _), res in zip(spec.cases, _sweep_cells(spec.cases)):
         gamma = res.gamma
         for Q in spec.noise_levels:
-            for N in spec.N_grid:
+            for N in default_signal_grid():
                 rr = rate_for_mode(ProtocolParams(N=N, Q=Q), gamma, P, kappa, mode)
                 if rr.rate > gamma + 1e-9:
                     raise AssertionError("rate exceeded its asymptote; formula misuse")
                 points.append(
                     CurvePoint(case=case_for_mode(mode), kappa=kappa, P=P, Q=Q, N=N, rate=rr.rate)
                 )
-    return RateCurve(name=spec.name, points=tuple(points))
-
-
-_TABLE_HEADER = ("kappa", "P", "mode", "value", "t", "theta", "phi", "flip")
-_CURVE_HEADER = ("case", "kappa", "P", "Q", "N", "rate")
-
-
-def _table_cells(result: ResultTable) -> list[tuple[str, ...]]:
-    return [
-        (
-            str(r.kappa),
-            str(r.P),
-            r.mode.value,
-            repr(r.value),
-            str(r.at_t),
-            "" if r.at_theta is None else repr(r.at_theta),
-            "" if r.at_phi is None else repr(r.at_phi),
-            r.at_flip.name,
-        )
-        for r in result.rows
-    ]
-
-
-def _curve_cells(result: RateCurve) -> list[tuple[str, ...]]:
-    return [
-        (p.case.value, str(p.kappa), str(p.P), repr(p.Q), str(p.N), repr(p.rate))
-        for p in result.points
-    ]
+    return RateCurve(name=spec.name, rows=tuple(points))
 
 
 def emit(
@@ -254,12 +234,7 @@ def emit(
     Column order is fixed; with timestamp=False re-emission of the same
     result is byte-identical.
     """
-    if isinstance(result, ResultTable):
-        header, cells = _TABLE_HEADER, _table_cells(result)
-    elif isinstance(result, RateCurve):
-        header, cells = _CURVE_HEADER, _curve_cells(result)
-    else:
-        raise TypeError(f"cannot emit {type(result).__name__}")
+    header, cells = result.header, result.cells()
     if not cells:
         raise ValueError("nothing to emit")
     if fmt not in ("csv", "json"):

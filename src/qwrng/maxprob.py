@@ -215,6 +215,16 @@ def _peaks(weights: np.ndarray, mode: MeasurementMode) -> np.ndarray:
     return outcomes.max(axis=tuple(range(outcomes.ndim - 1)))
 
 
+def sweep_bytes(P: int, kappa: int, R: int | None = None) -> int:
+    """Bytes a sweep over (P, kappa) at angle resolution R (None: one coin) holds.
+
+    `_BatchWalk` keeps 72 per amplitude of each walk: state and coin output
+    16 each, step scratch 8, and the tiled coin entries 32.
+    """
+    B = 1 if R is None else (R + 1) ** 2
+    return 72 * B * WalkConfig(P=P, kappa=kappa, T=0).dim
+
+
 def _sweep(
     P: int,
     kappa: int,
@@ -302,4 +312,5 @@ __all__ = [
     "gamma_from_g",
     "g_functions",
     "min_over_time",
+    "sweep_bytes",
 ]

@@ -216,9 +216,77 @@ class TestCurve:
         assert {line.split(",")[0] for line in lines[1:]} == {"using_all"}
 
     def test_table_preset_has_no_curve_axes(self, capsys, tmp_path):
-        rc, _, err = run(capsys, "curve", "table1", "--tmax", "2", "-o", str(tmp_path))
+        rc, out, err = run(capsys, "curve", "table1", "--tmax", "2", "-o", str(tmp_path))
         assert rc == 2
-        last_error(err)
+        assert out == ""
+        errors = [json.loads(line) for line in err.splitlines() if '"error"' in line]
+        assert len(errors) == 1
+        assert errors[0]["error"] == "table1 is a table preset, not a rate curve: use `qwrng table`"
+        assert not list(tmp_path.iterdir())
+
+    def test_curve_preset_runs_as_a_table(self, capsys, tmp_path):
+        rc, out, _ = run(capsys, "table", "fig1", "--tmax", "2",
+                         "-o", str(tmp_path), "--no-timestamp")
+        assert rc == 0
+        assert f"wrote 10 rows to {tmp_path / 'fig1.csv'}" in out
+        lines = (tmp_path / "fig1.csv").read_text().splitlines()
+        assert lines[0] == "kappa,P,mode,value,t,theta,phi,flip"
+        assert len(lines) == 11
+
+
+class TestMemoryPreflight:
+    """A command whose arrays cannot fit fails before it sweeps, walks or writes."""
+
+    @pytest.fixture
+    def tiny_machine(self, monkeypatch):
+        # one page of one byte: nothing fits, and nothing may be allocated
+        monkeypatch.setattr(os, "sysconf", lambda name: 1)
+
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("ran a walk that cannot fit in memory")
+
+        for module in (cli, experiments):
+            monkeypatch.setattr(module, "g_functions", must_not_run)
+        monkeypatch.setattr(cli, "evolve", must_not_run)
+        monkeypatch.setattr(cli, "run_protocol", must_not_run)
+
+    @pytest.mark.parametrize("argv,what", [
+        (("evolve", "-P", "5", "-T", "3"), "a walk over P = 5, kappa = 1"),
+        (("maxprob", "-P", "5", "-k", "2"), "a sweep over P = 5, kappa = 2"),
+        (("table", "table2", "--tmax", "3"), "the sweep over P = 21, kappa = 3 of table2"),
+        (("curve", "fig4", "--tmax", "3"), "the sweep over P = 51, kappa = 4 of fig4"),
+        (("extract", "-P", "5", "--mode", "position", "-N", "1000", "--seed", "1"),
+         "the walk over P = 5, kappa = 1"),
+    ], ids=["evolve", "maxprob", "table", "curve", "extract"])
+    def test_command_fails_before_it_allocates(self, capsys, tmp_path, monkeypatch,
+                                               tiny_machine, argv, what):
+        monkeypatch.chdir(tmp_path)  # where table, curve and extract write by default
+        rc, out, err = run(capsys, *argv)
+        assert rc == 2
+        assert out == ""
+        errors = [json.loads(line) for line in err.splitlines() if '"error"' in line]
+        assert len(errors) == 1
+        assert errors[0]["error"].startswith(f"{what} needs about ")
+        assert errors[0]["error"].endswith(" GiB this machine has")
+        assert not list(tmp_path.iterdir())
+
+    def test_the_largest_preset_cell_sets_the_need(self, capsys, tmp_path, monkeypatch):
+        # table2 at R = 1000 has B = 1002001 coins; its (P=21, kappa=3) cell
+        # needs 72 * B * 168 bytes, about 11.3 GiB, more than an 8 GiB machine
+        pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 2 << 20}
+        monkeypatch.setattr(os, "sysconf", pages.__getitem__)
+
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("swept a preset that cannot fit in memory")
+
+        monkeypatch.setattr(experiments, "g_functions", must_not_run)
+        rc, out, err = run(capsys, "table", "table2", "--R", "1000", "-o", str(tmp_path))
+        assert rc == 2
+        assert out == ""
+        assert last_error(err)["error"] == (
+            "the sweep over P = 21, kappa = 3 of table2 needs about 11.3 GiB of memory, "
+            "more than the 8.0 GiB this machine has")
+        assert not list(tmp_path.iterdir())
 
 
 class TestExtract:

@@ -42,7 +42,9 @@ class TestPresets:
         ("kappa1", 15),
     ])
     def test_table_cell_counts(self, name, count):
-        assert len(preset(name).cases) == count
+        spec = preset(name)
+        assert len(spec.cases) == count
+        assert spec.noise_levels == ()  # no noise levels: a table, not a rate curve
 
     @pytest.mark.parametrize("name,count,noises", [
         ("fig1", 10, 4), ("fig2", 10, 4), ("fig3", 12, 4),
@@ -52,7 +54,8 @@ class TestPresets:
         spec = preset(name)
         assert len(spec.cases) == count
         assert len(spec.noise_levels) == noises
-        assert len(spec.N_grid) >= 30
+        assert spec.noise_levels[0] == 0.0
+        assert all(a < b for a, b in zip(spec.noise_levels, spec.noise_levels[1:]))
 
     def test_hadamard_presets_use_long_sweep_without_angles(self):
         grid = preset("table1").cases[0][3]
@@ -158,7 +161,6 @@ def curve():
         name="mini",
         cases=((5, 1, MeasurementMode.POSITION_ONLY, grid),),
         noise_levels=(0.0, 0.2),
-        N_grid=(10**3, 10**5, 10**7, 10**9),
     )
     pos = MeasurementMode.POSITION_ONLY
     return run_rate_curve(spec), g_functions(5, 1, grid, (pos,))[pos].gamma
@@ -167,30 +169,31 @@ def curve():
 class TestRunRateCurve:
     def test_point_count_and_case_label(self, curve):
         result, _ = curve
-        assert len(result.points) == 8
-        assert {p.case for p in result.points} == {ProtocolCase.NOT_USING_MEMORY}
+        assert len(result.rows) == 1 * 2 * len(default_signal_grid())
+        assert {p.case for p in result.rows} == {ProtocolCase.NOT_USING_MEMORY}
 
     def test_small_n_clamps_to_zero(self, curve):
         result, _ = curve
-        by_key = {(p.Q, p.N): p.rate for p in result.points}
+        by_key = {(p.Q, p.N): p.rate for p in result.rows}
         assert by_key[(0.0, 10**3)] == 0.0
 
     def test_noiseless_rates_nondecreasing_in_n(self, curve):
         result, _ = curve
-        rates = [p.rate for p in result.points if p.Q == 0.0]
+        rates = [p.rate for p in result.rows if p.Q == 0.0]
         assert all(a <= b + 1e-15 for a, b in zip(rates, rates[1:]))
 
     def test_rates_bounded_by_gamma(self, curve):
         result, gamma = curve
-        assert all(p.rate <= gamma for p in result.points)
+        assert all(p.rate <= gamma for p in result.rows)
 
     def test_noise_strictly_hurts_at_large_n(self, curve):
         result, _ = curve
-        by_key = {(p.Q, p.N): p.rate for p in result.points}
-        assert by_key[(0.2, 10**9)] < by_key[(0.0, 10**9)]
+        by_key = {(p.Q, p.N): p.rate for p in result.rows}
+        N = default_signal_grid()[-1]
+        assert by_key[(0.2, N)] < by_key[(0.0, N)]
 
     def test_table_spec_rejected_for_curves(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="tiny is a table preset"):
             run_rate_curve(_tiny_table_spec())
 
 
@@ -227,12 +230,12 @@ class TestEmit:
             name="c",
             cases=((3, 1, MeasurementMode.ALL, grid),),
             noise_levels=(0.0,),
-            N_grid=(10**6,),
         )
         path = emit(run_rate_curve(spec), fmt="csv", path=tmp_path, timestamp=False)
         lines = path.read_text().splitlines()
         assert lines[0] == "case,kappa,P,Q,N,rate"
-        assert lines[1].startswith("using_all,1,3,0.0,1000000,")
+        assert lines[1].startswith("using_all,1,3,0.0,1000,")
+        assert len(lines) == 1 + len(default_signal_grid())
 
     def test_timestamped_name(self, tmp_path):
         table = run_table(_tiny_table_spec())
@@ -244,7 +247,7 @@ class TestEmit:
         with pytest.raises(ValueError):
             emit(hollow, path=tmp_path)
         with pytest.raises(ValueError):
-            emit(RateCurve(name="y", points=()), path=tmp_path)
+            emit(RateCurve(name="y", rows=()), path=tmp_path)
 
     def test_unknown_format_rejected(self, tmp_path):
         table = run_table(_tiny_table_spec())
