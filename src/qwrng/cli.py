@@ -43,10 +43,6 @@ from qwrng.walk import (
 )
 
 
-class CliError(Exception):
-    """Bad invocation detected after argparse already accepted the flags."""
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # noqa: D102 - argparse hook
         print(
@@ -160,7 +156,7 @@ def _config_flags(path: str, cmd: str, command: argparse.ArgumentParser) -> list
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
-        raise CliError(f"cannot read config file: {exc}") from exc
+        raise ValueError(f"cannot read config file: {exc}") from exc
     actions = {a.dest: a for a in command._actions
                if a.option_strings and a.dest not in ("help", "config")}
     flags: list[str] = []
@@ -170,7 +166,7 @@ def _config_flags(path: str, cmd: str, command: argparse.ArgumentParser) -> list
         if not line:
             continue
         if "=" not in line:
-            raise CliError(f"config line is not `key = value`: {raw.strip()!r}")
+            raise ValueError(f"config line is not `key = value`: {raw.strip()!r}")
         key, value = (part.strip() for part in line.split("=", 1))
         key = key.replace("-", "_")
         if key not in actions:
@@ -187,7 +183,7 @@ def _config_flags(path: str, cmd: str, command: argparse.ArgumentParser) -> list
         # one token, so a value that starts with '-' is not read as a flag
         flags.append(f"{flag}={unquoted if isinstance(unquoted, str) else value}")
     if unknown:
-        raise CliError(f"unknown config keys for {cmd}: {', '.join(sorted(unknown))}")
+        raise ValueError(f"unknown config keys for {cmd}: {', '.join(sorted(unknown))}")
     return flags
 
 
@@ -203,7 +199,7 @@ def _resolve(argv: list[str]) -> tuple[str, dict]:
     opts = {k: v for k, v in vars(args).items() if k not in ("command", "config")}
     for key, flag in _REQUIRED.get(cmd, ()):
         if opts[key] is None:
-            raise CliError(f"missing required option: {flag}")
+            raise ValueError(f"missing required option: {flag}")
     # options of a path not taken would go unused, each with the reason
     unused: list[tuple[tuple[str, ...], str]] = []
     if cmd == "extract":
@@ -218,7 +214,7 @@ def _resolve(argv: list[str]) -> tuple[str, dict]:
     for keys, why in unused:
         for key in keys:
             if opts.get(key) is not None:
-                raise CliError(f"--{key} {why}")
+                raise ValueError(f"--{key} {why}")
     return cmd, opts
 
 
@@ -258,7 +254,7 @@ def _check_memory(need: int, what: str) -> None:
                           f"more than the {have / 2**30:.1f} GiB this machine has")
 
 
-def _outcome_labels(P: int, kappa: int, mode: MeasurementMode, d: int) -> list[str]:
+def _outcome_labels(kappa: int, mode: MeasurementMode, d: int) -> list[str]:
     if mode is MeasurementMode.ALL:
         mask = (1 << kappa) - 1
         return [f"x={i >> kappa} coins={i & mask:0{kappa}b}" for i in range(d)]
@@ -271,12 +267,13 @@ def _outcome_labels(P: int, kappa: int, mode: MeasurementMode, d: int) -> list[s
 def _cmd_evolve(opts: dict) -> int:
     cfg = _walk_config(opts)
     mode = MeasurementMode(opts["mode"])
-    # the walk and its printout peaked at 190 bytes per amplitude (P = 400000, kappa = 2, --json)
-    _check_memory(sweep_bytes(cfg.P, cfg.kappa) + 192 * cfg.dim,
-                  f"a walk over P = {cfg.P}, kappa = {cfg.kappa}")
+    # the whole run, walk and --json printout, peaked at 187 to 217 bytes per
+    # amplitude from kappa = 1 to 20; the outcome labels widen with kappa
+    _check_memory((192 + 2 * cfg.kappa) * cfg.dim, f"a walk over P = {cfg.P}, kappa = {cfg.kappa}")
     dist = distribution(evolve(cfg), mode)
-    labels = _outcome_labels(cfg.P, cfg.kappa, mode, dist.d)
-    i_max, p_max = dist.max_outcome()
+    labels = _outcome_labels(cfg.kappa, mode, dist.probs.size)
+    i_max = int(dist.probs.argmax())
+    p_max = float(dist.probs[i_max])
     if opts["json"]:
         print(json.dumps({
             "P": cfg.P, "kappa": cfg.kappa, "T": cfg.T, "mode": mode.value,
@@ -362,17 +359,15 @@ def _cmd_extract(opts: dict) -> int:
     record = run_protocol(source, params, mode, gamma=gamma)
 
     record_path.write_text(record.to_text(), encoding="ascii")
-    record.write_output_bits(bits_path)
+    bits_path.write_bytes(record.output_bytes())
 
+    summary = dict(record.summary_items())
     if opts["json"]:
-        doc = record.to_json_dict()
-        doc["record_path"] = str(record_path)
-        doc["bits_path"] = str(bits_path)
-        print(json.dumps(doc))
+        print(json.dumps({**summary, "record_path": str(record_path),
+                          "bits_path": str(bits_path)}))
     else:
         if generated:
             print(f"seed = {seed}")
-        summary = dict(record.summary_items())
         for key in ("case", "gamma", "w_q", "ell", "rate", "aborted", "output_bits"):
             print(f"{key} = {summary[key]}")
         print(f"record = {record_path}")
@@ -399,7 +394,7 @@ def main(argv: list[str] | None = None) -> int:
         print(json.dumps({"command": cmd, "config": {k: opts[k] for k in sorted(opts)}}),
               file=sys.stderr)
         return _HANDLERS[cmd](opts)
-    except (CliError, ValueError, OSError, MemoryError, FloatingPointError) as exc:
+    except (ValueError, OSError, MemoryError, FloatingPointError) as exc:
         print(json.dumps({"error": str(exc) or type(exc).__name__}), file=sys.stderr)
         return 2
 

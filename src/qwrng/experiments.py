@@ -91,12 +91,7 @@ def reference_value(coin_kind: str, mode: MeasurementMode, kappa: int, P: int) -
 def default_signal_grid() -> tuple[int, ...]:
     """Log-spaced signal counts, deduplicated after rounding to integers."""
     grid = np.logspace(math.log10(_N_LO), math.log10(_N_HI), _N_POINTS)
-    out: list[int] = []
-    for v in grid:
-        n = int(round(v))
-        if not out or n > out[-1]:
-            out.append(n)
-    return tuple(out)
+    return tuple(int(n) for n in np.unique(np.rint(grid)))
 
 
 @dataclass(frozen=True)

@@ -38,10 +38,6 @@ _SAMPLE_CHUNK = 1 << 16
 # picks its tile sizes to fit
 _FFT_BUDGET = 17 << 26  # 1.0625 GiB
 
-# what a transform costs beyond its points (the call, encoding and staging
-# an input block), in points, so that many tiny tiles never look cheapest
-_CALL_POINTS = 1 << 10
-
 
 def _stream(seed: int, which: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=(which,))))
@@ -135,11 +131,14 @@ def run_bytes(N: int, m: int, d: int) -> int:
 
     Its O(N) arrays (digits, test bits, the kept-signal mask, the kept
     digits, ell + L - 1 seed bits and the ell output bits, with
-    ell <= L = (N - m) ceil(log2 d)) plus the hash's FFT budget.
+    ell <= L = (N - m) ceil(log2 d)) plus the hash's working set.  Every
+    hash plan has b_o <= ell <= L and b_i <= L, so that set is at most
+    one untiled tile's, and never more than _FFT_BUDGET.
     """
     digit = _digit_dtype(d).itemsize
     L = (N - m) * digit_width(d)
-    return N * digit + 2 * N + (N - m) * digit + 3 * L + _FFT_BUDGET
+    fft = min(_FFT_BUDGET, _fft_working_set(_smooth_len(2 * L - 1), L))
+    return N * digit + 2 * N + (N - m) * digit + 3 * L + fft
 
 
 def toeplitz_seed_bits(seed: int, ell: int, length: int) -> np.ndarray:
@@ -190,8 +189,8 @@ def _hash_plan(ell: int, L: int) -> tuple[int, int]:
     seed segment and inverts their summed products once:
     n_out (2 n_in + 1) transforms of length M = smooth(b_o + b_i - 1).
     Of the splits whose working set fits _FFT_BUDGET, this returns the
-    cheapest, a transform costing M + _CALL_POINTS points, and the first
-    in (n_out, n_in) order on a tie.
+    cheapest, a transform costing its M points, and the first in
+    (n_out, n_in) order on a tie.
     """
 
     def fits(n_out: int, n_in: int) -> bool:
@@ -212,10 +211,10 @@ def _hash_plan(ell: int, L: int) -> tuple[int, int]:
         while n_in <= L:
             b_i = -(-L // n_in)
             # a lower bound on this split's cost that grows with n_in
-            bound = n_out * ((2 * n_in + 1) * (b_o - 1 + _CALL_POINTS) + 2 * L)
+            bound = n_out * ((2 * n_in + 1) * (b_o - 1) + 2 * L)
             if best is not None and bound >= best[0]:
                 break
-            cost = n_out * (2 * n_in + 1) * (_smooth_len(b_o + b_i - 1) + _CALL_POINTS)
+            cost = n_out * (2 * n_in + 1) * _smooth_len(b_o + b_i - 1)
             if best is None or cost < best[0]:
                 best = (cost, b_o, b_i)
             n_in += 1
@@ -326,11 +325,6 @@ class RunRecord:
         """Output bits packed big-endian, zero-padded to a whole byte."""
         return np.packbits(self.output).tobytes() if self.output.size else b""
 
-    def write_output_bits(self, path) -> None:
-        """Raw binary dump for external statistical test suites."""
-        with open(path, "wb") as fh:
-            fh.write(self.output_bytes())
-
     def summary_items(self) -> list[tuple[str, str]]:
         cfg = self.config
         if len(self.t_subset) > SUBSET_INLINE_LIMIT:
@@ -368,9 +362,6 @@ class RunRecord:
 
     def to_text(self) -> str:
         return "".join(f"{k}: {v}\n" for k, v in self.summary_items())
-
-    def to_json_dict(self) -> dict:
-        return dict(self.summary_items())
 
 
 def _digest(text: str) -> str:

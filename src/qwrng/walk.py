@@ -152,14 +152,6 @@ class Distribution:
     probs: np.ndarray
     mode: MeasurementMode
 
-    @property
-    def d(self) -> int:
-        return int(self.probs.shape[0])
-
-    def max_outcome(self) -> tuple[int, float]:
-        i = int(np.argmax(self.probs))
-        return i, float(self.probs[i])
-
 
 def initial_state(config: WalkConfig) -> WalkState:
     """The all-zeros point, index 0, with the flip applied to the active coin.

@@ -288,6 +288,47 @@ class TestMemoryPreflight:
             "more than the 8.0 GiB this machine has")
         assert not list(tmp_path.iterdir())
 
+    @pytest.fixture
+    def half_gib_machine(self, monkeypatch):
+        pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 1 << 17}
+        monkeypatch.setattr(os, "sysconf", pages.__getitem__)
+
+    def test_a_small_run_is_charged_the_hash_it_can_run(self, capsys, tmp_path,
+                                                         half_gib_machine):
+        # N = 1e5 needs about 27 MiB; the hash's whole budget alone is 1.06 GiB
+        rc, _, _ = run(capsys, "extract", "-P", "5", "-T", "8", "--mode", "position",
+                       "-N", "100000", "-m", "10000", "--seed", "1",
+                       "-o", str(tmp_path / "run"))
+        assert rc == 0
+
+    def test_a_large_run_still_fails_before_it_samples(self, capsys, tmp_path, monkeypatch,
+                                                        half_gib_machine):
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("sampled a run that cannot fit in memory")
+
+        monkeypatch.setattr(cli, "run_protocol", must_not_run)
+        rc, out, err = run(capsys, "extract", "-P", "5", "-T", "8", "--mode", "position",
+                           "-N", "10000000", "-m", "10000", "--seed", "1",
+                           "-o", str(tmp_path / "run"))
+        assert rc == 2
+        assert out == ""
+        errors = [json.loads(line) for line in err.splitlines() if '"error"' in line]
+        assert errors == [{"error": "a run of N = 10000000 signals needs about 1.2 GiB of "
+                                    "memory, more than the 0.5 GiB this machine has"}]
+
+    def test_evolve_is_charged_its_whole_run_once(self, capsys, monkeypatch, half_gib_machine):
+        # 196 bytes per amplitude at kappa = 2: 4e6 amplitudes need 0.73 GiB
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("ran a walk that cannot fit in memory")
+
+        monkeypatch.setattr(cli, "evolve", must_not_run)
+        rc, out, err = run(capsys, "evolve", "-P", "1000000", "-k", "2", "-T", "1", "--json")
+        assert rc == 2
+        assert out == ""
+        errors = [json.loads(line) for line in err.splitlines() if '"error"' in line]
+        assert errors == [{"error": "a walk over P = 1000000, kappa = 2 needs about 0.7 GiB of "
+                                    "memory, more than the 0.5 GiB this machine has"}]
+
 
 class TestExtract:
     def test_fixed_walk_run_is_seed_deterministic(self, capsys, tmp_path):

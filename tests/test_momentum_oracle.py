@@ -10,10 +10,13 @@ M rotates the coin register, (c_0, ..., c_{kappa-1}) becoming
 double from those rules, without `qwrng.walk`'s step code, and position
 amplitudes come back through an explicit inverse Fourier sum.
 
-For every row of `table2` (general coin, joint readout) and `table5`
-(Hadamard coin, position readout) at t <= 20, the oracle recomputes the
-recorded minimum at its (t, theta, phi, flip) and checks that no other
-t at that coin and flip goes lower.
+For every row of `table1`-`table6` and `kappa1` at t <= 20, the oracle
+recomputes the recorded minimum at its (t, theta, phi, flip) and checks
+that no other t at that coin and flip goes lower.  For a general-coin
+row it also checks that no t goes lower at a seeded sample of the other
+grid coins, under every flip, so the sweep's minimum over coins is
+tested too.  An equivalent coin (phi + pi negates it) ties the row's
+value within rounding, which the tolerance absorbs.
 """
 
 import numpy as np
@@ -21,8 +24,10 @@ import pytest
 
 from qwrng.experiments import preset, run_table
 
+PRESETS = ("table1", "table2", "table3", "table4", "table5", "table6", "kappa1")
 T_MAX = 20
 REL = 1e-12
+OTHER_COINS = 8  # sampled grid coins per general-coin row
 PI = np.arccos(np.longdouble(-1))
 HALF = 1 / np.sqrt(np.longdouble(2))
 # the active coin's state before the first step, for each pre-walk flip
@@ -56,31 +61,44 @@ def step_blocks(P, kappa, u):
     return M[None] @ (D[:, :, None] * C[None])
 
 
-def peaks(P, kappa, mode, u, flip):
-    """Largest outcome probability of `mode` after each of t = 1..T_MAX steps."""
+def peaks(P, kappa, mode, u, flips):
+    """Largest outcome probability of `mode` after t = 1..T_MAX steps, one column per flip."""
     nc = 1 << kappa
     U = step_blocks(P, kappa, u)
-    state = np.zeros((P, nc, 1), dtype=np.clongdouble)
-    state[:, :2, 0] = FLIP_START[flip]  # a point at x = 0 is flat in k
+    state = np.zeros((P, nc, len(flips)), dtype=np.clongdouble)
+    state[:, :2] = np.array([FLIP_START[f] for f in flips]).T  # a point at x = 0 is flat in k
     x = np.arange(P)
     inverse = np.exp(np.clongdouble(1j) * 2 * PI * np.outer(x, x) / P) / P
     out = []
     for _ in range(T_MAX):
         state = U @ state
-        w = np.abs(inverse @ state[:, :, 0]) ** 2  # (position, coin code)
+        w = np.abs(inverse @ state.reshape(P, -1)).reshape(state.shape) ** 2
         if mode == "memory":
-            w = w.reshape(P, nc // 2, 2).sum(axis=2)
+            w = w.reshape(P, nc // 2, 2, -1).sum(axis=2)
         elif mode == "position":
             w = w.sum(axis=1)
-        out.append(w.max())
+        out.append(w.reshape(-1, len(flips)).max(axis=0))
     return np.array(out)
 
 
-@pytest.mark.parametrize("name", ["table2", "table5"])
+@pytest.mark.parametrize("name", PRESETS)
 def test_preset_rows_match_the_momentum_oracle(name):
-    for row in run_table(preset(name, t_max=T_MAX)).rows:
-        series = peaks(row.P, row.kappa, row.mode.value, coin(row.at_theta, row.at_phi),
-                       row.at_flip.name)
-        where = f"{name} (P={row.P}, kappa={row.kappa}) at t={row.at_t}"
+    spec = preset(name, t_max=T_MAX)
+    angles = spec.cases[0][3].angles()
+    rng = np.random.default_rng(0)
+    for row in run_table(spec).rows:
+        mode = row.mode.value
+        series = peaks(row.P, row.kappa, mode, coin(row.at_theta, row.at_phi),
+                       (row.at_flip.name,))[:, 0]
+        where = f"{name} (P={row.P}, kappa={row.kappa}, {mode}) at t={row.at_t}"
         assert abs(series[row.at_t - 1] - row.value) <= REL * row.value, where
         assert series.min() >= row.value * (1 - REL), f"{where}: a lower t exists"
+        if angles is None:
+            continue
+        n = angles.size
+        others = [(angles[c // n], angles[c % n]) for c in rng.permutation(n * n)]
+        others = [a for a in others if a != (row.at_theta, row.at_phi)][:OTHER_COINS]
+        for theta, phi in others:
+            low = peaks(row.P, row.kappa, mode, coin(theta, phi), tuple(FLIP_START)).min()
+            assert low >= row.value * (1 - REL), (
+                f"{where}: coin theta={theta}, phi={phi} goes lower, to {low}")

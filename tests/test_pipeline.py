@@ -249,6 +249,7 @@ def test_hash_plan_fits_the_budget_at_1e8_signals():
     ell, L = 128_702_601, (10**8 - 10**4) * 3
     b_o, b_i = pipeline._hash_plan(ell, L)
     assert 0 < b_o <= ell and 0 < b_i <= L
+    assert tile_counts(ell, L) == (9, 26)
     M = pipeline._smooth_len(b_o + b_i - 1)
     assert pipeline._fft_working_set(M, b_i) <= pipeline._FFT_BUDGET
 
@@ -262,12 +263,12 @@ def test_hash_plan_is_the_cheapest_split_that_fits(monkeypatch):
                 b_o, b_i = -(-ell // n_out), -(-L // n_in)
                 M = pipeline._smooth_len(b_o + b_i - 1)
                 if pipeline._fft_working_set(M, b_i) <= pipeline._FFT_BUDGET:
-                    cost = n_out * (2 * n_in + 1) * (M + pipeline._CALL_POINTS)
+                    cost = n_out * (2 * n_in + 1) * M
                     cheapest = cost if cheapest is None else min(cheapest, cost)
         b_o, b_i = pipeline._hash_plan(ell, L)
         n_out, n_in = tile_counts(ell, L)
         M = pipeline._smooth_len(b_o + b_i - 1)
-        assert n_out * (2 * n_in + 1) * (M + pipeline._CALL_POINTS) == cheapest, (ell, L)
+        assert n_out * (2 * n_in + 1) * M == cheapest, (ell, L)
 
 
 def test_hash_plan_reports_a_budget_nothing_fits(monkeypatch):
@@ -400,7 +401,7 @@ def test_record_text_layout():
     assert lines["q_digest"].startswith("sha256:")
     assert lines["output_hex"] == rec.output_bytes().hex()
     assert lines["aborted"] == "false"
-    assert rec.to_json_dict() == lines
+    assert dict(rec.summary_items()) == lines
 
 
 def test_record_digests_large_subsets():
@@ -410,10 +411,9 @@ def test_record_digests_large_subsets():
     assert text["t_subset"].startswith("sha256:")
 
 
-def test_output_bit_file_roundtrip(tmp_path):
+def test_output_bit_file_roundtrip():
+    # the bytes `extract` writes to its .bits file
     rec = run_protocol(source(seed=7), ProtocolParams(N=5000), POS)
-    path = tmp_path / "run.bits"
-    rec.write_output_bits(path)
-    stored = np.unpackbits(np.frombuffer(path.read_bytes(), dtype=np.uint8))
+    stored = np.unpackbits(np.frombuffer(rec.output_bytes(), dtype=np.uint8))
     np.testing.assert_array_equal(stored[: rec.output.size], rec.output)
     assert not stored[rec.output.size :].any()  # zero padding only

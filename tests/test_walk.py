@@ -295,8 +295,8 @@ def test_factored_evolution_matches_dense_operator(P, kappa, T, coin, flip):
 
 def test_unevolved_basis_state_is_point_mass():
     dist = distribution(initial_state(config(3, 2, 0)), MeasurementMode.ALL)
-    assert dist.max_outcome() == (0, 1.0)
-    assert dist.d == 12
+    assert dist.probs.argmax() == 0 and dist.probs[0] == 1.0
+    assert dist.probs.size == 12
 
 
 def test_position_marginal_of_one_step_walk():
@@ -312,7 +312,7 @@ def test_marginals_are_consistent(seed, kappa, P):
     full = distribution(state, MeasurementMode.ALL)
     mem = distribution(state, MeasurementMode.MEMORY_ONLY)
     pos = distribution(state, MeasurementMode.POSITION_ONLY)
-    assert full.d == cfg.dim and mem.d == cfg.dim // 2 and pos.d == P
+    assert full.probs.size == cfg.dim and mem.probs.size == cfg.dim // 2 and pos.probs.size == P
     for dist in (full, mem, pos):
         assert abs(dist.probs.sum() - 1.0) < 1e-10
         assert dist.probs.min() >= 0.0
@@ -348,6 +348,6 @@ def test_batched_marginal_matches_each_distribution(mode):
     states = [evolve(cfg) for cfg in cfgs]
     weights = np.abs(np.stack([s.amplitudes.reshape(5, 4, 2) for s in states], axis=-1)) ** 2
     batch = marginal(weights, mode).reshape(-1, len(cfgs))
-    assert batch.shape == (distribution(states[0], mode).d, len(cfgs))
+    assert batch.shape == (distribution(states[0], mode).probs.size, len(cfgs))
     for column, state in zip(batch.T, states):
         assert np.array_equal(column, distribution(state, mode).probs)
