@@ -38,6 +38,10 @@ _SAMPLE_CHUNK = 1 << 16
 # picks its tile sizes to fit
 _FFT_BUDGET = 17 << 26  # 1.0625 GiB
 
+# what a transform costs beyond its points (the call, encoding and staging
+# an input block), in points, so that many tiny tiles never look cheapest
+_CALL_POINTS = 1 << 10
+
 
 def _stream(seed: int, which: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=(which,))))
@@ -189,8 +193,8 @@ def _hash_plan(ell: int, L: int) -> tuple[int, int]:
     seed segment and inverts their summed products once:
     n_out (2 n_in + 1) transforms of length M = smooth(b_o + b_i - 1).
     Of the splits whose working set fits _FFT_BUDGET, this returns the
-    cheapest, a transform costing its M points, and the first in
-    (n_out, n_in) order on a tie.
+    cheapest, a transform costing M + _CALL_POINTS points, and the first
+    in (n_out, n_in) order on a tie.
     """
 
     def fits(n_out: int, n_in: int) -> bool:
@@ -211,10 +215,10 @@ def _hash_plan(ell: int, L: int) -> tuple[int, int]:
         while n_in <= L:
             b_i = -(-L // n_in)
             # a lower bound on this split's cost that grows with n_in
-            bound = n_out * ((2 * n_in + 1) * (b_o - 1) + 2 * L)
+            bound = n_out * ((2 * n_in + 1) * (b_o - 1 + _CALL_POINTS) + 2 * L)
             if best is not None and bound >= best[0]:
                 break
-            cost = n_out * (2 * n_in + 1) * _smooth_len(b_o + b_i - 1)
+            cost = n_out * (2 * n_in + 1) * (_smooth_len(b_o + b_i - 1) + _CALL_POINTS)
             if best is None or cost < best[0]:
                 best = (cost, b_o, b_i)
             n_in += 1

@@ -254,6 +254,16 @@ def test_hash_plan_fits_the_budget_at_1e8_signals():
     assert pipeline._fft_working_set(M, b_i) <= pipeline._FFT_BUDGET
 
 
+@pytest.mark.parametrize("ell", [1, 2, 100])
+def test_hash_plan_keeps_few_tiles_at_small_output_lengths(ell):
+    # a run just above abort hashes extract-1e7's L bits to a few outputs;
+    # ranking splits by points alone would pick one-bit input tiles, about
+    # 6e7 transforms at ell = 1
+    L = 29_990_514
+    n_out, n_in = tile_counts(ell, L)
+    assert n_out == 1 and n_in <= 200, (ell, n_in)
+
+
 def test_hash_plan_is_the_cheapest_split_that_fits(monkeypatch):
     monkeypatch.setattr(pipeline, "_FFT_BUDGET", 3000)
     for ell, L in [(1, 1), (1, 300), (40, 41), (90, 300), (300, 300), (17, 250)]:
@@ -263,12 +273,12 @@ def test_hash_plan_is_the_cheapest_split_that_fits(monkeypatch):
                 b_o, b_i = -(-ell // n_out), -(-L // n_in)
                 M = pipeline._smooth_len(b_o + b_i - 1)
                 if pipeline._fft_working_set(M, b_i) <= pipeline._FFT_BUDGET:
-                    cost = n_out * (2 * n_in + 1) * M
+                    cost = n_out * (2 * n_in + 1) * (M + pipeline._CALL_POINTS)
                     cheapest = cost if cheapest is None else min(cheapest, cost)
         b_o, b_i = pipeline._hash_plan(ell, L)
         n_out, n_in = tile_counts(ell, L)
         M = pipeline._smooth_len(b_o + b_i - 1)
-        assert n_out * (2 * n_in + 1) * M == cheapest, (ell, L)
+        assert n_out * (2 * n_in + 1) * (M + pipeline._CALL_POINTS) == cheapest, (ell, L)
 
 
 def test_hash_plan_reports_a_budget_nothing_fits(monkeypatch):
