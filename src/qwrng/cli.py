@@ -52,6 +52,17 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(2)
 
 
+def _finite(text: str) -> float:
+    """A float flag's value; nan and +-inf are usage errors, as a non-number is."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"invalid finite float value: {text!r}")
+    return value
+
+
 def _field_default(cls, name: str):
     """Built-in default of one dataclass field, so each default has one home."""
     return next(f.default for f in dataclasses.fields(cls) if f.name == name)
@@ -76,8 +87,8 @@ def _add_walk_flags(p: argparse.ArgumentParser, one_walk: bool) -> None:
                    help="coin family")
     if one_walk:
         p.add_argument("-T", "--steps", dest="T", type=int, help="walk steps")
-        p.add_argument("--theta", type=float, help="general coin mixing angle (pi/4 if unset)")
-        p.add_argument("--phi", type=float, help="general coin phase angle (0 if unset)")
+        p.add_argument("--theta", type=_finite, help="general coin mixing angle (pi/4 if unset)")
+        p.add_argument("--phi", type=_finite, help="general coin phase angle (0 if unset)")
 
 
 def _add_sweep_flags(p: argparse.ArgumentParser, tmin: bool) -> None:
@@ -130,14 +141,14 @@ def _build_parser() -> tuple[_Parser, dict[str, argparse.ArgumentParser]]:
                    help="pre-walk flip; without -T, restricts the sweep instead")
     p.add_argument("-N", dest="N", type=int, help="total signals per run")
     p.add_argument("-m", dest="m", type=int, help="test subset size")
-    p.add_argument("-Q", dest="Q", type=float, default=_field_default(SourceModel, "Q"),
+    p.add_argument("-Q", dest="Q", type=_finite, default=_field_default(SourceModel, "Q"),
                    help="source depolarization weight")
-    p.add_argument("--eps", type=float, default=_field_default(ProtocolParams, "epsilon"),
+    p.add_argument("--eps", type=_finite, default=_field_default(ProtocolParams, "epsilon"),
                    help="sampling security parameter")
-    p.add_argument("--eps-pa", dest="eps_pa", type=float,
+    p.add_argument("--eps-pa", dest="eps_pa", type=_finite,
                    default=_field_default(ProtocolParams, "epsilon_pa"),
                    help="hashing security parameter")
-    p.add_argument("--beta", type=float, default=_field_default(ProtocolParams, "beta"),
+    p.add_argument("--beta", type=_finite, default=_field_default(ProtocolParams, "beta"),
                    help="smoothing exponent")
     p.add_argument("--seed", type=int, help="run seed; omitted means generate and print")
     p.add_argument("-o", "--out", dest="out", default="extract", help="output file stem")
@@ -290,7 +301,7 @@ def _cmd_evolve(opts: dict) -> int:
 def _cmd_maxprob(opts: dict) -> int:
     mode = MeasurementMode(opts["mode"])
     P, kappa, grid = opts["P"], opts["kappa"], _sweep_grid(opts)
-    _check_memory(sweep_bytes(P, kappa, grid.R), f"a sweep over P = {P}, kappa = {kappa}")
+    _check_memory(sweep_bytes(P, kappa, grid), f"a sweep over P = {P}, kappa = {kappa}")
     res = g_functions(P, kappa, grid, (mode,))[mode]
     items: list[tuple[str, str]] = [
         ("g", repr(res.value)),
@@ -313,7 +324,8 @@ def _cmd_maxprob(opts: dict) -> int:
 def _cmd_preset(opts: dict, run) -> int:
     """`table` and `curve`: evaluate a preset with `run` and write the result."""
     spec = preset(opts["preset"], R=opts["R"], t_max=opts["tmax"])
-    need, P, kappa = max((sweep_bytes(P, k, grid.R), P, k) for P, k, _, grid in spec.cases)
+    # a preset sweeps each (P, kappa, grid) once, for up to all three modes
+    need, P, kappa = max((sweep_bytes(P, k, grid, 3), P, k) for P, k, _, grid in spec.cases)
     _check_memory(need, f"the sweep over P = {P}, kappa = {kappa} of {spec.name}")
     result = run(spec)
     path = emit(result, fmt=opts["format"], path=opts["out"],
@@ -347,7 +359,7 @@ def _cmd_extract(opts: dict) -> int:
     source = SourceModel(config=cfg, Q=opts["Q"], rng_seed=seed)
     # without -T a sweep picks the walk; with it, one walk runs
     grid = None if opts["T"] is not None else _sweep_grid(opts)
-    _check_memory(sweep_bytes(cfg.P, cfg.kappa, None if grid is None else grid.R),
+    _check_memory(sweep_bytes(cfg.P, cfg.kappa, grid),
                   f"the walk over P = {cfg.P}, kappa = {cfg.kappa}")
     d = distribution(initial_state(cfg), mode).probs.shape[0]
     _check_memory(run_bytes(params.N, params.m, d), f"a run of N = {params.N} signals")

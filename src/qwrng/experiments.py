@@ -247,19 +247,3 @@ def emit(
         doc = {"name": result.name, "rows": [dict(zip(header, row)) for row in cells]}
         out.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
     return out
-
-
-__all__ = [
-    "ExperimentSpec",
-    "ResultTable",
-    "CurvePoint",
-    "RateCurve",
-    "PRESET_NAMES",
-    "REFERENCE_VALUES",
-    "reference_value",
-    "default_signal_grid",
-    "preset",
-    "run_table",
-    "run_rate_curve",
-    "emit",
-]

@@ -215,14 +215,16 @@ def _peaks(weights: np.ndarray, mode: MeasurementMode) -> np.ndarray:
     return outcomes.max(axis=tuple(range(outcomes.ndim - 1)))
 
 
-def sweep_bytes(P: int, kappa: int, R: int | None = None) -> int:
-    """Bytes a sweep over (P, kappa) at angle resolution R (None: one coin) holds.
+def sweep_bytes(P: int, kappa: int, grid: SweepGrid | None, modes: int = 1) -> int:
+    """Bytes a sweep of `modes` readouts over (P, kappa) and `grid` (None: one walk) holds.
 
     `_BatchWalk` keeps 72 per amplitude of each walk: state and coin output
-    16 each, step scratch 8, and the tiled coin entries 32.
+    16 each, step scratch 8, and the tiled coin entries 32.  `_sweep`'s
+    record keeps a float64 peak and an intp coin per mode, step and flip.
     """
-    B = 1 if R is None else (R + 1) ** 2
-    return 72 * B * WalkConfig(P=P, kappa=kappa, T=0).dim
+    B = 1 if grid is None or grid.R is None else (grid.R + 1) ** 2
+    record = 0 if grid is None else 16 * modes * (grid.t_max - grid.t_min + 1) * len(grid.flips)
+    return 72 * B * WalkConfig(P=P, kappa=kappa, T=0).dim + record
 
 
 def _sweep(
@@ -304,13 +306,3 @@ def min_over_time(
     value, t, _, _ = _sweep(P, kappa, grid, (mode,), coin.matrix()[None, :, :])[mode]
     at = (None, None) if coin.kind == "hadamard" else (coin.theta, coin.phi)
     return MaxProbResult(value, t, flip, mode, P, kappa, *at)
-
-
-__all__ = [
-    "SweepGrid",
-    "MaxProbResult",
-    "gamma_from_g",
-    "g_functions",
-    "min_over_time",
-    "sweep_bytes",
-]

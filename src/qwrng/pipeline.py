@@ -430,17 +430,3 @@ def run_protocol(
         output=output,
         seed_matrix_id=seed_matrix_id,
     )
-
-
-__all__ = [
-    "SourceModel",
-    "RunRecord",
-    "SUBSET_INLINE_LIMIT",
-    "sample_outcomes",
-    "run_protocol",
-    "privacy_amplify",
-    "run_bytes",
-    "toeplitz_seed_bits",
-    "digit_width",
-    "encode_digits",
-]

@@ -227,19 +227,3 @@ def rate_for_mode(
     if mode is MeasurementMode.ALL:
         return ell_using_all(params, gamma, d_full)
     return ell_memory_case(params, gamma, d_full, case=case_for_mode(mode))
-
-
-__all__ = [
-    "ProtocolCase",
-    "ProtocolParams",
-    "RateResult",
-    "case_for_mode",
-    "entropy_d",
-    "extended_entropy_d",
-    "sampling_delta",
-    "classical_sampling_error",
-    "pa_margin",
-    "ell_using_all",
-    "ell_memory_case",
-    "rate_for_mode",
-]

@@ -234,20 +234,3 @@ def distribution(state: WalkState, mode: MeasurementMode) -> Distribution:
     """
     weights = np.abs(state.amplitudes.reshape(state.config.P, -1, 2)) ** 2
     return Distribution(marginal(weights, mode).reshape(-1), mode)
-
-
-__all__ = [
-    "MeasurementMode",
-    "FlipOperator",
-    "CoinOperator",
-    "WalkConfig",
-    "WalkState",
-    "Distribution",
-    "generalized_coin_matrix",
-    "memory_rotation_gather",
-    "step_source",
-    "initial_state",
-    "evolve",
-    "marginal",
-    "distribution",
-]

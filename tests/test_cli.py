@@ -330,6 +330,33 @@ class TestMemoryPreflight:
                                     "memory, more than the 0.5 GiB this machine has"}]
 
 
+    @pytest.mark.parametrize("argv,what", [
+        (("maxprob", "-P", "3", "--tmax", "100000000"), "a sweep over P = 3, kappa = 1"),
+        (("table", "kappa1", "--tmax", "100000000"), "the sweep over P = 51, kappa = 1 of kappa1"),
+        (("extract", "-P", "3", "-N", "1000", "--tmax", "100000000", "--seed", "1"),
+         "the walk over P = 3, kappa = 1"),
+    ], ids=["maxprob", "table", "extract"])
+    def test_the_sweep_record_is_charged(self, capsys, tmp_path, monkeypatch,
+                                         half_gib_machine, argv, what):
+        # the walk at P = 3, kappa = 1 is 432 bytes; the (t, flip) record of
+        # 1e8 steps is 16 bytes per mode and step: 1.5 GiB for one mode, and
+        # 4.5 GiB for the three a preset may read
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("swept a record that cannot fit in memory")
+
+        for module in (cli, experiments):
+            monkeypatch.setattr(module, "g_functions", must_not_run)
+        monkeypatch.chdir(tmp_path)
+        rc, out, err = run(capsys, *argv)
+        assert rc == 2
+        assert out == ""
+        errors = [json.loads(line) for line in err.splitlines() if '"error"' in line]
+        need = "4.5" if argv[0] == "table" else "1.5"
+        assert errors == [{"error": f"{what} needs about {need} GiB of memory, "
+                                    "more than the 0.5 GiB this machine has"}]
+        assert not list(tmp_path.iterdir())
+
+
 class TestExtract:
     def test_fixed_walk_run_is_seed_deterministic(self, capsys, tmp_path):
         common = ["extract", "-P", "5", "-T", "8", "--mode", "position",
@@ -589,6 +616,7 @@ class TestConfigFile:
         (("maxprob", "-P", "3"), "tmax = [5]"),
         (("maxprob", "-P", "3"), "R = null"),
         (("extract", "-P", "3", "-T", "2", "-N", "400"), "Q = {}"),
+        (("evolve", "-P", "3", "-T", "2", "--coin", "general"), "phi = -Infinity"),
     ])
     def test_config_value_takes_the_flag_checks(self, capsys, tmp_path, argv, line):
         # a value its flag would refuse is one JSON error line, not a
@@ -674,6 +702,43 @@ class TestConfigFile:
                          "--config", str(tmp_path / "absent.cfg"))
         assert rc == 2
         last_error(err)
+
+
+class TestNonFiniteFloats:
+    """nan and +-inf are usage errors where a float flag is parsed, before anything is logged."""
+
+    def test_nan_angle_is_refused_rather_than_printed_as_json(self, capsys):
+        rc, out, err = run(capsys, "evolve", "-P", "3", "-T", "2", "--coin", "general",
+                           "--theta", "nan", "--json")
+        assert rc == 2
+        assert out == ""
+        [line] = err.splitlines()
+        assert json.loads(line)["error"] == "argument --theta: invalid finite float value: 'nan'"
+
+    @pytest.mark.parametrize("flag", ["--theta", "--phi", "-Q", "--eps", "--eps-pa", "--beta"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e309"])
+    def test_no_non_finite_value_reaches_the_config_line(self, capsys, tmp_path, flag, value):
+        rc, out, err = run(capsys, "extract", "-P", "3", "-T", "2", "-N", "400",
+                           "--coin", "general", f"{flag}={value}", "-o", str(tmp_path / "r"))
+        assert rc == 2
+        assert out == ""
+        [line] = err.splitlines()
+        assert json.loads(line)["error"].startswith(f"argument {flag}: invalid finite float")
+        assert "NaN" not in err and "Infinity" not in err
+
+    def test_infinite_angle_fails_extract_before_the_walk(self, capsys, tmp_path, monkeypatch):
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("walked with a non-finite angle")
+
+        for name in ("evolve", "distribution", "g_functions", "run_protocol"):
+            monkeypatch.setattr(cli, name, must_not_run)
+        rc, out, err = run(capsys, "extract", "-P", "3", "-T", "2", "-N", "400",
+                           "--coin", "general", "--theta", "inf", "-o", str(tmp_path / "r"))
+        assert rc == 2
+        assert out == ""
+        [line] = err.splitlines()
+        assert json.loads(line)["error"] == "argument --theta: invalid finite float value: 'inf'"
+        assert not list(tmp_path.iterdir())
 
 
 class TestParserBasics:
