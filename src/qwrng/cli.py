@@ -24,6 +24,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import secrets
 import sys
 from pathlib import Path
@@ -43,7 +44,24 @@ from qwrng.walk import (
 )
 
 
+# a token argparse takes as a value, not as an option, after a flag: every
+# negative number float() reads, so that '--phi -1e-3' parses as
+# '--phi=-1e-3' does and '--theta -inf' reaches _finite; argparse's own
+# pattern has no exponent form and no inf or nan, and no flag here looks
+# like a number
+_NEGATIVE_FLOAT = re.compile(
+    r"^-(\d[\d_]*\.?[\d_]*|\.\d[\d_]*)([eE][-+]?\d[\d_]*)?$|^-(inf|infinity|nan)$", re.IGNORECASE)
+
+# outcomes `evolve` prints per piece, so that no list of every label or
+# probability, and no whole JSON text, exists at once
+_PRINT_CHUNK = 1 << 16
+
+
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _NEGATIVE_FLOAT
+
     def error(self, message):  # noqa: D102 - argparse hook
         print(
             json.dumps({"error": message, "usage": self.format_usage().strip()}),
@@ -265,36 +283,50 @@ def _check_memory(need: int, what: str) -> None:
                           f"more than the {have / 2**30:.1f} GiB this machine has")
 
 
-def _outcome_labels(kappa: int, mode: MeasurementMode, d: int) -> list[str]:
+def _outcome_labels(kappa: int, mode: MeasurementMode, lo: int, hi: int) -> list[str]:
+    """Labels of outcomes lo..hi-1 under `mode`."""
     if mode is MeasurementMode.ALL:
         mask = (1 << kappa) - 1
-        return [f"x={i >> kappa} coins={i & mask:0{kappa}b}" for i in range(d)]
+        return [f"x={i >> kappa} coins={i & mask:0{kappa}b}" for i in range(lo, hi)]
     if mode is MeasurementMode.MEMORY_ONLY and kappa > 1:
         w = kappa - 1
-        return [f"x={j >> w} mem={j & ((1 << w) - 1):0{w}b}" for j in range(d)]
-    return [f"x={x}" for x in range(d)]
+        return [f"x={j >> w} mem={j & ((1 << w) - 1):0{w}b}" for j in range(lo, hi)]
+    return [f"x={x}" for x in range(lo, hi)]
+
+
+def _write_in_chunks(d: int, piece, sep: str) -> None:
+    """Write piece(lo, hi) for _PRINT_CHUNK outcomes at a time, joined by sep."""
+    for lo in range(0, d, _PRINT_CHUNK):
+        sys.stdout.write((sep if lo else "") + piece(lo, min(lo + _PRINT_CHUNK, d)))
 
 
 def _cmd_evolve(opts: dict) -> int:
     cfg = _walk_config(opts)
     mode = MeasurementMode(opts["mode"])
-    # the whole run, walk and --json printout, peaked at 187 to 217 bytes per
-    # amplitude from kappa = 1 to 20; the outcome labels widen with kappa
-    _check_memory((192 + 2 * cfg.kappa) * cfg.dim, f"a walk over P = {cfg.P}, kappa = {cfg.kappa}")
-    dist = distribution(evolve(cfg), mode)
-    labels = _outcome_labels(cfg.kappa, mode, dist.probs.size)
-    i_max = int(dist.probs.argmax())
-    p_max = float(dist.probs[i_max])
+    # the whole run, walk and printout, peaked at 65 to 67 bytes per amplitude
+    # from kappa = 1 to 20, with or without --json: the printout goes out in
+    # chunks, so the labels it writes do not grow with the walk
+    _check_memory(72 * cfg.dim, f"a walk over P = {cfg.P}, kappa = {cfg.kappa}")
+    probs = distribution(evolve(cfg), mode).probs
+    i_max = int(probs.argmax())
+    p_max = float(probs[i_max])
+    [label_max] = _outcome_labels(cfg.kappa, mode, i_max, i_max + 1)
     if opts["json"]:
-        print(json.dumps({
-            "P": cfg.P, "kappa": cfg.kappa, "T": cfg.T, "mode": mode.value,
-            "outcomes": labels, "probs": [float(p) for p in dist.probs],
-            "max": {"outcome": labels[i_max], "prob": p_max},
-        }))
+        # the text json.dumps gives for the whole document, in pieces
+        head = json.dumps({"P": cfg.P, "kappa": cfg.kappa, "T": cfg.T, "mode": mode.value})
+        sys.stdout.write(head[:-1] + ', "outcomes": [')
+        _write_in_chunks(probs.size, lambda lo, hi: json.dumps(
+            _outcome_labels(cfg.kappa, mode, lo, hi))[1:-1], ", ")
+        sys.stdout.write('], "probs": [')
+        _write_in_chunks(probs.size, lambda lo, hi: json.dumps(probs[lo:hi].tolist())[1:-1], ", ")
+        print(f'], "max": {json.dumps({"outcome": label_max, "prob": p_max})}}}')
     else:
-        for label, p in zip(labels, dist.probs):
-            print(f"{label}  {p:.10f}")
-        print(f"max {labels[i_max]}  {p_max:.10f}")
+        def lines(lo: int, hi: int) -> str:
+            labels = _outcome_labels(cfg.kappa, mode, lo, hi)
+            return "".join(f"{label}  {p:.10f}\n" for label, p in zip(labels, probs[lo:hi].tolist()))
+
+        _write_in_chunks(probs.size, lines, "")
+        print(f"max {label_max}  {p_max:.10f}")
     return 0
 
 

@@ -38,6 +38,10 @@ _SAMPLE_CHUNK = 1 << 16
 # picks its tile sizes to fit
 _FFT_BUDGET = 17 << 26  # 1.0625 GiB
 
+# rows the four-step transform twiddles and transforms at a time; a
+# block of 16 rows of a few thousand bins stays in L2
+_ROW_BLOCK = 16
+
 # what a transform costs beyond its points (the call, encoding and staging
 # an input block), in points, so that many tiny tiles never look cheapest
 _CALL_POINTS = 1 << 10
@@ -173,16 +177,85 @@ def _smooth_len(n: int) -> int:
     return best
 
 
+def _root_divisor(n: int) -> int:
+    """The largest divisor of n that is at most sqrt(n)."""
+    r = math.isqrt(n)
+    while n % r:
+        r -= 1
+    return r
+
+
+class _RealFFT:
+    """Real DFT of length M by Bailey's four-step method.
+
+    With M = M1 M2, M1 = _root_divisor(M), a real x is viewed as the
+    (M1, M2) array x[n1 M2 + n2], rfft-ed along axis 0, multiplied by
+    W^(k1 n2) with W = exp(-2 pi i / M), and fft-ed along axis 1.  Entry
+    (k1, k2) of the (M1 // 2 + 1, M2) spectrum is DFT bin k1 + M1 k2, so
+    the spectrum holds one bin of every Hermitian pair: a product of two
+    spectra is the spectrum of the cyclic convolution of their inputs,
+    and a sum of them is the spectrum of the sum.  `inverse` runs the
+    steps backwards.  Every sub-transform has about sqrt(M) points and
+    stays in cache, where one 1-D transform of length M streams the
+    whole array through every radix pass.  The twiddles, with
+    n2 = a + A b, are the product of two tables, W^(k1 a) and
+    W^(k1 A b), applied to _ROW_BLOCK rows at a time.
+    """
+
+    def __init__(self, M: int):
+        self.M1, self.M2, A = _four_step_split(M)
+        rows = self.M1 // 2 + 1
+        self.shape = (rows, self.M2)
+        k1 = np.arange(rows)[:, None]
+        w = -2j * np.pi / M
+        self._lo = np.exp(w * (k1 * np.arange(A)))[:, None, :]
+        self._hi = np.exp(w * (k1 * np.arange(0, self.M2, A)))[:, :, None]
+        self._block = np.empty((min(_ROW_BLOCK, rows), self.M2 // A, A), dtype=np.complex128)
+
+    def _row_blocks(self, spec: np.ndarray):
+        for r0 in range(0, self.shape[0], _ROW_BLOCK):
+            rows = spec[r0 : r0 + _ROW_BLOCK]
+            block = self._block[: rows.shape[0]]
+            yield rows, block, self._lo[r0 : r0 + _ROW_BLOCK], self._hi[r0 : r0 + _ROW_BLOCK]
+
+    def forward(self, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Write the spectrum of the M floats x into out, of shape self.shape."""
+        np.fft.rfft(x.reshape(self.M1, self.M2), axis=0, out=out)
+        for rows, block, lo, hi in self._row_blocks(out):
+            np.multiply(rows.reshape(block.shape), hi, out=block)
+            block *= lo
+            np.fft.fft(block.reshape(rows.shape), axis=1, out=rows)
+        return out
+
+    def inverse(self, spec: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """The M floats whose spectrum is spec, written into out; spec is overwritten."""
+        for rows, block, lo, hi in self._row_blocks(spec):
+            np.fft.ifft(rows, axis=1, out=block.reshape(rows.shape))
+            block *= lo.conj()
+            np.multiply(block, hi.conj(), out=rows.reshape(block.shape))
+        return np.fft.irfft(spec, self.M1, axis=0, out=out.reshape(self.M1, self.M2)).reshape(-1)
+
+
+def _four_step_split(M: int) -> tuple[int, int, int]:
+    """(M1, M2, A) of _RealFFT(M): M = M1 M2, and A divides M2."""
+    M1 = _root_divisor(M)
+    return M1, M // M1, _root_divisor(M // M1)
+
+
 def _fft_working_set(M: int, b_i: int) -> int:
     """Bytes one tile pass of the hash holds at its peak.
 
-    Three spectra of M // 2 + 1 complex bins (the running sum, a tile
-    spectrum and a staging buffer whose float view feeds each seed
-    segment and receives the inverse transform), an input block's bits
-    and the float64 copy numpy makes of them, and pocketfft's own
-    twiddles and scratch, about 16 bytes per point.
+    Three _RealFFT(M) spectra of (M1 // 2 + 1, M2) complex bins (the
+    running sum, a seed segment's and an input block's), the M-float64
+    staging buffer that feeds each transform and receives the inverse,
+    an input block's bits, charged twice for encode_digits' gather
+    buffers, and the transform's two twiddle tables and row-block
+    scratch.
     """
-    return 3 * 16 * (M // 2 + 1) + 9 * b_i + 16 * M
+    M1, M2, A = _four_step_split(M)
+    rows = M1 // 2 + 1
+    bins = rows * (3 * M2 + A + M2 // A) + min(_ROW_BLOCK, rows) * M2
+    return 16 * bins + 8 * M + 2 * b_i
 
 
 def _hash_plan(ell: int, L: int) -> tuple[int, int]:
@@ -236,8 +309,10 @@ def _toeplitz_parity(s: np.ndarray, raw: np.ndarray, d: int) -> np.ndarray:
     with zeros (a zero input bit, or a seed bit outside s), so every
     tile is b_o by b_i and keeps the slice [b_i - 1, b_i - 1 + b_o) of
     a cyclic convolution of length M >= b_o + b_i - 1, which no wrapped
-    term reaches.  An output block sums its tiles' spectra and inverts
-    once; its counts, at most L, are rounded back to exact integers.
+    term reaches.  Every transform is a _RealFFT of length M, fed from
+    one staging buffer.  An output block sums its tiles' spectra and
+    inverts once; its counts, at most L, are rounded back to exact
+    integers.
     Each input block is encoded from its own digits, so the L-bit string
     never exists.
     """
@@ -246,8 +321,9 @@ def _toeplitz_parity(s: np.ndarray, raw: np.ndarray, d: int) -> np.ndarray:
     ell = s.shape[0] - L + 1
     b_o, b_i = _hash_plan(ell, L)
     M = _smooth_len(b_o + b_i - 1)
-    acc, spec, stage = (np.empty(M // 2 + 1, dtype=np.complex128) for _ in range(3))
-    stage_r = stage.view(np.float64)
+    fft = _RealFFT(M)
+    acc, seg, blk = (np.empty(fft.shape, dtype=np.complex128) for _ in range(3))
+    stage = np.empty(M)
     out = np.empty(ell, dtype=np.uint8)
     for i0 in range(0, ell, b_o):
         n = min(b_o, ell - i0)
@@ -257,27 +333,30 @@ def _toeplitz_parity(s: np.ndarray, raw: np.ndarray, d: int) -> np.ndarray:
             # lo < 0 only under a ragged input block: the seed bits before s
             # meet only its zero padding, but a stale NaN would still spread
             pad = max(0, -lo)
-            stage_r[:pad] = 0.0
-            stage_r[pad : hi - lo] = s[lo + pad : hi]
+            stage[:pad] = 0.0
+            stage[pad : hi - lo] = s[lo + pad : hi]
+            stage[hi - lo :] = 0.0
+            fft.forward(stage, seg)
             j1 = min(j0 + b_i, L)
-            x = encode_digits(raw[j0 // w : -(-j1 // w)], d)[j0 % w :][: j1 - j0]
-            # the seed segment goes first, so the input block's transform
-            # can reuse the staging buffer
+            stage[: j1 - j0] = encode_digits(raw[j0 // w : -(-j1 // w)], d)[j0 % w :][: j1 - j0]
+            stage[j1 - j0 :] = 0.0
+            fft.forward(stage, blk)
             if j0 == 0:
-                np.fft.rfft(stage_r[: hi - lo], M, out=acc)
-                acc *= np.fft.rfft(x, M, out=spec)
+                np.multiply(seg, blk, out=acc)
             else:
-                np.fft.rfft(stage_r[: hi - lo], M, out=spec)
-                spec *= np.fft.rfft(x, M, out=stage)
-                acc += spec
-        counts = np.fft.irfft(acc, M, out=stage_r[:M])[b_i - 1 : b_i - 1 + n]
-        rounded = np.rint(counts, out=spec.view(np.float64)[:n])
+                seg *= blk
+                acc += seg
+        counts = fft.inverse(acc, stage)[b_i - 1 : b_i - 1 + n]
+        rounded = np.rint(counts, out=blk.reshape(-1).view(np.float64)[:n])
         # entries are exact bit counts; a residual near 0.5 would mean the
         # float path lost them
         residual = np.abs(np.subtract(counts, rounded, out=counts), out=counts)
         if residual.max() > 1e-2:
             raise FloatingPointError("convolution residual too large for exact bit counts")
-        out[i0 : i0 + n] = np.remainder(rounded, 2.0, out=rounded)
+        # a count is odd when half of it is not a whole number; np.remainder
+        # gives the same bits at about seven times the cost
+        half = np.multiply(rounded, 0.5, out=rounded)
+        np.not_equal(half, np.floor(half, out=counts), out=out[i0 : i0 + n])
     return out
 
 

@@ -72,6 +72,21 @@ class TestEvolve:
         assert doc["max"]["prob"] == pytest.approx(0.5)
         assert sum(doc["probs"]) == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("mode", ["all", "memory", "position"])
+    def test_chunked_printout_is_the_whole_document(self, capsys, monkeypatch, mode):
+        # 5 outcomes a chunk splits the 24 labels and probabilities four times
+        argv = ["evolve", "-P", "6", "-k", "2", "-T", "3", "--coin", "general", "--mode", mode]
+        _, text, _ = run(capsys, *argv)
+        _, doc, _ = run(capsys, *argv, "--json")
+        monkeypatch.setattr(cli, "_PRINT_CHUNK", 5)
+        assert run(capsys, *argv)[1] == text
+        rc, out, _ = run(capsys, *argv, "--json")
+        assert rc == 0
+        assert out == doc
+        whole = json.loads(doc)
+        assert len(whole["probs"]) > 5
+        assert out == json.dumps(whole) + "\n"
+
     def test_degenerate_cycle_rejected(self, capsys):
         rc, _, err = run(capsys, "evolve", "-P", "1", "-T", "1")
         assert rc == 2
@@ -295,7 +310,7 @@ class TestMemoryPreflight:
 
     def test_a_small_run_is_charged_the_hash_it_can_run(self, capsys, tmp_path,
                                                          half_gib_machine):
-        # N = 1e5 needs about 27 MiB; the hash's whole budget alone is 1.06 GiB
+        # N = 1e5 needs about 21 MiB; the hash's whole budget alone is 1.06 GiB
         rc, _, _ = run(capsys, "extract", "-P", "5", "-T", "8", "--mode", "position",
                        "-N", "100000", "-m", "10000", "--seed", "1",
                        "-o", str(tmp_path / "run"))
@@ -317,16 +332,16 @@ class TestMemoryPreflight:
                                     "memory, more than the 0.5 GiB this machine has"}]
 
     def test_evolve_is_charged_its_whole_run_once(self, capsys, monkeypatch, half_gib_machine):
-        # 196 bytes per amplitude at kappa = 2: 4e6 amplitudes need 0.73 GiB
+        # 72 bytes per amplitude: 1.6e7 amplitudes need 1.07 GiB
         def must_not_run(*args, **kwargs):
             raise AssertionError("ran a walk that cannot fit in memory")
 
         monkeypatch.setattr(cli, "evolve", must_not_run)
-        rc, out, err = run(capsys, "evolve", "-P", "1000000", "-k", "2", "-T", "1", "--json")
+        rc, out, err = run(capsys, "evolve", "-P", "4000000", "-k", "2", "-T", "1", "--json")
         assert rc == 2
         assert out == ""
         errors = [json.loads(line) for line in err.splitlines() if '"error"' in line]
-        assert errors == [{"error": "a walk over P = 1000000, kappa = 2 needs about 0.7 GiB of "
+        assert errors == [{"error": "a walk over P = 4000000, kappa = 2 needs about 1.1 GiB of "
                                     "memory, more than the 0.5 GiB this machine has"}]
 
 
@@ -725,6 +740,21 @@ class TestNonFiniteFloats:
         [line] = err.splitlines()
         assert json.loads(line)["error"].startswith(f"argument {flag}: invalid finite float")
         assert "NaN" not in err and "Infinity" not in err
+
+    def test_negative_exponent_form_after_its_flag_is_a_value(self, capsys):
+        base = ["evolve", "-P", "3", "-T", "2", "--coin", "general", "--json"]
+        rc, out, err = run(capsys, *base, "--phi", "-1e-3")
+        assert rc == 0
+        assert json.loads(err.splitlines()[0])["config"]["phi"] == -1e-3
+        assert (rc, out) == run(capsys, *base, "--phi=-1e-3")[:2]
+
+    def test_negative_infinity_after_its_flag_is_refused_as_non_finite(self, capsys):
+        rc, out, err = run(capsys, "evolve", "-P", "3", "-T", "2", "--coin", "general",
+                           "--theta", "-inf")
+        assert rc == 2
+        assert out == ""
+        [line] = err.splitlines()
+        assert json.loads(line)["error"] == "argument --theta: invalid finite float value: '-inf'"
 
     def test_infinite_angle_fails_extract_before_the_walk(self, capsys, tmp_path, monkeypatch):
         def must_not_run(*args, **kwargs):

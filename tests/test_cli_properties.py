@@ -16,10 +16,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from qwrng.cli import main
+from qwrng.cli import _resolve, main
 from qwrng.experiments import PRESET_NAMES
 
-EDGE_FLOATS = st.sampled_from([math.nan, math.inf, -math.inf, 1e308, -1e308, 0.0])
+EDGE_FLOATS = st.sampled_from([math.nan, math.inf, -math.inf, 1e308, -1e308, -1e-05, 0.0])
 # values at or past the edge of what a flag, or the run behind it, accepts
 EDGES = {
     **{name: EDGE_FLOATS for name in ("--theta", "--phi", "-Q", "--eps", "--eps-pa", "--beta")},
@@ -108,12 +108,15 @@ def _valid_flags(draw, cmd):
 
 @st.composite
 def argvs(draw):
-    """An argv of one subcommand, half the time with one flag set to an edge value.
+    """An argv of one subcommand, half the time with one flag set to an edge value,
+    and the same argv with every value in its flag's token.
 
     Apart from that flag and the float flags, which draw edge values too,
     the argv is one the subcommand accepts.
 
-    Each value is one `name=value` token, so that '-inf' stays a value.
+    Each value is one `name=value` token, except that the floats follow
+    their flag as a token of their own half the time, so that a negative
+    float such as '-1e-05' or '-inf' must still be read as a value.
     """
     cmd = draw(st.sampled_from(["evolve", "maxprob", "table", "curve", "extract"]))
     flags, positional = _valid_flags(draw, cmd)
@@ -121,9 +124,16 @@ def argvs(draw):
         # any flag the subcommand has, so an angle may also meet the Hadamard coin
         name = draw(st.sampled_from(EDGE_FLAGS[cmd]))
         flags[name] = draw(EDGES[name])
-    argv = [cmd, *positional, *(f"{k}={v!r}" if isinstance(v, float) else f"{k}={v}"
-                                for k, v in flags.items())]
-    return argv + ["--json"] * draw(st.booleans())
+    argv, joined = [cmd, *positional], [cmd, *positional]
+    for k, v in flags.items():
+        token = f"{k}={v!r}" if isinstance(v, float) else f"{k}={v}"
+        joined.append(token)
+        if isinstance(v, float) and draw(st.booleans()):
+            argv += [k, repr(v)]
+        else:
+            argv.append(token)
+    tail = ["--json"] * draw(st.booleans())
+    return argv + tail, joined + tail
 
 
 def _strict_json(text):
@@ -131,6 +141,16 @@ def _strict_json(text):
     def refuse(token):
         raise ValueError(f"non-finite JSON token {token}")
     return json.loads(text, parse_constant=refuse)
+
+
+def _parsed(argv):
+    """The options argv resolves to, or the error it is refused with."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        try:
+            return _resolve(argv)
+        except (SystemExit, ValueError) as exc:
+            return repr(exc), err.getvalue()
 
 
 @pytest.fixture(scope="module")
@@ -142,8 +162,10 @@ def workdir(tmp_path_factory):
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(argv=argvs())
-def test_every_run_succeeds_cleanly_or_fails_as_json(workdir, monkeypatch, argv):
+@given(argvs=argvs())
+def test_every_run_succeeds_cleanly_or_fails_as_json(workdir, monkeypatch, argvs):
+    argv, joined = argvs
+    assert _parsed(argv) == _parsed(joined)
     monkeypatch.chdir(workdir)
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

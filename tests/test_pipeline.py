@@ -226,6 +226,26 @@ def test_fft_convolution_path_agrees_with_exact_path():
         np.testing.assert_array_equal(via_fft, dense, err_msg=f"L={L} ell={ell}")
 
 
+@pytest.mark.parametrize("M", [1, 2, 3, 5, 9, 15, 45, 1024, 4500])
+def test_four_step_transform_pair(M):
+    fft = pipeline._RealFFT(M)
+    assert fft.M1 * fft.M2 == M
+    assert fft.M1 == max(k for k in range(1, math.isqrt(M) + 1) if M % k == 0)
+    rng = np.random.default_rng(M)
+    a, b = rng.integers(0, 2, size=(2, M))
+    fa, fb = (fft.forward(v.astype(np.float64), np.empty(fft.shape, dtype=np.complex128))
+              for v in (a, b))
+    # entry (k1, k2) is DFT bin k1 + M1 k2, wherever that bin is in rfft's half
+    k = np.arange(fft.shape[0])[:, None] + fft.M1 * np.arange(fft.M2)
+    half = k <= M // 2
+    np.testing.assert_allclose(fa[half], np.fft.rfft(a)[k[half]], rtol=0, atol=1e-9)
+    # the product inverts to the exact integer cyclic convolution
+    full = np.convolve(a, b)
+    cyclic = full[:M] + np.append(full[M:], 0)
+    got = fft.inverse(fa * fb, np.empty(M))
+    np.testing.assert_array_equal(np.rint(got), cyclic)
+
+
 def tile_counts(ell, L):
     b_o, b_i = pipeline._hash_plan(ell, L)
     return -(-ell // b_o), -(-L // b_i)
@@ -249,7 +269,7 @@ def test_hash_plan_fits_the_budget_at_1e8_signals():
     ell, L = 128_702_601, (10**8 - 10**4) * 3
     b_o, b_i = pipeline._hash_plan(ell, L)
     assert 0 < b_o <= ell and 0 < b_i <= L
-    assert tile_counts(ell, L) == (9, 26)
+    assert tile_counts(ell, L) == (8, 17)
     M = pipeline._smooth_len(b_o + b_i - 1)
     assert pipeline._fft_working_set(M, b_i) <= pipeline._FFT_BUDGET
 
