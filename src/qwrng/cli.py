@@ -56,6 +56,11 @@ _NEGATIVE_FLOAT = re.compile(
 # probability, and no whole JSON text, exists at once
 _PRINT_CHUNK = 1 << 16
 
+# bytes per amplitude charged to one walk: an `evolve` run, walk and
+# printout, peaked at 65 to 67 from kappa = 1 to 20, with or without
+# --json, since the printout goes out in chunks
+_WALK_BYTES = 72
+
 
 class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
@@ -303,10 +308,7 @@ def _write_in_chunks(d: int, piece, sep: str) -> None:
 def _cmd_evolve(opts: dict) -> int:
     cfg = _walk_config(opts)
     mode = MeasurementMode(opts["mode"])
-    # the whole run, walk and printout, peaked at 65 to 67 bytes per amplitude
-    # from kappa = 1 to 20, with or without --json: the printout goes out in
-    # chunks, so the labels it writes do not grow with the walk
-    _check_memory(72 * cfg.dim, f"a walk over P = {cfg.P}, kappa = {cfg.kappa}")
+    _check_memory(_WALK_BYTES * cfg.dim, f"a walk over P = {cfg.P}, kappa = {cfg.kappa}")
     probs = distribution(evolve(cfg), mode).probs
     i_max = int(probs.argmax())
     p_max = float(probs[i_max])
@@ -356,8 +358,7 @@ def _cmd_maxprob(opts: dict) -> int:
 def _cmd_preset(opts: dict, run) -> int:
     """`table` and `curve`: evaluate a preset with `run` and write the result."""
     spec = preset(opts["preset"], R=opts["R"], t_max=opts["tmax"])
-    # a preset sweeps each (P, kappa, grid) once, for up to all three modes
-    need, P, kappa = max((sweep_bytes(P, k, grid, 3), P, k) for P, k, _, grid in spec.cases)
+    need, P, kappa = max((sweep_bytes(P, k, grid), P, k) for P, k, _, grid in spec.cases)
     _check_memory(need, f"the sweep over P = {P}, kappa = {kappa} of {spec.name}")
     result = run(spec)
     path = emit(result, fmt=opts["format"], path=opts["out"],
@@ -391,8 +392,8 @@ def _cmd_extract(opts: dict) -> int:
     source = SourceModel(config=cfg, Q=opts["Q"], rng_seed=seed)
     # without -T a sweep picks the walk; with it, one walk runs
     grid = None if opts["T"] is not None else _sweep_grid(opts)
-    _check_memory(sweep_bytes(cfg.P, cfg.kappa, grid),
-                  f"the walk over P = {cfg.P}, kappa = {cfg.kappa}")
+    need = _WALK_BYTES * cfg.dim if grid is None else sweep_bytes(cfg.P, cfg.kappa, grid)
+    _check_memory(need, f"the walk over P = {cfg.P}, kappa = {cfg.kappa}")
     d = distribution(initial_state(cfg), mode).probs.shape[0]
     _check_memory(run_bytes(params.N, params.m, d), f"a run of N = {params.N} signals")
     gamma = None

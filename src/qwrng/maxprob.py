@@ -215,16 +215,14 @@ def _peaks(weights: np.ndarray, mode: MeasurementMode) -> np.ndarray:
     return outcomes.max(axis=tuple(range(outcomes.ndim - 1)))
 
 
-def sweep_bytes(P: int, kappa: int, grid: SweepGrid | None, modes: int = 1) -> int:
-    """Bytes a sweep of `modes` readouts over (P, kappa) and `grid` (None: one walk) holds.
+def sweep_bytes(P: int, kappa: int, grid: SweepGrid) -> int:
+    """Bytes a sweep over (P, kappa) and `grid` holds, whatever its window.
 
     `_BatchWalk` keeps 72 per amplitude of each walk: state and coin output
-    16 each, step scratch 8, and the tiled coin entries 32.  `_sweep`'s
-    record keeps a float64 peak and an intp coin per mode, step and flip.
+    16 each, step scratch 8, and the tiled coin entries 32.
     """
-    B = 1 if grid is None or grid.R is None else (grid.R + 1) ** 2
-    record = 0 if grid is None else 16 * modes * (grid.t_max - grid.t_min + 1) * len(grid.flips)
-    return 72 * B * WalkConfig(P=P, kappa=kappa, T=0).dim + record
+    B = 1 if grid.R is None else (grid.R + 1) ** 2
+    return 72 * B * WalkConfig(P=P, kappa=kappa, T=0).dim
 
 
 def _sweep(
@@ -236,35 +234,27 @@ def _sweep(
 ) -> dict[MeasurementMode, tuple[float, int, FlipOperator, int]]:
     """Smallest peak of each mode over the grid's steps and flips and a coin batch.
 
-    Each flip runs the whole batch over the time range.  For every
-    (t, flip) the record keeps the batch's smallest peak and the first coin
-    reaching it; one row-major argmin over the record then picks the
-    smallest t, then the first flip.  Returns (value, t, flip, coin index)
-    per mode.
+    Each flip runs the whole batch over the time range.  At every (t, flip)
+    the batch's smallest peak and the first coin reaching it replace a
+    mode's running best when (peak, t, flip index) is smaller, so ties go
+    to the smallest t, then the first flip.  Returns (value, t, flip, coin
+    index) per mode.
     """
     WalkConfig(P=P, kappa=kappa, T=0)  # validates dimensions
     walk = _BatchWalk(P, kappa, coins)
-    shape = (len(modes), grid.t_max - grid.t_min + 1, len(grid.flips))
-    values = np.empty(shape)
-    coin_at = np.empty(shape, dtype=np.intp)
+    best = {mode: (math.inf,) for mode in modes}
     for j, flip in enumerate(grid.flips):
         walk.start(initial_state(WalkConfig(P, kappa, 0, flip=flip)).amplitudes)
         for t in range(1, grid.t_max + 1):
             walk.step()
-            i = t - grid.t_min
-            if i < 0:
+            if t < grid.t_min:
                 continue
             weights = walk.weights()
-            for m, mode in enumerate(modes):
+            for mode in modes:
                 peaks = _peaks(weights, mode)
-                b = np.argmin(peaks)
-                values[m, i, j], coin_at[m, i, j] = peaks[b], b
-    best = {}
-    for m, mode in enumerate(modes):
-        i, j = np.unravel_index(np.argmin(values[m]), shape[1:])
-        value, t = float(values[m, i, j]), grid.t_min + int(i)
-        best[mode] = (value, t, grid.flips[j], int(coin_at[m, i, j]))
-    return best
+                b = int(np.argmin(peaks))
+                best[mode] = min(best[mode], (float(peaks[b]), t, j, b))
+    return {mode: (value, t, grid.flips[j], b) for mode, (value, t, j, b) in best.items()}
 
 
 def g_functions(

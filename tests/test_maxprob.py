@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -256,6 +257,27 @@ def test_theta_reflection_symmetry_for_flip_i(P, kappa):
                 f"theta={theta!r}, phi={phi!r}: {a.value!r} against {b.value!r}")
 
 
+
+@pytest.mark.parametrize("P", [3, 5, 11, 21])
+@pytest.mark.parametrize("kappa", [1, 2, 3])
+def test_phi_shift_by_two_pi_over_p_changes_nothing(P, kappa):
+    # coin value 0 steps right with e^{i phi} and coin value 1 steps left with
+    # e^{-i phi}, so a path's phase is e^{i phi dx}; dx mod P is the site the
+    # path lands on, so phi + 2 pi/P multiplies each site by one phase
+    theta, phi = _random_angles(P, kappa)[0]
+    shifted = phi + 2 * math.pi / P
+    for flip in FlipOperator:
+        walks = [evolve(WalkConfig(P=P, kappa=kappa, T=60, flip=flip,
+                                   coin=CoinOperator.generalized(theta, f)))
+                 for f in (phi, shifted)]
+        for mode in MeasurementMode:
+            a, b = (distribution(w, mode).probs for w in walks)
+            assert np.abs(b - a).max() <= 1e-13, (flip, mode)
+        for a, b in zip(_minima(P, kappa, flip, theta, phi),
+                        _minima(P, kappa, flip, theta, shifted)):
+            assert b.at_t == a.at_t, (flip, a.mode)
+            assert b.value == pytest.approx(a.value, rel=1e-12, abs=0), (flip, a.mode)
+
 # -- step kernel ---------------------------------------------------------------
 
 def _einsum_step(states, coins, kappa):
@@ -383,3 +405,18 @@ def test_sweep_validates_dimensions():
 def test_result_gamma_property():
     res = MaxProbResult(value=0.25, at_t=3, at_flip=FlipOperator.I, mode=ALL, P=3, kappa=1)
     assert res.gamma == 2.0
+
+
+def test_sweep_memory_does_not_grow_with_the_window():
+    # a sweep keeps one running best per mode, so nothing it allocates
+    # grows with t_max
+    def traced_peak(t_max):
+        tracemalloc.start()
+        try:
+            g_functions(3, 1, SweepGrid(1, t_max))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    traced_peak(50)  # first-call allocations, cached for later calls
+    assert traced_peak(5000) <= traced_peak(50) + 4096
