@@ -252,20 +252,18 @@ def _resolve(argv: list[str]) -> tuple[str, dict]:
     return cmd, opts
 
 
-def _coin_from(opts: dict) -> CoinOperator:
-    if opts["coin"] == "hadamard":
-        return CoinOperator.hadamard()
-    theta, phi = opts["theta"], opts["phi"]
-    return CoinOperator.generalized(math.pi / 4 if theta is None else theta,
-                                    0.0 if phi is None else phi)
-
-
 def _walk_config(opts: dict) -> WalkConfig:
+    if opts["coin"] == "hadamard":
+        coin = CoinOperator.hadamard()
+    else:
+        theta, phi = opts["theta"], opts["phi"]
+        coin = CoinOperator.generalized(math.pi / 4 if theta is None else theta,
+                                        0.0 if phi is None else phi)
     return WalkConfig(
         P=opts["P"],
         kappa=opts["kappa"],
         T=opts["T"],
-        coin=_coin_from(opts),
+        coin=coin,
         flip=FlipOperator(opts["flip"] or "i"),
     )
 
@@ -358,7 +356,7 @@ def _cmd_maxprob(opts: dict) -> int:
 def _cmd_preset(opts: dict, run) -> int:
     """`table` and `curve`: evaluate a preset with `run` and write the result."""
     spec = preset(opts["preset"], R=opts["R"], t_max=opts["tmax"])
-    need, P, kappa = max((sweep_bytes(P, k, grid), P, k) for P, k, _, grid in spec.cases)
+    need, P, kappa = max((sweep_bytes(P, k, spec.grid), P, k) for P, k, _ in spec.cases)
     _check_memory(need, f"the sweep over P = {P}, kappa = {kappa} of {spec.name}")
     result = run(spec)
     path = emit(result, fmt=opts["format"], path=opts["out"],

@@ -96,13 +96,14 @@ def default_signal_grid() -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """One preset: sweep cells, and the noise levels of a rate curve.
+    """One preset: sweep cells over one grid, and the noise levels of a rate curve.
 
     Rate curves use the `ProtocolParams` security defaults and `default_signal_grid`.
     """
 
     name: str
-    cases: tuple[tuple[int, int, MeasurementMode, SweepGrid], ...]
+    cases: tuple[tuple[int, int, MeasurementMode], ...]
+    grid: SweepGrid
     noise_levels: tuple[float, ...] = ()
 
 
@@ -180,24 +181,24 @@ def preset(name: str, R: int | None = None, t_max: int | None = None) -> Experim
         raise ValueError(f"unknown preset {name!r}; available: {', '.join(PRESET_NAMES)}")
     kappas, Ps, modes, kind, noises = _PRESETS[name]
     grid = SweepGrid.for_coin(kind, t_max=t_max, R=R)
-    cases = tuple((P, k, mode, grid) for mode in modes for k in kappas for P in Ps)
-    return ExperimentSpec(name=name, cases=cases, noise_levels=noises)
+    cases = tuple((P, k, mode) for mode in modes for k in kappas for P in Ps)
+    return ExperimentSpec(name=name, cases=cases, grid=grid, noise_levels=noises)
 
 
-def _sweep_cells(cases) -> list[MaxProbResult]:
-    """Every cell's result, one pass per (P, kappa, grid) over only the modes its cells ask for."""
-    if not cases:
+def _sweep_cells(spec: ExperimentSpec) -> list[MaxProbResult]:
+    """Every cell's result, one pass per (P, kappa) over only the modes its cells ask for."""
+    if not spec.cases:
         raise ValueError("spec has no cases")
-    requested: dict[tuple[int, int, SweepGrid], dict[MeasurementMode, None]] = {}
-    for P, kappa, mode, grid in cases:
-        requested.setdefault((P, kappa, grid), {})[mode] = None
-    swept = {key: g_functions(*key, tuple(modes)) for key, modes in requested.items()}
-    return [swept[(P, kappa, grid)][mode] for P, kappa, mode, grid in cases]
+    requested: dict[tuple[int, int], dict[MeasurementMode, None]] = {}
+    for P, kappa, mode in spec.cases:
+        requested.setdefault((P, kappa), {})[mode] = None
+    swept = {key: g_functions(*key, spec.grid, tuple(modes)) for key, modes in requested.items()}
+    return [swept[(P, kappa)][mode] for P, kappa, mode in spec.cases]
 
 
 def run_table(spec: ExperimentSpec) -> ResultTable:
     """Evaluate every cell of a preset."""
-    return ResultTable(name=spec.name, rows=tuple(_sweep_cells(spec.cases)))
+    return ResultTable(name=spec.name, rows=tuple(_sweep_cells(spec)))
 
 
 def run_rate_curve(spec: ExperimentSpec) -> RateCurve:
@@ -205,7 +206,7 @@ def run_rate_curve(spec: ExperimentSpec) -> RateCurve:
     if not spec.noise_levels:
         raise ValueError(f"{spec.name} is a table preset, not a rate curve: use `qwrng table`")
     points = []
-    for (P, kappa, mode, _), res in zip(spec.cases, _sweep_cells(spec.cases)):
+    for (P, kappa, mode), res in zip(spec.cases, _sweep_cells(spec)):
         gamma = res.gamma
         for Q in spec.noise_levels:
             for N in default_signal_grid():

@@ -34,6 +34,10 @@ _T_MAX_HADAMARD = 2000
 _T_MAX_GENERAL = 1000
 _R_GENERAL = 16
 
+# how far rounding may lift a walk's peak of 1 above 1: it drifts by
+# about 5.8e-17 per step, so this covers some 1.7e7 steps
+_G_ROUNDING = 1e-9
+
 
 @dataclass(frozen=True)
 class SweepGrid:
@@ -122,10 +126,10 @@ class MaxProbResult:
 
 
 def gamma_from_g(g: float) -> float:
-    """Min-entropy rate -log2(g) of a guessing probability."""
-    if not 0.0 < g <= 1.0:
+    """Min-entropy rate -log2(g) of a guessing probability; +0.0 from g = 1 to 1 + _G_ROUNDING."""
+    if not 0.0 < g <= 1.0 + _G_ROUNDING:
         raise ValueError(f"guessing probability must lie in (0, 1], got {g}")
-    return -math.log2(g)
+    return -math.log2(g) if g < 1.0 else 0.0
 
 
 def _coin_batch(grid: SweepGrid) -> np.ndarray:

@@ -29,7 +29,7 @@ from qwrng.walk import MeasurementMode, WalkConfig, distribution, evolve
 _S_DEPOLARIZE, _S_TEST, _S_HONEST, _S_MIXED, _S_SUBSET, _S_HASH = range(6)
 
 # t_subset is written out in full below this size and digested above it
-SUBSET_INLINE_LIMIT = 10_000
+_SUBSET_INLINE_LIMIT = 10_000
 
 # signals sampled per pass; any size gives the same bits
 _SAMPLE_CHUNK = 1 << 16
@@ -93,7 +93,7 @@ def sample_outcomes(
     )
     cdf = np.cumsum(probs)
     cdf[-1] = 1.0  # guard accumulated rounding so every draw lands
-    digits = np.empty(N, dtype=_digit_dtype(d))
+    digits = np.empty(N, dtype=np.min_scalar_type(d - 1))
     test_bits = np.empty(N, dtype=np.uint8)
     draws = np.empty(min(N, _SAMPLE_CHUNK))
     for c0 in range(0, N, _SAMPLE_CHUNK):
@@ -104,11 +104,6 @@ def sample_outcomes(
         honest_digits = np.searchsorted(cdf, honest.random(out=u), side="right")
         digits[c0:c1] = np.where(depolarized, mixed.integers(0, d, size=u.shape[0]), honest_digits)
     return digits, test_bits
-
-
-def _digit_dtype(d: int) -> np.dtype:
-    """Smallest unsigned dtype holding every digit 0..d-1."""
-    return np.min_scalar_type(d - 1)
 
 
 def digit_width(d: int) -> int:
@@ -143,7 +138,7 @@ def run_bytes(N: int, m: int, d: int) -> int:
     hash plan has b_o <= ell <= L and b_i <= L, so that set is at most
     one untiled tile's, and never more than _FFT_BUDGET.
     """
-    digit = _digit_dtype(d).itemsize
+    digit = np.min_scalar_type(d - 1).itemsize
     L = (N - m) * digit_width(d)
     fft = min(_FFT_BUDGET, _fft_working_set(_smooth_len(2 * L - 1), L))
     return N * digit + 2 * N + (N - m) * digit + 3 * L + fft
@@ -199,7 +194,8 @@ class _RealFFT:
     stays in cache, where one 1-D transform of length M streams the
     whole array through every radix pass.  The twiddles, with
     n2 = a + A b, are the product of two tables, W^(k1 a) and
-    W^(k1 A b), applied to _ROW_BLOCK rows at a time.
+    W^(k1 A b), applied in place to _ROW_BLOCK rows at a time, each
+    block then transformed in place.
     """
 
     def __init__(self, M: int):
@@ -210,29 +206,29 @@ class _RealFFT:
         w = -2j * np.pi / M
         self._lo = np.exp(w * (k1 * np.arange(A)))[:, None, :]
         self._hi = np.exp(w * (k1 * np.arange(0, self.M2, A)))[:, :, None]
-        self._block = np.empty((min(_ROW_BLOCK, rows), self.M2 // A, A), dtype=np.complex128)
 
     def _row_blocks(self, spec: np.ndarray):
+        """Each _ROW_BLOCK rows of spec, that block as (rows, M2 // A, A), and its twiddles."""
         for r0 in range(0, self.shape[0], _ROW_BLOCK):
             rows = spec[r0 : r0 + _ROW_BLOCK]
-            block = self._block[: rows.shape[0]]
-            yield rows, block, self._lo[r0 : r0 + _ROW_BLOCK], self._hi[r0 : r0 + _ROW_BLOCK]
+            lo, hi = self._lo[r0 : r0 + _ROW_BLOCK], self._hi[r0 : r0 + _ROW_BLOCK]
+            yield rows, rows.reshape(rows.shape[0], hi.shape[1], lo.shape[2]), lo, hi
 
     def forward(self, x: np.ndarray, out: np.ndarray) -> np.ndarray:
         """Write the spectrum of the M floats x into out, of shape self.shape."""
         np.fft.rfft(x.reshape(self.M1, self.M2), axis=0, out=out)
-        for rows, block, lo, hi in self._row_blocks(out):
-            np.multiply(rows.reshape(block.shape), hi, out=block)
-            block *= lo
-            np.fft.fft(block.reshape(rows.shape), axis=1, out=rows)
+        for rows, twiddled, lo, hi in self._row_blocks(out):
+            twiddled *= hi
+            twiddled *= lo
+            np.fft.fft(rows, axis=1, out=rows)
         return out
 
     def inverse(self, spec: np.ndarray, out: np.ndarray) -> np.ndarray:
         """The M floats whose spectrum is spec, written into out; spec is overwritten."""
-        for rows, block, lo, hi in self._row_blocks(spec):
-            np.fft.ifft(rows, axis=1, out=block.reshape(rows.shape))
-            block *= lo.conj()
-            np.multiply(block, hi.conj(), out=rows.reshape(block.shape))
+        for rows, twiddled, lo, hi in self._row_blocks(spec):
+            np.fft.ifft(rows, axis=1, out=rows)
+            twiddled *= lo.conj()
+            twiddled *= hi.conj()
         return np.fft.irfft(spec, self.M1, axis=0, out=out.reshape(self.M1, self.M2)).reshape(-1)
 
 
@@ -249,12 +245,10 @@ def _fft_working_set(M: int, b_i: int) -> int:
     running sum, a seed segment's and an input block's), the M-float64
     staging buffer that feeds each transform and receives the inverse,
     an input block's bits, charged twice for encode_digits' gather
-    buffers, and the transform's two twiddle tables and row-block
-    scratch.
+    buffers, and the transform's two twiddle tables.
     """
     M1, M2, A = _four_step_split(M)
-    rows = M1 // 2 + 1
-    bins = rows * (3 * M2 + A + M2 // A) + min(_ROW_BLOCK, rows) * M2
+    bins = (M1 // 2 + 1) * (3 * M2 + A + M2 // A)
     return 16 * bins + 8 * M + 2 * b_i
 
 
@@ -410,7 +404,7 @@ class RunRecord:
 
     def summary_items(self) -> list[tuple[str, str]]:
         cfg = self.config
-        if len(self.t_subset) > SUBSET_INLINE_LIMIT:
+        if len(self.t_subset) > _SUBSET_INLINE_LIMIT:
             subset = _digest(",".join(map(str, self.t_subset)))
         else:
             subset = ",".join(map(str, self.t_subset))
@@ -487,10 +481,7 @@ def run_protocol(
     aborted = rr.ell <= 0.0
     ell_bits = 0 if aborted else math.floor(rr.ell)
     seed_matrix_id = int(_stream(source.rng_seed, _S_HASH).integers(0, 2**63, dtype=np.int64))
-    if aborted:
-        output = np.zeros(0, dtype=np.uint8)
-    else:
-        output = privacy_amplify(raw, ell_bits, seed_matrix_id, d=probs.shape[0])
+    output = privacy_amplify(raw, ell_bits, seed_matrix_id, d=probs.shape[0])
     return RunRecord(
         case=rr.case,
         config=cfg,

@@ -150,7 +150,6 @@ class Distribution:
     """
 
     probs: np.ndarray
-    mode: MeasurementMode
 
 
 def initial_state(config: WalkConfig) -> WalkState:
@@ -233,4 +232,4 @@ def distribution(state: WalkState, mode: MeasurementMode) -> Distribution:
     out the lone coin.
     """
     weights = np.abs(state.amplitudes.reshape(state.config.P, -1, 2)) ** 2
-    return Distribution(marginal(weights, mode).reshape(-1), mode)
+    return Distribution(marginal(weights, mode).reshape(-1))

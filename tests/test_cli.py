@@ -392,6 +392,19 @@ class TestExtract:
         assert (tmp_path / "x.bits").read_bytes() == b""
         assert "aborted: true" in (tmp_path / "x.record.txt").read_text()
 
+    @pytest.mark.parametrize("walk", [
+        ("-P", "5", "-T", "100", "--theta", "0", "--phi", "0.7"),
+        ("-P", "2", "-T", "7", "--theta", "0.3", "--phi", "1.1", "--mode", "position"),
+    ])
+    def test_walk_with_a_certain_outcome_aborts(self, capsys, tmp_path, walk):
+        # each walk's peak is 1, which rounding lifts just above 1
+        rc, out, _ = run(capsys, "extract", *walk, "--coin", "general", "-N", "1000",
+                         "--seed", "1", "-o", str(tmp_path / "d"), "--json")
+        assert rc == 0
+        doc = json.loads(out)
+        assert (doc["aborted"], doc["gamma"], doc["output_bits"]) == ("true", "0.0", "0")
+        assert (tmp_path / "d.bits").read_bytes() == b""
+
     def test_missing_seed_generates_and_prints_one(self, capsys, tmp_path):
         rc, out, _ = run(capsys, "extract", "-P", "5", "-T", "8",
                          "-N", "400", "-m", "40", "-o", str(tmp_path / "y"))

@@ -24,9 +24,8 @@ from qwrng.walk import MeasurementMode, distribution, evolve
 
 
 def _tiny_table_spec(tmax=6):
-    grid = SweepGrid(t_min=1, t_max=tmax)
-    cases = tuple((P, k, MeasurementMode.ALL, grid) for k in (1, 2) for P in (3, 5))
-    return ExperimentSpec(name="tiny", cases=cases)
+    cases = tuple((P, k, MeasurementMode.ALL) for k in (1, 2) for P in (3, 5))
+    return ExperimentSpec(name="tiny", cases=cases, grid=SweepGrid(t_min=1, t_max=tmax))
 
 
 class TestPresets:
@@ -58,16 +57,16 @@ class TestPresets:
         assert all(a < b for a, b in zip(spec.noise_levels, spec.noise_levels[1:]))
 
     def test_hadamard_presets_use_long_sweep_without_angles(self):
-        grid = preset("table1").cases[0][3]
+        grid = preset("table1").grid
         assert grid.t_max == 2000 and grid.R is None
 
     def test_general_presets_use_angle_grid(self):
-        grid = preset("table2").cases[0][3]
+        grid = preset("table2").grid
         assert grid.t_max == 1000 and grid.R == 16
 
     def test_grid_overrides(self):
-        assert preset("table1", t_max=5).cases[0][3].t_max == 5
-        g = preset("table2", R=4, t_max=7).cases[0][3]
+        assert preset("table1", t_max=5).grid.t_max == 5
+        g = preset("table2", R=4, t_max=7).grid
         assert (g.R, g.t_max) == (4, 7)
 
     @pytest.mark.parametrize("name, override", [
@@ -113,20 +112,19 @@ class TestRunTable:
     def test_published_cell_reproduced(self):
         # one real sweep: the kappa=2, P=3 joint minimum sits at 0.1250
         grid = SweepGrid(t_min=1, t_max=2000)
-        spec = ExperimentSpec(name="one", cases=((3, 2, MeasurementMode.ALL, grid),))
+        spec = ExperimentSpec(name="one", cases=((3, 2, MeasurementMode.ALL),), grid=grid)
         row = run_table(spec).rows[0]
         assert abs(row.value - reference_value("hadamard", MeasurementMode.ALL, 2, 3)) < 5e-4
 
     def test_empty_spec_rejected(self):
         with pytest.raises(ValueError):
-            run_table(ExperimentSpec(name="none", cases=()))
+            run_table(ExperimentSpec(name="none", cases=(), grid=SweepGrid(t_min=1, t_max=5)))
 
     def test_table_sweeps_only_requested_modes(self, monkeypatch):
         all_, mem, pos = (MeasurementMode.ALL, MeasurementMode.MEMORY_ONLY,
                           MeasurementMode.POSITION_ONLY)
         grid = SweepGrid(t_min=1, t_max=40, R=3)
-        cases = ((5, 2, all_, grid), (3, 2, all_, grid), (3, 2, mem, grid),
-                 (3, 2, pos, grid), (3, 1, all_, grid))
+        cases = ((5, 2, all_), (3, 2, all_), (3, 2, mem), (3, 2, pos), (3, 1, all_))
         calls = []
 
         def spy(P, kappa, grid, modes):
@@ -134,10 +132,10 @@ class TestRunTable:
             return g_functions(P, kappa, grid, modes)
 
         monkeypatch.setattr(experiments, "g_functions", spy)
-        rows = run_table(ExperimentSpec(name="mixed", cases=cases)).rows
+        rows = run_table(ExperimentSpec(name="mixed", cases=cases, grid=grid)).rows
         assert dict(calls) == {(5, 2): (all_,), (3, 2): (all_, mem, pos), (3, 1): (all_,)}
         assert len(calls) == 3
-        for row, (P, kappa, mode, _) in zip(rows, cases):
+        for row, (P, kappa, mode) in zip(rows, cases):
             assert row == g_functions(P, kappa, grid)[mode]
 
     def test_table_keeps_no_sweeps_between_runs(self, monkeypatch):
@@ -159,7 +157,8 @@ def curve():
     grid = SweepGrid(t_min=1, t_max=50)
     spec = ExperimentSpec(
         name="mini",
-        cases=((5, 1, MeasurementMode.POSITION_ONLY, grid),),
+        cases=((5, 1, MeasurementMode.POSITION_ONLY),),
+        grid=grid,
         noise_levels=(0.0, 0.2),
     )
     pos = MeasurementMode.POSITION_ONLY
@@ -228,7 +227,8 @@ class TestEmit:
         grid = SweepGrid(t_min=1, t_max=10)
         spec = ExperimentSpec(
             name="c",
-            cases=((3, 1, MeasurementMode.ALL, grid),),
+            cases=((3, 1, MeasurementMode.ALL),),
+            grid=grid,
             noise_levels=(0.0,),
         )
         path = emit(run_rate_curve(spec), fmt="csv", path=tmp_path, timestamp=False)

@@ -66,6 +66,16 @@ def test_gamma_rejects_out_of_range():
             gamma_from_g(bad)
 
 
+def test_a_peak_of_one_has_gamma_plus_zero():
+    # a deterministic walk's peak is 1, lifted by rounding by about 5.8e-17 a step
+    assert math.copysign(1.0, gamma_from_g(1.0)) == 1.0
+    assert gamma_from_g(1 + 1e-12) == 0.0
+    assert math.copysign(1.0, gamma_from_g(1 + 1e-12)) == 1.0
+    for bad in (math.nan, 1 + 1e-6):
+        with pytest.raises(ValueError):
+            gamma_from_g(bad)
+
+
 # -- grid validation -----------------------------------------------------------
 
 def test_grid_rejects_empty_ranges():

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -333,6 +334,35 @@ def test_tiled_hash_agrees_with_exact_paths(monkeypatch, budget, d):
     assert any(split_out and split_in for split_out, split_in, _, _ in seen)
     assert any(ragged_out for _, _, ragged_out, _ in seen)
     assert any(ragged_in for _, _, _, ragged_in in seen)
+
+
+@pytest.mark.parametrize("N, ell, budget, tiles", [
+    (200_000, 300_000, None, (1, 1)),
+    (200_000, 20_000, None, (1, 3)),  # the cheapest split at a short output
+    (60_000, 150_000, 6_000_000, (2, 2)),
+])
+def test_hash_working_set_model_bounds_what_the_hash_allocates(monkeypatch, N, ell, budget, tiles):
+    """_fft_working_set, plus the ell output bits, against the hash's traced peak.
+
+    tracemalloc sees numpy's arrays but not pocketfft's internal scratch,
+    so this checks the arrays the model charges, not the process's RSS.
+    """
+    if budget is not None:
+        monkeypatch.setattr(pipeline, "_FFT_BUDGET", budget)
+    d = 5
+    raw = np.random.default_rng(N + ell).integers(0, d, size=N).astype(np.uint8)
+    L = N * digit_width(d)
+    s = toeplitz_seed_bits(1, ell, L)
+    assert tile_counts(ell, L) == tiles
+    b_o, b_i = pipeline._hash_plan(ell, L)
+    bound = pipeline._fft_working_set(pipeline._smooth_len(b_o + b_i - 1), b_i) + ell
+    tracemalloc.start()
+    try:
+        pipeline._toeplitz_parity(s, raw, d)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert 0.9 * bound <= peak <= bound, (peak, bound)
 
 
 # -- full protocol -------------------------------------------------------------
