@@ -86,10 +86,8 @@ def _finite(text: str) -> float:
     return value
 
 
-def _field_default(cls, name: str):
-    """Built-in default of one dataclass field, so each default has one home."""
-    return next(f.default for f in dataclasses.fields(cls) if f.name == name)
-
+# `key = value  # comment`, where a '#' inside a JSON string value is text
+_CONFIG_LINE = re.compile(r'\s*([^=#]*?)\s*=\s*("(?:[^"\\]|\\.)*"|[^#]*?)\s*(?:#.*)?')
 
 # argparse's required= cannot see values that come from a config file
 _REQUIRED = {
@@ -164,14 +162,13 @@ def _build_parser() -> tuple[_Parser, dict[str, argparse.ArgumentParser]]:
                    help="pre-walk flip; without -T, restricts the sweep instead")
     p.add_argument("-N", dest="N", type=int, help="total signals per run")
     p.add_argument("-m", dest="m", type=int, help="test subset size")
-    p.add_argument("-Q", dest="Q", type=_finite, default=_field_default(SourceModel, "Q"),
+    p.add_argument("-Q", dest="Q", type=_finite, default=SourceModel.Q,
                    help="source depolarization weight")
-    p.add_argument("--eps", type=_finite, default=_field_default(ProtocolParams, "epsilon"),
+    p.add_argument("--eps", type=_finite, default=ProtocolParams.epsilon,
                    help="sampling security parameter")
-    p.add_argument("--eps-pa", dest="eps_pa", type=_finite,
-                   default=_field_default(ProtocolParams, "epsilon_pa"),
+    p.add_argument("--eps-pa", dest="eps_pa", type=_finite, default=ProtocolParams.epsilon_pa,
                    help="hashing security parameter")
-    p.add_argument("--beta", type=_finite, default=_field_default(ProtocolParams, "beta"),
+    p.add_argument("--beta", type=_finite, default=ProtocolParams.beta,
                    help="smoothing exponent")
     p.add_argument("--seed", type=int, help="run seed; omitted means generate and print")
     p.add_argument("-o", "--out", dest="out", default="extract", help="output file stem")
@@ -181,11 +178,11 @@ def _build_parser() -> tuple[_Parser, dict[str, argparse.ArgumentParser]]:
 def _config_flags(path: str, cmd: str, command: argparse.ArgumentParser) -> list[str]:
     """A flat option file as flags of `command`: one `key = value` per line.
 
-    '#' starts a comment, and a key names an option as the logged
-    configuration does (T, kappa, eps_pa), dashes and underscores alike.
-    A JSON string value is unquoted and any other value is passed as
-    written; a switch such as --json takes true or false.  The parser
-    then checks each value as it checks its flag.
+    '#' outside a JSON string starts a comment, and a key names an
+    option as the logged configuration does (T, kappa, eps_pa), dashes
+    and underscores alike.  A JSON string value is unquoted and any
+    other value is passed as written; a switch such as --json takes true
+    or false.  The parser then checks each value as it checks its flag.
     """
     try:
         text = Path(path).read_text(encoding="utf-8")
@@ -196,13 +193,12 @@ def _config_flags(path: str, cmd: str, command: argparse.ArgumentParser) -> list
     flags: list[str] = []
     unknown: set[str] = set()
     for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        if not raw.split("#", 1)[0].strip():
             continue
-        if "=" not in line:
+        line = _CONFIG_LINE.fullmatch(raw)
+        if line is None:
             raise ValueError(f"config line is not `key = value`: {raw.strip()!r}")
-        key, value = (part.strip() for part in line.split("=", 1))
-        key = key.replace("-", "_")
+        key, value = line[1].replace("-", "_"), line[2]
         if key not in actions:
             unknown.add(key)
             continue
@@ -375,8 +371,7 @@ def _cmd_extract(opts: dict) -> int:
     seed = secrets.randbits(63) if generated else opts["seed"]
     # a bad output path fails here, before the sweep and the sampling run
     stem = Path(opts["out"])
-    if stem.parent != Path("."):
-        stem.parent.mkdir(parents=True, exist_ok=True)
+    stem.parent.mkdir(parents=True, exist_ok=True)
     record_path = stem.with_name(stem.name + ".record.txt")
     bits_path = stem.with_name(stem.name + ".bits")
 
@@ -391,7 +386,8 @@ def _cmd_extract(opts: dict) -> int:
     # without -T a sweep picks the walk; with it, one walk runs
     grid = None if opts["T"] is not None else _sweep_grid(opts)
     need = _WALK_BYTES * cfg.dim if grid is None else sweep_bytes(cfg.P, cfg.kappa, grid)
-    _check_memory(need, f"the walk over P = {cfg.P}, kappa = {cfg.kappa}")
+    what = "walk" if grid is None else "sweep"
+    _check_memory(need, f"the {what} over P = {cfg.P}, kappa = {cfg.kappa}")
     d = distribution(initial_state(cfg), mode).probs.shape[0]
     _check_memory(run_bytes(params.N, params.m, d), f"a run of N = {params.N} signals")
     gamma = None

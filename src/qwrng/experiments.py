@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from qwrng.maxprob import MaxProbResult, SweepGrid, g_functions
-from qwrng.rates import ProtocolCase, ProtocolParams, case_for_mode, rate_for_mode
+from qwrng.rates import ProtocolCase, ProtocolParams, rate_for_mode
 from qwrng.walk import MeasurementMode
 
 _ALL = MeasurementMode.ALL
@@ -211,11 +211,7 @@ def run_rate_curve(spec: ExperimentSpec) -> RateCurve:
         for Q in spec.noise_levels:
             for N in default_signal_grid():
                 rr = rate_for_mode(ProtocolParams(N=N, Q=Q), gamma, P, kappa, mode)
-                if rr.rate > gamma + 1e-9:
-                    raise AssertionError("rate exceeded its asymptote; formula misuse")
-                points.append(
-                    CurvePoint(case=case_for_mode(mode), kappa=kappa, P=P, Q=Q, N=N, rate=rr.rate)
-                )
+                points.append(CurvePoint(case=rr.case, kappa=kappa, P=P, Q=Q, N=N, rate=rr.rate))
     return RateCurve(name=spec.name, rows=tuple(points))
 
 

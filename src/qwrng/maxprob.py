@@ -265,11 +265,7 @@ def g_functions(
     P: int,
     kappa: int,
     grid: SweepGrid,
-    modes: tuple[MeasurementMode, ...] = (
-        MeasurementMode.ALL,
-        MeasurementMode.MEMORY_ONLY,
-        MeasurementMode.POSITION_ONLY,
-    ),
+    modes: tuple[MeasurementMode, ...] = tuple(MeasurementMode),
 ) -> dict[MeasurementMode, MaxProbResult]:
     """Minimum over the grid of the peak outcome probability in each of `modes`.
 

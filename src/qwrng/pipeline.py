@@ -132,8 +132,8 @@ def encode_digits(digits: np.ndarray, d: int) -> np.ndarray:
 def run_bytes(N: int, m: int, d: int) -> int:
     """Bytes a run of N signals, m of them tested, over d outcomes holds at most.
 
-    Its O(N) arrays (digits, test bits, the kept-signal mask, the kept
-    digits, ell + L - 1 seed bits and the ell output bits, with
+    Its O(N) arrays (digits, test bits, np.delete's kept-signal mask, the
+    kept digits, ell + L - 1 seed bits and the ell output bits, with
     ell <= L = (N - m) ceil(log2 d)) plus the hash's working set.  Every
     hash plan has b_o <= ell <= L and b_i <= L, so that set is at most
     one untiled tile's, and never more than _FFT_BUDGET.
@@ -400,7 +400,7 @@ class RunRecord:
 
     def output_bytes(self) -> bytes:
         """Output bits packed big-endian, zero-padded to a whole byte."""
-        return np.packbits(self.output).tobytes() if self.output.size else b""
+        return np.packbits(self.output).tobytes()
 
     def summary_items(self) -> list[tuple[str, str]]:
         cfg = self.config
@@ -471,10 +471,8 @@ def run_protocol(
     t_subset = np.sort(_stream(source.rng_seed, _S_SUBSET).choice(N, size=m, replace=False))
     q = test_bits[t_subset]
     w_q = float(q.mean())
-    keep = np.ones(N, dtype=bool)
-    keep[t_subset] = False
-    raw = digits[keep]
-    del digits, test_bits, keep  # only raw and q are read from here on
+    raw = np.delete(digits, t_subset)
+    del digits, test_bits  # only raw and q are read from here on
 
     observed = replace(params, Q=w_q)
     rr: RateResult = rate_for_mode(observed, gamma, cfg.P, cfg.kappa, case)

@@ -271,8 +271,10 @@ class TestMemoryPreflight:
         (("table", "table2", "--tmax", "3"), "the sweep over P = 21, kappa = 3 of table2"),
         (("curve", "fig4", "--tmax", "3"), "the sweep over P = 51, kappa = 4 of fig4"),
         (("extract", "-P", "5", "--mode", "position", "-N", "1000", "--seed", "1"),
+         "the sweep over P = 5, kappa = 1"),
+        (("extract", "-P", "5", "-T", "3", "--mode", "position", "-N", "1000", "--seed", "1"),
          "the walk over P = 5, kappa = 1"),
-    ], ids=["evolve", "maxprob", "table", "curve", "extract"])
+    ], ids=["evolve", "maxprob", "table", "curve", "extract", "extract-T"])
     def test_command_fails_before_it_allocates(self, capsys, tmp_path, monkeypatch,
                                                tiny_machine, argv, what):
         monkeypatch.chdir(tmp_path)  # where table, curve and extract write by default
@@ -677,7 +679,11 @@ class TestConfigFile:
           "-Q", "0.01", "--seed", "3", "-o", "run"),
          "P = 5\nkappa = 2\nT = 8\nmode = position\nN = 10000\nm = 100\nQ = 0.01\n"
          "seed = 3\nout = run\n"),
-    ], ids=["evolve", "maxprob", "table", "extract-T"])
+        (("extract",),
+         ("-P", "5", "-T", "10", "-N", "1000", "--seed", "3", "-o", "run#1"),
+         # '#' starts a comment only outside a JSON string value
+         'P = 5\nT = 10\nN = 1000\nseed = 3  # inline comment\nout = "run#1"  # the stem\n'),
+    ], ids=["evolve", "maxprob", "table", "extract-T", "extract-hash"])
     def test_config_file_runs_as_its_flags(self, capsys, tmp_path, monkeypatch,
                                            head, flags, lines):
         # one parse path: the same options from flags or from a file give

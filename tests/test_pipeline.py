@@ -51,6 +51,8 @@ def test_encoding_rejects_out_of_alphabet_digits():
         encode_digits(np.array([10]), 10)
     with pytest.raises(ValueError):
         encode_digits(np.array([-1]), 10)
+    with pytest.raises(ValueError, match="alphabet size d must be at least 2"):
+        digit_width(1)
 
 
 @given(

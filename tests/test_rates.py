@@ -39,6 +39,8 @@ def test_entropy_domain_errors():
         entropy_d(1.1, 2)
     with pytest.raises(ValueError):
         entropy_d(0.5, 1)
+    with pytest.raises(ValueError, match="alphabet size d must be at least 2"):
+        extended_entropy_d(0.5, 1)
 
 
 def test_extended_entropy_clamps():
@@ -96,6 +98,12 @@ def test_delta_input_validation():
         sampling_delta(100, 0, 1e-7)
     with pytest.raises(ValueError):
         sampling_delta(100, 10, 1.5)
+    # the sampling error checks its m as sampling_delta does, and its delta
+    for m in (0, 100):
+        with pytest.raises(ValueError, match="need 1 <= m < N"):
+            classical_sampling_error(100, m, 0.1)
+    with pytest.raises(ValueError, match="delta must be non-negative"):
+        classical_sampling_error(100, 10, -0.1)
 
 
 # -- classical sampling error ----------------------------------------------------

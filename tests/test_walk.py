@@ -62,6 +62,9 @@ def test_config_rejects_bad_dimensions():
 def test_coin_operator_rejects_unknown_kind():
     with pytest.raises(ValueError):
         CoinOperator("walsh")
+    # a mode given by its value, not as a MeasurementMode, is unknown too
+    with pytest.raises(ValueError, match="unknown measurement mode 'all'"):
+        marginal(np.zeros((3, 1, 2)), "all")
 
 
 # -- initial_state ------------------------------------------------------------
