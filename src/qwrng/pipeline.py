@@ -36,11 +36,14 @@ _SAMPLE_CHUNK = 1 << 16
 
 # bytes the hash's FFT working set may hold (_fft_working_set); the hash
 # picks its tile sizes to fit
-_FFT_BUDGET = 17 << 26  # 1.0625 GiB
+_FFT_BUDGET = 27 << 25  # 864 MiB
 
 # rows the four-step transform twiddles and transforms at a time; a
 # block of 16 rows of a few thousand bins stays in L2
 _ROW_BLOCK = 16
+
+# columns of dst that _copy_transposed copies at a time
+_TILE = 512
 
 # what a transform costs beyond its points (the call, encoding and staging
 # an input block), in points, so that many tiny tiles never look cheapest
@@ -189,13 +192,20 @@ class _RealFFT:
     (k1, k2) of the (M1 // 2 + 1, M2) spectrum is DFT bin k1 + M1 k2, so
     the spectrum holds one bin of every Hermitian pair: a product of two
     spectra is the spectrum of the cyclic convolution of their inputs,
-    and a sum of them is the spectrum of the sum.  `inverse` runs the
-    steps backwards.  Every sub-transform has about sqrt(M) points and
-    stays in cache, where one 1-D transform of length M streams the
-    whole array through every radix pass.  The twiddles, with
-    n2 = a + A b, are the product of two tables, W^(k1 a) and
-    W^(k1 A b), applied in place to _ROW_BLOCK rows at a time, each
-    block then transformed in place.
+    and a sum of them is the spectrum of the sum.  Every sub-transform
+    has about sqrt(M) points and stays in cache, where one 1-D transform
+    of length M streams the whole array through every radix pass.  The
+    twiddles, with n2 = a + A b, are the product of two tables,
+    W^(k1 a) and W^(k1 A b), applied to _ROW_BLOCK rows at a time.
+
+    `forward` runs every transform along contiguous rows.  It copies x
+    transposed, a block of columns at a time, into a small block buffer
+    and rfft-s its rows into the (M2, M1 // 2 + 1) array it owns.  Then
+    it copies each _ROW_BLOCK spectrum rows back out of that array into
+    the block buffer, twiddles and fft-s them there, and stores them in
+    the output or multiplies them into it, so a product of spectra needs
+    no third spectrum.  `inverse` runs the steps backwards in place on
+    the spectrum, with the rfft's inverse down axis 0.
     """
 
     def __init__(self, M: int):
@@ -206,30 +216,65 @@ class _RealFFT:
         w = -2j * np.pi / M
         self._lo = np.exp(w * (k1 * np.arange(A)))[:, None, :]
         self._hi = np.exp(w * (k1 * np.arange(0, self.M2, A)))[:, :, None]
+        self._split = (self.M2 // A, A)  # a row as n2 = a + A b, for the twiddles
+        self._cols = np.empty((self.M2, rows), dtype=np.complex128)
+        self._block = np.empty((min(_ROW_BLOCK, rows), self.M2), dtype=np.complex128)
 
-    def _row_blocks(self, spec: np.ndarray):
-        """Each _ROW_BLOCK rows of spec, that block as (rows, M2 // A, A), and its twiddles."""
+    def forward(
+        self, x: np.ndarray, out: np.ndarray, factor: np.ndarray | None = None, add: bool = False
+    ) -> np.ndarray:
+        """Stream the spectrum X of the M reals x into out, of shape self.shape.
+
+        out becomes X; given a factor of that shape, which may be out
+        itself, it becomes factor * X, or with add set, out + factor * X.
+        """
+        M1, M2 = self.M1, self.M2
+        x = x.reshape(M1, M2)
+        # the column blocks fill the row-block buffer, read as floats
+        real = self._block.reshape(-1).view(np.float64)
+        step = min(M2, real.shape[0] // M1)
+        for c0 in range(0, M2, step):
+            cols = real[: min(step, M2 - c0) * M1].reshape(-1, M1)
+            _copy_transposed(cols, x[:, c0 : c0 + step])
+            np.fft.rfft(cols, axis=1, out=self._cols[c0 : c0 + step])
         for r0 in range(0, self.shape[0], _ROW_BLOCK):
-            rows = spec[r0 : r0 + _ROW_BLOCK]
-            lo, hi = self._lo[r0 : r0 + _ROW_BLOCK], self._hi[r0 : r0 + _ROW_BLOCK]
-            yield rows, rows.reshape(rows.shape[0], hi.shape[1], lo.shape[2]), lo, hi
-
-    def forward(self, x: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """Write the spectrum of the M floats x into out, of shape self.shape."""
-        np.fft.rfft(x.reshape(self.M1, self.M2), axis=0, out=out)
-        for rows, twiddled, lo, hi in self._row_blocks(out):
-            twiddled *= hi
-            twiddled *= lo
-            np.fft.fft(rows, axis=1, out=rows)
+            r1 = min(r0 + _ROW_BLOCK, self.shape[0])
+            block = self._block[: r1 - r0]
+            _copy_transposed(block, self._cols[:, r0:r1])
+            twiddled = block.reshape(r1 - r0, *self._split)
+            twiddled *= self._hi[r0:r1]
+            twiddled *= self._lo[r0:r1]
+            if factor is None:
+                np.fft.fft(block, axis=1, out=out[r0:r1])
+                continue
+            np.fft.fft(block, axis=1, out=block)
+            if add:
+                out[r0:r1] += np.multiply(factor[r0:r1], block, out=block)
+            else:
+                np.multiply(factor[r0:r1], block, out=out[r0:r1])
         return out
 
     def inverse(self, spec: np.ndarray, out: np.ndarray) -> np.ndarray:
         """The M floats whose spectrum is spec, written into out; spec is overwritten."""
-        for rows, twiddled, lo, hi in self._row_blocks(spec):
+        for r0 in range(0, self.shape[0], _ROW_BLOCK):
+            rows = spec[r0 : r0 + _ROW_BLOCK]
+            twiddled = rows.reshape(rows.shape[0], *self._split)
             np.fft.ifft(rows, axis=1, out=rows)
-            twiddled *= lo.conj()
-            twiddled *= hi.conj()
+            twiddled *= self._lo[r0 : r0 + _ROW_BLOCK].conj()
+            twiddled *= self._hi[r0 : r0 + _ROW_BLOCK].conj()
         return np.fft.irfft(spec, self.M1, axis=0, out=out.reshape(self.M1, self.M2)).reshape(-1)
+
+
+def _copy_transposed(dst: np.ndarray, src: np.ndarray) -> None:
+    """dst[...] = src.T, _TILE columns of dst at a time.
+
+    A tile's strided reads touch _TILE rows of src, few enough to stay
+    in cache while every row of dst reads them; an untiled copy of a few
+    thousand rows evicts each line before the next row of dst comes back
+    to it.
+    """
+    for c0 in range(0, dst.shape[1], _TILE):
+        np.copyto(dst[:, c0 : c0 + _TILE], src[c0 : c0 + _TILE].T)
 
 
 def _four_step_split(M: int) -> tuple[int, int, int]:
@@ -241,15 +286,17 @@ def _four_step_split(M: int) -> tuple[int, int, int]:
 def _fft_working_set(M: int, b_i: int) -> int:
     """Bytes one tile pass of the hash holds at its peak.
 
-    Three _RealFFT(M) spectra of (M1 // 2 + 1, M2) complex bins (the
-    running sum, a seed segment's and an input block's), the M-float64
-    staging buffer that feeds each transform and receives the inverse,
-    an input block's bits, charged twice for encode_digits' gather
-    buffers, and the transform's two twiddle tables.
+    Two _RealFFT(M) spectra of (M1 // 2 + 1, M2) complex bins (the
+    running sum and a seed segment's; the inverse writes into the
+    second), the transform's own (M2, M1 // 2 + 1) first-pass array,
+    its _ROW_BLOCK-row block buffer and two twiddle tables, the M-byte
+    stage that feeds each transform, and an input block's bits, charged
+    twice for encode_digits' gather buffers.
     """
     M1, M2, A = _four_step_split(M)
-    bins = (M1 // 2 + 1) * (3 * M2 + A + M2 // A)
-    return 16 * bins + 8 * M + 2 * b_i
+    rows = M1 // 2 + 1
+    bins = rows * (3 * M2 + A + M2 // A) + min(_ROW_BLOCK, rows) * M2
+    return 16 * bins + M + 2 * b_i
 
 
 def _hash_plan(ell: int, L: int) -> tuple[int, int]:
@@ -304,9 +351,9 @@ def _toeplitz_parity(s: np.ndarray, raw: np.ndarray, d: int) -> np.ndarray:
     tile is b_o by b_i and keeps the slice [b_i - 1, b_i - 1 + b_o) of
     a cyclic convolution of length M >= b_o + b_i - 1, which no wrapped
     term reaches.  Every transform is a _RealFFT of length M, fed from
-    one staging buffer.  An output block sums its tiles' spectra and
-    inverts once; its counts, at most L, are rounded back to exact
-    integers.
+    one M-byte stage.  An output block sums its tiles' spectra, each
+    input block's streamed into the sum as it is made, and inverts once;
+    its counts, at most L, are rounded back to exact integers.
     Each input block is encoded from its own digits, so the L-bit string
     never exists.
     """
@@ -316,8 +363,8 @@ def _toeplitz_parity(s: np.ndarray, raw: np.ndarray, d: int) -> np.ndarray:
     b_o, b_i = _hash_plan(ell, L)
     M = _smooth_len(b_o + b_i - 1)
     fft = _RealFFT(M)
-    acc, seg, blk = (np.empty(fft.shape, dtype=np.complex128) for _ in range(3))
-    stage = np.empty(M)
+    acc, seg = (np.empty(fft.shape, dtype=np.complex128) for _ in range(2))
+    stage = np.empty(M, dtype=np.uint8)
     out = np.empty(ell, dtype=np.uint8)
     for i0 in range(0, ell, b_o):
         n = min(b_o, ell - i0)
@@ -325,23 +372,22 @@ def _toeplitz_parity(s: np.ndarray, raw: np.ndarray, d: int) -> np.ndarray:
             lo = L - j0 - b_i + i0
             hi = min(i0 + b_o - j0 + L - 1, s.shape[0])
             # lo < 0 only under a ragged input block: the seed bits before s
-            # meet only its zero padding, but a stale NaN would still spread
+            # meet only its zero padding, and are zeroed so that no stale
+            # byte enters the spectrum
             pad = max(0, -lo)
-            stage[:pad] = 0.0
+            stage[:pad] = 0
             stage[pad : hi - lo] = s[lo + pad : hi]
-            stage[hi - lo :] = 0.0
-            fft.forward(stage, seg)
+            stage[hi - lo :] = 0
+            # the first seed segment's spectrum starts the running sum, and
+            # its block's is multiplied in; later ones add seg times theirs
+            first = j0 == 0
+            fft.forward(stage, acc if first else seg)
             j1 = min(j0 + b_i, L)
             stage[: j1 - j0] = encode_digits(raw[j0 // w : -(-j1 // w)], d)[j0 % w :][: j1 - j0]
-            stage[j1 - j0 :] = 0.0
-            fft.forward(stage, blk)
-            if j0 == 0:
-                np.multiply(seg, blk, out=acc)
-            else:
-                seg *= blk
-                acc += seg
-        counts = fft.inverse(acc, stage)[b_i - 1 : b_i - 1 + n]
-        rounded = np.rint(counts, out=blk.reshape(-1).view(np.float64)[:n])
+            stage[j1 - j0 :] = 0
+            fft.forward(stage, acc, factor=acc if first else seg, add=not first)
+        counts = fft.inverse(acc, seg.reshape(-1).view(np.float64)[:M])[b_i - 1 : b_i - 1 + n]
+        rounded = np.rint(counts, out=acc.reshape(-1).view(np.float64)[:n])
         # entries are exact bit counts; a residual near 0.5 would mean the
         # float path lost them
         residual = np.abs(np.subtract(counts, rounded, out=counts), out=counts)

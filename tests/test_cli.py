@@ -312,7 +312,7 @@ class TestMemoryPreflight:
 
     def test_a_small_run_is_charged_the_hash_it_can_run(self, capsys, tmp_path,
                                                          half_gib_machine):
-        # N = 1e5 needs about 21 MiB; the hash's whole budget alone is 1.06 GiB
+        # N = 1e5 needs about 17 MiB; the hash's whole budget alone is 0.84 GiB
         rc, _, _ = run(capsys, "extract", "-P", "5", "-T", "8", "--mode", "position",
                        "-N", "100000", "-m", "10000", "--seed", "1",
                        "-o", str(tmp_path / "run"))
@@ -330,7 +330,7 @@ class TestMemoryPreflight:
         assert rc == 2
         assert out == ""
         errors = [json.loads(line) for line in err.splitlines() if '"error"' in line]
-        assert errors == [{"error": "a run of N = 10000000 signals needs about 1.2 GiB of "
+        assert errors == [{"error": "a run of N = 10000000 signals needs about 1.0 GiB of "
                                     "memory, more than the 0.5 GiB this machine has"}]
 
     def test_evolve_is_charged_its_whole_run_once(self, capsys, monkeypatch, half_gib_machine):
