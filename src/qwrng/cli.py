@@ -354,6 +354,7 @@ def _cmd_preset(opts: dict, run) -> int:
     spec = preset(opts["preset"], R=opts["R"], t_max=opts["tmax"])
     need, P, kappa = max((sweep_bytes(P, k, spec.grid), P, k) for P, k, _ in spec.cases)
     _check_memory(need, f"the sweep over P = {P}, kappa = {kappa} of {spec.name}")
+    Path(opts["out"]).mkdir(parents=True, exist_ok=True)  # a bad -o fails before the sweep
     result = run(spec)
     path = emit(result, fmt=opts["format"], path=opts["out"],
                 timestamp=not opts["no_timestamp"])
@@ -371,6 +372,8 @@ def _cmd_extract(opts: dict) -> int:
     seed = secrets.randbits(63) if generated else opts["seed"]
     # a bad output path fails here, before the sweep and the sampling run
     stem = Path(opts["out"])
+    if not stem.name:
+        raise ValueError(f"-o/--out needs a file stem, such as runs/r1, not {opts['out']!r}")
     stem.parent.mkdir(parents=True, exist_ok=True)
     record_path = stem.with_name(stem.name + ".record.txt")
     bits_path = stem.with_name(stem.name + ".bits")

@@ -117,16 +117,9 @@ class ResultTable:
 
     def cells(self) -> list[tuple[str, ...]]:
         return [
-            (
-                str(r.kappa),
-                str(r.P),
-                r.mode.value,
-                repr(r.value),
-                str(r.at_t),
-                "" if r.at_theta is None else repr(r.at_theta),
-                "" if r.at_phi is None else repr(r.at_phi),
-                r.at_flip.name,
-            )
+            (str(r.kappa), str(r.P), r.mode.value, repr(r.value), str(r.at_t),
+             "" if r.at_theta is None else repr(r.at_theta),
+             "" if r.at_phi is None else repr(r.at_phi), r.at_flip.name)
             for r in self.rows
         ]
 

@@ -6,9 +6,9 @@ outcome probability in each measurement mode.  Sweeping the step count
 and taking the minimum gives the guessing probability charged to the
 source; gamma = -log2 of it is the certified min-entropy per signal.
 
-The sweep evolves states incrementally, one walk step per candidate t,
-and batches all angle pairs of a flip into a single array, so a full
-grid costs O(t_max) batched steps instead of O(sum of t).
+The sweep steps every angle pair of a flip together as one
+`walk.BatchWalk`, one step per candidate t, so a full grid costs
+O(t_max) batched steps instead of O(sum of t).
 """
 
 from __future__ import annotations
@@ -18,25 +18,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from qwrng.rates import gamma_from_g
 from qwrng.walk import (
+    BatchWalk,
     CoinOperator,
     FlipOperator,
     MeasurementMode,
     WalkConfig,
     generalized_coin_matrix,
-    initial_state,
     marginal,
-    step_source,
 )
 
 # default sweep windows and angle resolution, applied only by SweepGrid.for_coin
 _T_MAX_HADAMARD = 2000
 _T_MAX_GENERAL = 1000
 _R_GENERAL = 16
-
-# how far rounding may lift a walk's peak of 1 above 1: it drifts by
-# about 5.8e-17 per step, so this covers some 1.7e7 steps
-_G_ROUNDING = 1e-9
 
 
 @dataclass(frozen=True)
@@ -125,13 +121,6 @@ class MaxProbResult:
         return WalkConfig(P=self.P, kappa=self.kappa, T=self.at_t, coin=coin, flip=self.at_flip)
 
 
-def gamma_from_g(g: float) -> float:
-    """Min-entropy rate -log2(g) of a guessing probability; +0.0 from g = 1 to 1 + _G_ROUNDING."""
-    if not 0.0 < g <= 1.0 + _G_ROUNDING:
-        raise ValueError(f"guessing probability must lie in (0, 1], got {g}")
-    return -math.log2(g) if g < 1.0 else 0.0
-
-
 def _coin_batch(grid: SweepGrid) -> np.ndarray:
     """Coin matrices for every angle pair, theta-major; Hadamard is a batch of one."""
     angles = grid.angles()
@@ -139,78 +128,6 @@ def _coin_batch(grid: SweepGrid) -> np.ndarray:
         return CoinOperator.hadamard().matrix()[None, :, :]
     n = len(angles)
     return generalized_coin_matrix(np.repeat(angles, n), np.tile(angles, n))
-
-
-class _BatchWalk:
-    """A batch of walks on one (P, kappa), coin b driving walk b, stepped in place.
-
-    The state is float64 of shape (re/im, row, B): planar and batch-minor.
-    Amplitude 2p + c (amplitude pair p, active coin c) sits at row
-    c*(n/2) + p, so the real and imaginary parts of each active-coin half
-    are contiguous (n/2, B) blocks, and every coin product and sum is one
-    flat ufunc call over a block, written with `out=` into buffers that
-    live as long as the walk.  Each coin entry is tiled once to (n/2, B).
-    Output coin value a is (Re/Im of c=0 products) + (Re/Im of c=1
-    products): the roundings, in the order, of a complex einsum over c,
-    so the step is bit-identical to it; a batched matmul or complex
-    multiply differs in the last ulp.  The shift and memory rotation are
-    `walk.step_source` carried over to rows, applied as one take.
-    """
-
-    def __init__(self, P: int, kappa: int, coins: np.ndarray) -> None:
-        n, B = P << kappa, coins.shape[0]
-        h = n // 2
-        # rows[r] is the amplitude at row r; its inverse is the row of each amplitude
-        self.rows = np.arange(n).reshape(h, 2).T.reshape(-1)
-        self.source = np.argsort(self.rows)[step_source(P, kappa)[self.rows]]
-        self.state = np.empty((2, n, B))
-        self.coined = np.empty((2, n, B))
-        # two (n/2, B) blocks of step scratch, which the readout reuses as (n, B)
-        scratch = np.empty((2, h, B))
-        # cr[a, c] and ci[a, c]: real and imaginary part of coin entry (a, c), tiled
-        entries = np.stack([coins.real, coins.imag]).transpose(0, 2, 3, 1)
-        cr, ci = np.ascontiguousarray(np.broadcast_to(entries[..., None, :], (2, 2, 2, h, B)))
-        re, im = self.state.reshape(2, 2, h, B)
-        out_re, out_im = self.coined.reshape(2, 2, h, B)
-        t, u = scratch
-        # output a, Re: sum over c of re*cr - im*ci; Im: sum over c of re*ci + im*cr
-        self.ops = []
-        for a in (0, 1):
-            for out, x, y, combine in ((out_re[a], cr, ci, np.subtract),
-                                       (out_im[a], ci, cr, np.add)):
-                for c, dst in ((0, out), (1, t)):
-                    self.ops += [(np.multiply, re[c], x[a, c], dst),
-                                 (np.multiply, im[c], y[a, c], u),
-                                 (combine, dst, u, dst)]
-                self.ops.append((np.add, out, t, out))
-        # the readout's complex buffer shares memory with the coin output
-        self.interleaved = self.coined.reshape(-1).view(np.complex128).reshape(n, B)
-        self.abs2 = scratch.reshape(n, B)
-        self.readout = np.moveaxis(self.abs2.reshape(2, P, -1, B), 0, 2)
-
-    def start(self, amplitudes: np.ndarray) -> None:
-        """Set every walk of the batch to the same amplitude vector."""
-        self.state[0] = amplitudes.real[self.rows, None]
-        self.state[1] = amplitudes.imag[self.rows, None]
-
-    def step(self) -> None:
-        """One coin toss, shift and memory rotation of every walk."""
-        for ufunc, x, y, out in self.ops:
-            ufunc(x, y, out)
-        # mode="raise" would buffer `out`; the source rows are all in range
-        np.take(self.coined, self.source, axis=1, out=self.state, mode="clip")
-
-    def weights(self) -> np.ndarray:
-        """|amplitude|^2 of every walk, as marginal's (P, 2**(kappa-1), 2, B) view.
-
-        The planes go through a complex buffer, for the same complex `np.abs`
-        that `walk.distribution` takes.
-        """
-        np.copyto(self.interleaved.real, self.state[0])
-        np.copyto(self.interleaved.imag, self.state[1])
-        np.abs(self.interleaved, out=self.abs2)
-        np.square(self.abs2, out=self.abs2)
-        return self.readout
 
 
 def _peaks(weights: np.ndarray, mode: MeasurementMode) -> np.ndarray:
@@ -222,8 +139,8 @@ def _peaks(weights: np.ndarray, mode: MeasurementMode) -> np.ndarray:
 def sweep_bytes(P: int, kappa: int, grid: SweepGrid) -> int:
     """Bytes a sweep over (P, kappa) and `grid` holds, whatever its window.
 
-    `_BatchWalk` keeps 72 per amplitude of each walk: state and coin output
-    16 each, step scratch 8, and the tiled coin entries 32.
+    `walk.BatchWalk` keeps 72 per amplitude of each walk: state and coin
+    output 16 each, step scratch 8, and the tiled coin entries 32.
     """
     B = 1 if grid.R is None else (grid.R + 1) ** 2
     return 72 * B * WalkConfig(P=P, kappa=kappa, T=0).dim
@@ -244,11 +161,10 @@ def _sweep(
     to the smallest t, then the first flip.  Returns (value, t, flip, coin
     index) per mode.
     """
-    WalkConfig(P=P, kappa=kappa, T=0)  # validates dimensions
-    walk = _BatchWalk(P, kappa, coins)
+    walk = BatchWalk(P, kappa, coins)
     best = {mode: (math.inf,) for mode in modes}
     for j, flip in enumerate(grid.flips):
-        walk.start(initial_state(WalkConfig(P, kappa, 0, flip=flip)).amplitudes)
+        walk.start(flip)
         for t in range(1, grid.t_max + 1):
             walk.step()
             if t < grid.t_min:

@@ -20,8 +20,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from qwrng.maxprob import gamma_from_g
-from qwrng.rates import ProtocolCase, ProtocolParams, RateResult, pa_margin, rate_for_mode
+from qwrng.rates import ProtocolCase, ProtocolParams, gamma_from_g, pa_margin, rate_for_mode
 from qwrng.walk import MeasurementMode, WalkConfig, distribution, evolve
 
 # stream numbers: depolarization mask, test outcomes, honest extraction
@@ -139,11 +138,12 @@ def run_bytes(N: int, m: int, d: int) -> int:
     kept digits, ell + L - 1 seed bits and the ell output bits, with
     ell <= L = (N - m) ceil(log2 d)) plus the hash's working set.  Every
     hash plan has b_o <= ell <= L and b_i <= L, so that set is at most
-    one untiled tile's, and never more than _FFT_BUDGET.
+    _FFT_BUDGET and one untiled tile's, which holds that tile's M bytes.
     """
     digit = np.min_scalar_type(d - 1).itemsize
     L = (N - m) * digit_width(d)
-    fft = min(_FFT_BUDGET, _fft_working_set(_smooth_len(2 * L - 1), L))
+    M = _smooth_len(2 * L - 1)
+    fft = _FFT_BUDGET if M >= _FFT_BUDGET else min(_FFT_BUDGET, _fft_working_set(M, L))
     return N * digit + 2 * N + (N - m) * digit + 3 * L + fft
 
 
@@ -521,7 +521,7 @@ def run_protocol(
     del digits, test_bits  # only raw and q are read from here on
 
     observed = replace(params, Q=w_q)
-    rr: RateResult = rate_for_mode(observed, gamma, cfg.P, cfg.kappa, case)
+    rr = rate_for_mode(observed, gamma, cfg.P, cfg.kappa, case)
     aborted = rr.ell <= 0.0
     ell_bits = 0 if aborted else math.floor(rr.ell)
     seed_matrix_id = int(_stream(source.rng_seed, _S_HASH).integers(0, 2**63, dtype=np.int64))

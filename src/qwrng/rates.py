@@ -1,12 +1,13 @@
 """Closed-form security arithmetic for the sampled extraction protocol.
 
-Everything here is pure scalar math: the d-ary entropy and its clamped
-extension, the sampling confidence radius delta, and the two secure
-output lengths.  The full-readout route keeps every register in the raw
-string and pays a privacy-amplification term in epsilon_pa; the
-coin-discarding routes (memory kept, or position only) instead scale the
-entropy credit by the fraction of signals certified close to honest.
-Both penalty logarithms are taken base 2 since lengths are in bits.
+Everything here is pure scalar math: the min-entropy rate gamma of a
+guessing probability, the d-ary entropy and its clamped extension, the
+sampling confidence radius delta, and the two secure output lengths.
+The full-readout route keeps every register in the raw string and pays
+a privacy-amplification term in epsilon_pa; the coin-discarding routes
+(memory kept, or position only) instead scale the entropy credit by the
+fraction of signals certified close to honest.  Both penalty logarithms
+are taken base 2 since lengths are in bits.
 """
 
 from __future__ import annotations
@@ -16,6 +17,10 @@ import math
 from dataclasses import dataclass
 
 from qwrng.walk import MeasurementMode
+
+# how far rounding may lift a walk's peak of 1 above 1: it drifts by
+# about 5.8e-17 per step, so this covers some 1.7e7 steps
+_G_ROUNDING = 1e-9
 
 
 class ProtocolCase(enum.Enum):
@@ -90,6 +95,13 @@ class RateResult:
     rate: float
     failure_prob: float
     closeness: float
+
+
+def gamma_from_g(g: float) -> float:
+    """Min-entropy rate -log2(g) of a guessing probability; +0.0 from g = 1 to 1 + _G_ROUNDING."""
+    if not 0.0 < g <= 1.0 + _G_ROUNDING:
+        raise ValueError(f"guessing probability must lie in (0, 1], got {g}")
+    return -math.log2(g) if g < 1.0 else 0.0
 
 
 def _xlogy(x: float, y: float) -> float:

@@ -14,15 +14,15 @@ big-endian bit string: (x, c_0, ..., c_{kappa-1}) sits at index
 x * 2**kappa + sum(c_j << (kappa - 1 - j)), the active coin c_{kappa-1}
 being the least significant bit, and the all-zeros point at index 0.
 Amplitudes are complex128.  The shift and the memory rotation together
-are one gather, :func:`step_source`, which the sweep in `qwrng.maxprob`
-steps through as well; every function here returns a new state.
+are one gather, :func:`_step_source`.  The functions here return new
+states; :class:`BatchWalk`, the sweep's kernel, steps walks in place.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -165,7 +165,7 @@ def initial_state(config: WalkConfig) -> WalkState:
     return WalkState(amps, config)
 
 
-def memory_rotation_gather(kappa: int) -> np.ndarray:
+def _memory_rotation_gather(kappa: int) -> np.ndarray:
     """Source indices realizing the right rotation of the coin register.
 
     new[j] = old[gather[j]] rotates (c_0, ..., c_{kappa-1}) to
@@ -176,14 +176,14 @@ def memory_rotation_gather(kappa: int) -> np.ndarray:
     return ((codes << 1) | (codes >> (kappa - 1))) & (nc - 1)
 
 
-def step_source(P: int, kappa: int) -> np.ndarray:
+def _step_source(P: int, kappa: int) -> np.ndarray:
     """Flat source index of one shift plus memory rotation: new[j] = old[src[j]].
 
     Slot k at position x takes coin code g = rotation[k], which the shift
     brought from x - 1 when g's active bit is 0 and from x + 1 when it is 1.
     """
     nc = 1 << kappa
-    codes = memory_rotation_gather(kappa)  # the identity for kappa = 1
+    codes = _memory_rotation_gather(kappa)  # the identity for kappa = 1
     origin = (np.arange(P)[:, None] - 1 + 2 * (codes & 1)) % P
     return (origin * nc + codes).reshape(-1)
 
@@ -192,10 +192,85 @@ def evolve(config: WalkConfig) -> WalkState:
     """Run the walk: T repetitions of coin toss, shift, memory rotation."""
     amps = initial_state(config).amplitudes
     u = config.coin.matrix()
-    source = step_source(config.P, config.kappa)
+    source = _step_source(config.P, config.kappa)
     for _ in range(config.T):
+        # a matmul coin, not BatchWalk's: the seed-7 digests perfbench pins are its bits
         amps = np.take((amps.reshape(-1, 2) @ u.T).reshape(-1), source)
     return WalkState(amps, config)
+
+
+class BatchWalk:
+    """A batch of walks on one (P, kappa), coin b driving walk b, stepped in place.
+
+    The state is float64 of shape (re/im, row, B): planar and batch-minor.
+    Amplitude 2p + c (amplitude pair p, active coin c) sits at row
+    c*(n/2) + p, so the real and imaginary parts of each active-coin half
+    are contiguous (n/2, B) blocks, and every coin product and sum is one
+    flat ufunc call over a block, written with `out=` into buffers that
+    live as long as the walk.  Each coin entry is tiled once to (n/2, B).
+    Output coin value a is (Re/Im of c=0 products) + (Re/Im of c=1
+    products): the roundings, in the order, of a complex einsum over c,
+    so the step is bit-identical to it; a batched matmul or complex
+    multiply differs in the last ulp.  The shift and memory rotation are
+    :func:`_step_source` carried over to rows, applied as one take.
+    """
+
+    def __init__(self, P: int, kappa: int, coins: np.ndarray) -> None:
+        self.config = WalkConfig(P=P, kappa=kappa, T=0)  # validates dimensions
+        n, B = self.config.dim, coins.shape[0]
+        h = n // 2
+        # rows[r] is the amplitude at row r; its inverse is the row of each amplitude
+        self.rows = np.arange(n).reshape(h, 2).T.reshape(-1)
+        self.source = np.argsort(self.rows)[_step_source(P, kappa)[self.rows]]
+        self.state = np.empty((2, n, B))
+        self.coined = np.empty((2, n, B))
+        # two (n/2, B) blocks of step scratch, which the readout reuses as (n, B)
+        scratch = np.empty((2, h, B))
+        # cr[a, c] and ci[a, c]: real and imaginary part of coin entry (a, c), tiled
+        entries = np.stack([coins.real, coins.imag]).transpose(0, 2, 3, 1)
+        cr, ci = np.ascontiguousarray(np.broadcast_to(entries[..., None, :], (2, 2, 2, h, B)))
+        re, im = self.state.reshape(2, 2, h, B)
+        out_re, out_im = self.coined.reshape(2, 2, h, B)
+        t, u = scratch
+        # output a, Re: sum over c of re*cr - im*ci; Im: sum over c of re*ci + im*cr
+        self.ops = []
+        for a in (0, 1):
+            for out, x, y, combine in ((out_re[a], cr, ci, np.subtract),
+                                       (out_im[a], ci, cr, np.add)):
+                for c, dst in ((0, out), (1, t)):
+                    self.ops += [(np.multiply, re[c], x[a, c], dst),
+                                 (np.multiply, im[c], y[a, c], u),
+                                 (combine, dst, u, dst)]
+                self.ops.append((np.add, out, t, out))
+        # the readout's complex buffer shares memory with the coin output
+        self.interleaved = self.coined.reshape(-1).view(np.complex128).reshape(n, B)
+        self.abs2 = scratch.reshape(n, B)
+        self.readout = np.moveaxis(self.abs2.reshape(2, P, -1, B), 0, 2)
+
+    def start(self, flip: FlipOperator) -> None:
+        """Set every walk of the batch to :func:`initial_state` under `flip`."""
+        amplitudes = initial_state(replace(self.config, flip=flip)).amplitudes
+        self.state[0] = amplitudes.real[self.rows, None]
+        self.state[1] = amplitudes.imag[self.rows, None]
+
+    def step(self) -> None:
+        """One coin toss, shift and memory rotation of every walk."""
+        for ufunc, x, y, out in self.ops:
+            ufunc(x, y, out)
+        # mode="raise" would buffer `out`; the source rows are all in range
+        np.take(self.coined, self.source, axis=1, out=self.state, mode="clip")
+
+    def weights(self) -> np.ndarray:
+        """|amplitude|^2 of every walk, as marginal's (P, 2**(kappa-1), 2, B) view.
+
+        The planes go through a complex buffer, for the same complex `np.abs`
+        that :func:`distribution` takes.
+        """
+        np.copyto(self.interleaved.real, self.state[0])
+        np.copyto(self.interleaved.imag, self.state[1])
+        np.abs(self.interleaved, out=self.abs2)
+        np.square(self.abs2, out=self.abs2)
+        return self.readout
 
 
 def marginal(weights: np.ndarray, mode: MeasurementMode) -> np.ndarray:

@@ -30,6 +30,13 @@ def last_error(err):
     return doc
 
 
+def src_env():
+    """The environment, with this checkout's src first on PYTHONPATH, for a fresh interpreter."""
+    src = str(Path(pipeline.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+
 def summary_dict(out):
     pairs = {}
     for line in out.splitlines():
@@ -183,6 +190,19 @@ class TestTable:
         errors = [json.loads(line) for line in err.splitlines() if '"error"' in line]
         assert len(errors) == 1 and "empty time range" in errors[0]["error"]
         assert not list(tmp_path.iterdir())
+
+    def test_file_as_output_parent_fails_before_any_sweep(self, capsys, tmp_path, monkeypatch):
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("sweep ran")
+
+        monkeypatch.setattr(experiments, "g_functions", no_sweep)
+        blocker = tmp_path / "afile"
+        blocker.write_text("")
+        rc, out, err = run(capsys, "table", "table2", "-o", str(blocker / "x"))
+        assert rc == 2
+        assert out == ""
+        errors = [json.loads(line) for line in err.splitlines() if '"error"' in line]
+        assert len(errors) == 1 and str(blocker) in errors[0]["error"]
 
     def test_thread_option_is_gone(self, capsys, tmp_path):
         rc, _, err = run(capsys, "table", "table2", "--tmax", "1", "-o", str(tmp_path),
@@ -346,6 +366,20 @@ class TestMemoryPreflight:
         assert errors == [{"error": "a walk over P = 4000000, kappa = 2 needs about 1.1 GiB of "
                                     "memory, more than the 0.5 GiB this machine has"}]
 
+    def test_a_huge_run_fails_in_the_preflight(self, tmp_path):
+        # the charge must not factor the hash length: trial division from its
+        # square root, about 1e15 here, would not end
+        N = str(10**30)
+        argv = ["extract", "-P", "5", "-k", "2", "-T", "5", "-N", N, "--seed", "1",
+                "-o", str(tmp_path / "run")]
+        done = subprocess.run([sys.executable, "-m", "qwrng.cli", *argv], env=src_env(),
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 2
+        assert done.stdout == ""
+        errors = [json.loads(line) for line in done.stderr.splitlines() if '"error"' in line]
+        assert len(errors) == 1
+        assert errors[0]["error"].startswith(f"a run of N = {N} signals needs about ")
+
     @pytest.mark.parametrize("argv", [
         ("maxprob", "-P", "3", "--tmax", "100000000"),
         ("table", "kappa1", "--tmax", "100000000"),
@@ -443,6 +477,18 @@ class TestExtract:
                          "-m", "40", "--seed", "1", "-o", str(blocker / "run"))
         assert rc == 2
         assert str(blocker) in last_error(err)["error"]
+
+    @pytest.mark.parametrize("stem", [".", ""])
+    def test_output_without_a_file_stem_is_a_json_error(self, capsys, tmp_path, monkeypatch,
+                                                        stem):
+        monkeypatch.chdir(tmp_path)
+        rc, out, err = run(capsys, "extract", "-P", "5", "-T", "8", "-N", "400",
+                           "-m", "40", "--seed", "1", "-o", stem)
+        assert rc == 2
+        assert out == ""
+        assert last_error(err)["error"] == (
+            f"-o/--out needs a file stem, such as runs/r1, not {stem!r}")
+        assert not list(tmp_path.iterdir())
 
     def test_bad_output_parent_fails_before_the_run(self, capsys, tmp_path, monkeypatch):
         def must_not_run(*args, **kwargs):
@@ -823,11 +869,15 @@ class TestParserBasics:
 
     def test_import_pulls_in_no_scipy(self):
         # scipy's import costs more than the rest of the CLI's start-up
-        src = str(Path(pipeline.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            p for p in (src, os.environ.get("PYTHONPATH")) if p))
         code = ("import sys, qwrng.cli; "
                 "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
-        done = subprocess.run([sys.executable, "-c", code], env=env,
+        done = subprocess.run([sys.executable, "-c", code], env=src_env(),
                               capture_output=True, text=True, timeout=60, check=True)
         assert done.stdout.strip() == "[]"
+
+    def test_pipeline_import_pulls_in_no_maxprob(self):
+        # walk steps the walk and rates turns a peak into gamma: a run needs no sweep
+        code = "import sys, qwrng.pipeline; print('qwrng.maxprob' in sys.modules)"
+        done = subprocess.run([sys.executable, "-c", code], env=src_env(),
+                              capture_output=True, text=True, timeout=60, check=True)
+        assert done.stdout.strip() == "False"

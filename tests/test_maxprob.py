@@ -8,22 +8,22 @@ import pytest
 from qwrng import maxprob
 from qwrng.maxprob import (
     MaxProbResult,
-    _BatchWalk,
     _coin_batch,
     _peaks,
     SweepGrid,
     g_functions,
-    gamma_from_g,
     min_over_time,
 )
+from qwrng.rates import gamma_from_g
 from qwrng.walk import (
+    BatchWalk,
     CoinOperator,
     FlipOperator,
     MeasurementMode,
     WalkConfig,
+    _memory_rotation_gather as memory_rotation_gather,
     distribution,
     evolve,
-    memory_rotation_gather,
 )
 
 ALL = MeasurementMode.ALL
@@ -338,12 +338,12 @@ def test_step_kernel_is_bit_identical_to_einsum(P, kappa):
     for grid in (SweepGrid(1, 60, R=4), SweepGrid(1, 60)):
         coins = _coin_batch(grid)
         B = coins.shape[0]
-        walk = _BatchWalk(P, kappa, coins)  # one walk for every flip: start resets it
+        walk = BatchWalk(P, kappa, coins)  # one walk for every flip: start resets it
         for flip in FlipOperator:
             start = np.zeros((B, P * nc // 2, 2), dtype=np.complex128)
             start[:, 0, 0] = 1.0
             ref = (start @ flip.matrix().T).reshape(B, P, nc)
-            walk.start(ref[0].reshape(-1))
+            walk.start(flip)
             for t in range(1, 61):
                 ref = _einsum_step(ref, coins, kappa)
                 walk.step()

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qwrng import pipeline
-from qwrng.maxprob import gamma_from_g, g_functions, SweepGrid
+from qwrng.maxprob import g_functions, SweepGrid
 from qwrng.pipeline import (
     RunRecord,
     SourceModel,
@@ -20,7 +20,7 @@ from qwrng.pipeline import (
     sample_outcomes,
     toeplitz_seed_bits,
 )
-from qwrng.rates import ProtocolCase, ProtocolParams, ell_memory_case
+from qwrng.rates import ProtocolCase, ProtocolParams, ell_memory_case, gamma_from_g
 from qwrng.walk import MeasurementMode, WalkConfig, distribution, evolve
 
 ALL = MeasurementMode.ALL
@@ -292,6 +292,17 @@ def test_hash_plan_fits_the_budget_at_1e8_signals():
     assert tile_counts(ell, L) == (7, 19)
     M = pipeline._smooth_len(b_o + b_i - 1)
     assert pipeline._fft_working_set(M, b_i) <= pipeline._FFT_BUDGET
+
+
+@pytest.mark.parametrize("N", [100, 10**5, 10**7, 10**9, 10**12])
+def test_run_charge_past_the_budget_is_the_factored_one(N):
+    # an untiled set holds its M-byte stage, so skipping the factoring of
+    # an M past the budget leaves the charge as it was
+    m, d = math.isqrt(N), 20
+    L = (N - m) * pipeline.digit_width(d)
+    factored = pipeline._fft_working_set(pipeline._smooth_len(2 * L - 1), L)
+    rest = pipeline.run_bytes(N, m, d) - min(pipeline._FFT_BUDGET, factored)
+    assert rest == N + 2 * N + (N - m) + 3 * L
 
 
 @pytest.mark.parametrize("ell", [1, 2, 100])

@@ -11,13 +11,13 @@ from qwrng.walk import (
     MeasurementMode,
     WalkConfig,
     WalkState,
+    _memory_rotation_gather as memory_rotation_gather,
+    _step_source as step_source,
     distribution,
     evolve,
     generalized_coin_matrix,
     initial_state,
     marginal,
-    memory_rotation_gather,
-    step_source,
 )
 
 SQ2 = 1.0 / math.sqrt(2.0)
