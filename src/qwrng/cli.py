@@ -282,6 +282,13 @@ def _check_memory(need: int, what: str) -> None:
                           f"more than the {have / 2**30:.1f} GiB this machine has")
 
 
+def _check_out_dir(path: Path) -> None:
+    """Fail, creating nothing, unless path is a directory or can become one."""
+    existing = next((p for p in (path, *path.parents) if p.exists()), path)
+    if not existing.is_dir():
+        raise NotADirectoryError(f"-o/--out: {existing} is not a directory")
+
+
 def _outcome_labels(kappa: int, mode: MeasurementMode, lo: int, hi: int) -> list[str]:
     """Labels of outcomes lo..hi-1 under `mode`."""
     if mode is MeasurementMode.ALL:
@@ -354,7 +361,7 @@ def _cmd_preset(opts: dict, run) -> int:
     spec = preset(opts["preset"], R=opts["R"], t_max=opts["tmax"])
     need, P, kappa = max((sweep_bytes(P, k, spec.grid), P, k) for P, k, _ in spec.cases)
     _check_memory(need, f"the sweep over P = {P}, kappa = {kappa} of {spec.name}")
-    Path(opts["out"]).mkdir(parents=True, exist_ok=True)  # a bad -o fails before the sweep
+    _check_out_dir(Path(opts["out"]))
     result = run(spec)
     path = emit(result, fmt=opts["format"], path=opts["out"],
                 timestamp=not opts["no_timestamp"])
@@ -372,9 +379,9 @@ def _cmd_extract(opts: dict) -> int:
     seed = secrets.randbits(63) if generated else opts["seed"]
     # a bad output path fails here, before the sweep and the sampling run
     stem = Path(opts["out"])
-    if not stem.name:
+    if stem.name in ("", ".."):
         raise ValueError(f"-o/--out needs a file stem, such as runs/r1, not {opts['out']!r}")
-    stem.parent.mkdir(parents=True, exist_ok=True)
+    _check_out_dir(stem.parent)
     record_path = stem.with_name(stem.name + ".record.txt")
     bits_path = stem.with_name(stem.name + ".bits")
 
@@ -400,6 +407,7 @@ def _cmd_extract(opts: dict) -> int:
         source, gamma = dataclasses.replace(source, config=res.walk_config()), res.gamma
     record = run_protocol(source, params, mode, gamma=gamma)
 
+    stem.parent.mkdir(parents=True, exist_ok=True)
     record_path.write_text(record.to_text(), encoding="ascii")
     bits_path.write_bytes(record.output_bytes())
 

@@ -202,10 +202,10 @@ class _RealFFT:
     transposed, a block of columns at a time, into a small block buffer
     and rfft-s its rows into the (M2, M1 // 2 + 1) array it owns.  Then
     it copies each _ROW_BLOCK spectrum rows back out of that array into
-    the block buffer, twiddles and fft-s them there, and stores them in
-    the output or multiplies them into it, so a product of spectra needs
-    no third spectrum.  `inverse` runs the steps backwards in place on
-    the spectrum, with the rfft's inverse down axis 0.
+    the block buffer, twiddles and fft-s them there, and stores them, or
+    adds their product with a factor, so a sum of products of spectra
+    needs no third spectrum.  `inverse` runs the steps backwards in
+    place on the spectrum, with the rfft's inverse down axis 0.
     """
 
     def __init__(self, M: int):
@@ -220,14 +220,8 @@ class _RealFFT:
         self._cols = np.empty((self.M2, rows), dtype=np.complex128)
         self._block = np.empty((min(_ROW_BLOCK, rows), self.M2), dtype=np.complex128)
 
-    def forward(
-        self, x: np.ndarray, out: np.ndarray, factor: np.ndarray | None = None, add: bool = False
-    ) -> np.ndarray:
-        """Stream the spectrum X of the M reals x into out, of shape self.shape.
-
-        out becomes X; given a factor of that shape, which may be out
-        itself, it becomes factor * X, or with add set, out + factor * X.
-        """
+    def forward(self, x: np.ndarray, out: np.ndarray, factor: np.ndarray | None = None) -> np.ndarray:
+        """Stream the spectrum X of the M reals x: out = X, or given a factor, out += factor * X."""
         M1, M2 = self.M1, self.M2
         x = x.reshape(M1, M2)
         # the column blocks fill the row-block buffer, read as floats
@@ -246,12 +240,9 @@ class _RealFFT:
             twiddled *= self._lo[r0:r1]
             if factor is None:
                 np.fft.fft(block, axis=1, out=out[r0:r1])
-                continue
-            np.fft.fft(block, axis=1, out=block)
-            if add:
-                out[r0:r1] += np.multiply(factor[r0:r1], block, out=block)
             else:
-                np.multiply(factor[r0:r1], block, out=out[r0:r1])
+                spectrum = np.fft.fft(block, axis=1, out=block)
+                out[r0:r1] += np.multiply(factor[r0:r1], spectrum, out=block)
         return out
 
     def inverse(self, spec: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -351,9 +342,10 @@ def _toeplitz_parity(s: np.ndarray, raw: np.ndarray, d: int) -> np.ndarray:
     tile is b_o by b_i and keeps the slice [b_i - 1, b_i - 1 + b_o) of
     a cyclic convolution of length M >= b_o + b_i - 1, which no wrapped
     term reaches.  Every transform is a _RealFFT of length M, fed from
-    one M-byte stage.  An output block sums its tiles' spectra, each
-    input block's streamed into the sum as it is made, and inverts once;
-    its counts, at most L, are rounded back to exact integers.
+    one M-byte stage.  An output block sums its tiles' spectra from
+    zero, each input block's product with its seed segment's streamed
+    into the sum as it is made, and inverts once; its counts, at most
+    L, are rounded back to exact integers.
     Each input block is encoded from its own digits, so the L-bit string
     never exists.
     """
@@ -368,6 +360,7 @@ def _toeplitz_parity(s: np.ndarray, raw: np.ndarray, d: int) -> np.ndarray:
     out = np.empty(ell, dtype=np.uint8)
     for i0 in range(0, ell, b_o):
         n = min(b_o, ell - i0)
+        acc[...] = 0
         for j0 in range(0, L, b_i):
             lo = L - j0 - b_i + i0
             hi = min(i0 + b_o - j0 + L - 1, s.shape[0])
@@ -378,14 +371,11 @@ def _toeplitz_parity(s: np.ndarray, raw: np.ndarray, d: int) -> np.ndarray:
             stage[:pad] = 0
             stage[pad : hi - lo] = s[lo + pad : hi]
             stage[hi - lo :] = 0
-            # the first seed segment's spectrum starts the running sum, and
-            # its block's is multiplied in; later ones add seg times theirs
-            first = j0 == 0
-            fft.forward(stage, acc if first else seg)
+            fft.forward(stage, seg)
             j1 = min(j0 + b_i, L)
             stage[: j1 - j0] = encode_digits(raw[j0 // w : -(-j1 // w)], d)[j0 % w :][: j1 - j0]
             stage[j1 - j0 :] = 0
-            fft.forward(stage, acc, factor=acc if first else seg, add=not first)
+            fft.forward(stage, acc, factor=seg)
         counts = fft.inverse(acc, seg.reshape(-1).view(np.float64)[:M])[b_i - 1 : b_i - 1 + n]
         rounded = np.rint(counts, out=acc.reshape(-1).view(np.float64)[:n])
         # entries are exact bit counts; a residual near 0.5 would mean the

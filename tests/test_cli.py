@@ -259,6 +259,12 @@ class TestCurve:
         assert errors[0]["error"] == "table1 is a table preset, not a rate curve: use `qwrng table`"
         assert not list(tmp_path.iterdir())
 
+    def test_usage_error_leaves_no_output_directory(self, capsys, tmp_path):
+        rc, _, err = run(capsys, "curve", "table1", "--tmax", "2", "-o", str(tmp_path / "new"))
+        assert rc == 2
+        assert "not a rate curve" in last_error(err)["error"]
+        assert not list(tmp_path.iterdir())
+
     def test_curve_preset_runs_as_a_table(self, capsys, tmp_path):
         rc, out, _ = run(capsys, "table", "fig1", "--tmax", "2",
                          "-o", str(tmp_path), "--no-timestamp")
@@ -478,7 +484,7 @@ class TestExtract:
         assert rc == 2
         assert str(blocker) in last_error(err)["error"]
 
-    @pytest.mark.parametrize("stem", [".", ""])
+    @pytest.mark.parametrize("stem", [".", "", ".."])
     def test_output_without_a_file_stem_is_a_json_error(self, capsys, tmp_path, monkeypatch,
                                                         stem):
         monkeypatch.chdir(tmp_path)
@@ -488,6 +494,14 @@ class TestExtract:
         assert out == ""
         assert last_error(err)["error"] == (
             f"-o/--out needs a file stem, such as runs/r1, not {stem!r}")
+        assert not list(tmp_path.iterdir())
+
+    def test_usage_error_leaves_no_output_directory(self, capsys, tmp_path):
+        rc, out, err = run(capsys, "extract", "-P", "5", "-T", "8", "-N", "400", "--eps", "2",
+                           "-o", str(tmp_path / "new" / "x"))
+        assert rc == 2
+        assert out == ""
+        assert "epsilon" in last_error(err)["error"]
         assert not list(tmp_path.iterdir())
 
     def test_bad_output_parent_fails_before_the_run(self, capsys, tmp_path, monkeypatch):

@@ -250,12 +250,12 @@ def test_four_step_transform_pair(M):
     np.testing.assert_allclose(fa[half], np.fft.rfft(a)[k[half]], rtol=0, atol=1e-9)
     # the hash stages its bits as bytes
     np.testing.assert_array_equal(spectrum(a.astype(np.uint8)), fa)
-    # the streamed product and sum are the separate ones, bit for bit
-    np.testing.assert_array_equal(spectrum(b, factor=fa), fa * fb)
-    running = fa.copy()
-    np.testing.assert_array_equal(spectrum(b, out=running, factor=running), fa * fb)
+    # the streamed products, added into zeros or into a sum, are the
+    # separate ones, bit for bit
+    zeros = np.zeros(fft.shape, dtype=np.complex128)
+    np.testing.assert_array_equal(spectrum(b, out=zeros, factor=fa), fa * fb)
     running = fb.copy()
-    np.testing.assert_array_equal(spectrum(a, out=running, factor=fb, add=True), fb + fb * fa)
+    np.testing.assert_array_equal(spectrum(a, out=running, factor=fb), fb + fb * fa)
     # the product inverts to the exact integer cyclic convolution
     if M <= 4500:
         full = np.convolve(a, b)
