@@ -48,8 +48,9 @@ PRESET_DIGESTS = {
 }
 
 # seeded extraction runs: the three readouts at one fixed walk, a kappa = 3
-# position readout (its marginal sums eight coin weights), and one run
-# without -T, whose walk and gamma come from a sweep
+# position readout (its marginal sums eight coin weights), one run
+# without -T, whose walk and gamma come from a sweep, and one whose source
+# depolarizes signals, so that every sampling stream is drawn
 EXTRACT_RUNS = {
     "all": ("-P", "5", "-k", "2", "-T", "636", "--mode", "all", "--seed", "7"),
     "memory": ("-P", "5", "-k", "2", "-T", "636", "--mode", "memory", "--seed", "7"),
@@ -57,6 +58,8 @@ EXTRACT_RUNS = {
     "kappa3-position": ("-P", "5", "-k", "3", "-T", "137", "--mode", "position", "--seed", "3"),
     "swept": ("-P", "3", "-k", "2", "--coin", "general", "--R", "2", "--tmax", "10",
               "--mode", "memory", "--seed", "1"),
+    "depolarized": ("-P", "5", "-k", "2", "-T", "636", "--mode", "position", "-Q", "0.05",
+                    "--seed", "7"),
 }
 # a tenth of the signals tested keeps the finite-size penalty small enough
 # that every run outputs bits
@@ -82,6 +85,10 @@ EXTRACT_DIGESTS = {
     "swept": (
         "564211938b0353f4ab5205bd9ae83675381a8951e67bc33c30d512ecea3d8145",
         "00d027e36fbe3339d780ee5b8c3e381097f6284d741049816c6a9f89d4d9b763",
+    ),
+    "depolarized": (
+        "edd73affe34bbe406a6e130626b96e191624b91890e8f891b81116e1bde7d154",
+        "55721449bb72fe87e21bf90775905426fc8ab937208ce12effedad655ff2c10b",
     ),
 }
 

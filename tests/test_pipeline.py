@@ -124,6 +124,37 @@ def test_sampling_draws_from_the_given_distribution():
     assert (digits == 3).all()
 
 
+@pytest.mark.parametrize("lookup", ["count", "search"])
+def test_sampling_never_returns_an_outcome_of_probability_zero(monkeypatch, lookup):
+    # a real walk leaves a rounding gap below 1: at P = 4, kappa = 1, T = 2
+    # the cdf reaches 1 - 4.4e-16 before its last, impossible, outcome
+    walk = distribution(evolve(WalkConfig(P=4, kappa=1, T=2)), POS).probs
+    assert walk[-1] == 0 and np.cumsum(walk)[-2] < 1.0
+    # a gap wide enough to be hit, around an interior zero (tied edges)
+    # and before trailing zeros
+    monkeypatch.setattr(pipeline, "_COUNT_EDGES_MAX", 1 << 16 if lookup == "count" else 0)
+    probs = np.array([0.0, 0.25, 0.0, 0.5, 0.2499, 0.0, 0.0])
+    digits, test_bits = sample_outcomes(source(seed=5), 100_000, probs)
+    assert set(np.unique(digits)) == {1, 3, 4}
+    assert not test_bits.any()
+
+
+def test_honest_sampling_draws_from_the_honest_stream_only(monkeypatch):
+    drawn = []
+
+    def spy(seed, which):
+        drawn.append(which)
+        return stream(seed, which)
+
+    stream = pipeline._stream
+    monkeypatch.setattr(pipeline, "_stream", spy)
+    sample(source(Q=0.0), 1000, ALL)
+    assert drawn == [pipeline._S_HONEST]
+    drawn.clear()
+    sample(source(Q=0.3), 1000, ALL)
+    assert sorted(drawn) == [pipeline._S_DEPOLARIZE, pipeline._S_TEST, pipeline._S_HONEST, pipeline._S_MIXED]
+
+
 def test_sampling_needs_two_signals():
     with pytest.raises(ValueError):
         sample(source(), 1, ALL)
@@ -141,7 +172,7 @@ def single_shot_sample(src, N, probs):
         pipeline._stream(seed, pipeline._S_TEST).random(N) < 1.0 - 1.0 / src.config.dim
     )
     cdf = np.cumsum(probs)
-    cdf[-1] = 1.0
+    cdf[np.flatnonzero(probs)[-1] :] = 1.0
     u = pipeline._stream(seed, pipeline._S_HONEST).random(N)
     honest = np.searchsorted(cdf, u, side="right")
     mixed = pipeline._stream(seed, pipeline._S_MIXED).integers(0, d, size=N)
@@ -154,11 +185,20 @@ def test_chunked_sampling_reproduces_the_single_shot_streams(monkeypatch, chunk)
     # size must not move a bit
     monkeypatch.setattr(pipeline, "_SAMPLE_CHUNK", chunk)
     rng = np.random.default_rng(chunk)
-    for d in (2, 5, 300):
+    crossover = pipeline._COUNT_EDGES_MAX
+    # the digits are counted up to the crossover and searched above it;
+    # zero entries tie cdf edges, and where there are any, the last
+    # outcome is one of them
+    for d, zeros in [(2, 0), (5, 0), (5, 2), (crossover, 0), (crossover, 4), (crossover + 1, 9), (300, 0)]:
         probs = rng.random(d)
+        probs[rng.choice(d - 1, size=zeros, replace=False)] = 0.0
+        if zeros:
+            probs[-1] = 0.0
         probs /= probs.sum()
         for Q in (0.0, 0.3, 1.0):
-            for N in (2, 7, 8, 1000):
+            # a counted chunk costs a call per edge, so the crossover's
+            # hundreds of edges get a shorter run
+            for N in (2, 7, 8, 1000 if d < crossover else 200):
                 src = source(P=5, kappa=2, Q=Q, seed=int(rng.integers(0, 2**63)))
                 digits, test_bits = sample_outcomes(src, N, probs)
                 want_digits, want_bits = single_shot_sample(src, N, probs)
@@ -262,8 +302,15 @@ def test_four_step_transform_pair(M):
         cyclic = full[:M] + np.append(full[M:], 0)
     else:  # np.convolve is quadratic; numpy's own transform rounds to the same integers
         cyclic = np.rint(np.fft.irfft(np.fft.rfft(a) * np.fft.rfft(b), M))
-    got = fft.inverse(fa * fb, np.empty(M))
-    np.testing.assert_array_equal(np.rint(got), cyclic)
+    got = fft.inverse(fa * fb, np.empty((fft.M1, fft.M2)))
+    np.testing.assert_array_equal(np.rint(got).reshape(-1), cyclic)
+    # the hash pads every row of its spectra and of the inverse's output;
+    # views of padded rows give the unpadded results, bit for bit
+    pad = pipeline._PAD
+    padded = np.zeros((fft.shape[0], fft.M2 + pad), dtype=np.complex128)[:, : fft.M2]
+    np.testing.assert_array_equal(spectrum(b, out=padded, factor=fa), fa * fb)
+    out = np.empty((fft.M1, fft.M2 + pad))[:, : fft.M2]
+    np.testing.assert_array_equal(fft.inverse(padded, out), got)
 
 
 def tile_counts(ell, L):
