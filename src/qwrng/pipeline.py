@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import hashlib
 import math
-from collections.abc import Iterator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -36,8 +35,9 @@ _SAMPLE_CHUNK = 1 << 16
 
 # alphabets up to this size count each digit's edges, larger ones
 # binary-search them; the uint8 count beats np.searchsorted up to here
-# (0.56 s against 0.81 at 256 outcomes, N = 1e7), and a uint16 count
-# loses above it (1.05 s against 0.94 at 257)
+# (0.41-0.56 s against 0.67-0.81 at 256 outcomes, N = 1e7), a uint16
+# count is about even with it at 257 and loses from 336 on (0.86 s
+# against 0.70)
 _COUNT_EDGES_MAX = 256
 
 # bytes the hash's FFT working set may hold (_fft_working_set); the hash
@@ -50,12 +50,6 @@ _ROW_BLOCK = 16
 
 # columns of dst that _copy_transposed copies at a time
 _TILE = 512
-
-# elements each row of the hash's spectra, and of the inverse's output, is
-# padded by: unpadded rows of a few thousand bins lie a multiple of 4 KiB
-# apart, and the inverse's strided irfft then keeps missing the cache on
-# set conflicts
-_PAD = 8
 
 # what a transform costs beyond its points (the call, encoding and staging
 # an input block), in points, so that many tiny tiles never look cheapest
@@ -238,10 +232,7 @@ class _RealFFT:
     the block buffer, twiddles and fft-s them there, and stores them, or
     adds their product with a factor, so a sum of products of spectra
     needs no third spectrum.  `inverse` runs the steps backwards in
-    place on the spectrum, with the rfft's inverse down axis 0 into an
-    (M1, M2) output.  Spectra and output may be views of arrays whose
-    rows are padded (see _PAD): every step reads and writes whole rows,
-    never the array as one flat block.
+    place on the spectrum, with the rfft's inverse down axis 0.
     """
 
     def __init__(self, M: int):
@@ -278,28 +269,18 @@ class _RealFFT:
                 np.fft.fft(block, axis=1, out=out[r0:r1])
             else:
                 spectrum = np.fft.fft(block, axis=1, out=block)
-                product = np.multiply(factor[r0:r1], spectrum, out=block)
-                for row, term in zip(out[r0:r1], product):  # see inverse
-                    row += term
+                out[r0:r1] += np.multiply(factor[r0:r1], spectrum, out=block)
         return out
 
     def inverse(self, spec: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """The M floats x whose spectrum is spec, written into the (M1, M2) array out.
-
-        Row n1 of out holds x[n1 M2 : (n1 + 1) M2].  spec is overwritten.
-        """
+        """The M floats whose spectrum is spec, written into out; spec is overwritten."""
         for r0 in range(0, self.shape[0], _ROW_BLOCK):
             rows = spec[r0 : r0 + _ROW_BLOCK]
+            twiddled = rows.reshape(rows.shape[0], *self._split)
             np.fft.ifft(rows, axis=1, out=rows)
-            # twiddled a row at a time: for an in-place product over a
-            # block of padded rows, which is not contiguous, numpy may copy
-            # the operands into buffers first; one row is contiguous
-            lo, hi = self._lo[r0 : r0 + _ROW_BLOCK].conj(), self._hi[r0 : r0 + _ROW_BLOCK].conj()
-            for row, lo_k, hi_k in zip(rows, lo, hi):
-                twiddled = row.reshape(self._split)
-                twiddled *= lo_k
-                twiddled *= hi_k
-        return np.fft.irfft(spec, self.M1, axis=0, out=out)
+            twiddled *= self._lo[r0 : r0 + _ROW_BLOCK].conj()
+            twiddled *= self._hi[r0 : r0 + _ROW_BLOCK].conj()
+        return np.fft.irfft(spec, self.M1, axis=0, out=out.reshape(self.M1, self.M2)).reshape(-1)
 
 
 def _copy_transposed(dst: np.ndarray, src: np.ndarray) -> None:
@@ -323,8 +304,8 @@ def _four_step_split(M: int) -> tuple[int, int, int]:
 def _fft_working_set(M: int, b_i: int) -> int:
     """Bytes one tile pass of the hash holds at its peak.
 
-    Two _RealFFT(M) spectra of (M1 // 2 + 1, M2 + _PAD) complex bins
-    (the running sum and a seed segment's; the inverse writes into the
+    Two _RealFFT(M) spectra of (M1 // 2 + 1, M2) complex bins (the
+    running sum and a seed segment's; the inverse writes into the
     second), the transform's own (M2, M1 // 2 + 1) first-pass array,
     its _ROW_BLOCK-row block buffer and two twiddle tables, the M-byte
     stage that feeds each transform, and an input block's bits, charged
@@ -332,7 +313,7 @@ def _fft_working_set(M: int, b_i: int) -> int:
     """
     M1, M2, A = _four_step_split(M)
     rows = M1 // 2 + 1
-    bins = rows * (3 * M2 + 2 * _PAD + A + M2 // A) + min(_ROW_BLOCK, rows) * M2
+    bins = rows * (3 * M2 + A + M2 // A) + min(_ROW_BLOCK, rows) * M2
     return 16 * bins + M + 2 * b_i
 
 
@@ -391,11 +372,7 @@ def _toeplitz_parity(s: np.ndarray, raw: np.ndarray, d: int) -> np.ndarray:
     one M-byte stage.  An output block sums its tiles' spectra from
     zero, each input block's product with its seed segment's streamed
     into the sum as it is made, and inverts once; its counts, at most
-    L, are rounded back to exact integers.  Both spectra have rows
-    padded by _PAD bins, and the inverse writes the counts into an
-    (M1, M2) float view of the seed spectrum's memory, with rows padded
-    by _PAD floats, so the counts are read back a block of rows at a
-    time (_row_pieces), never copied into one flat array.
+    L, are rounded back to exact integers.
     Each input block is encoded from its own digits, so the L-bit string
     never exists.
     """
@@ -405,15 +382,7 @@ def _toeplitz_parity(s: np.ndarray, raw: np.ndarray, d: int) -> np.ndarray:
     b_o, b_i = _hash_plan(ell, L)
     M = _smooth_len(b_o + b_i - 1)
     fft = _RealFFT(M)
-    M1, M2 = fft.M1, fft.M2
-    padded = [np.empty((fft.shape[0], M2 + _PAD), dtype=np.complex128) for _ in range(2)]
-    acc, seg = (a[:, :M2] for a in padded)
-    # (M1, M2) float views of the same memory, rows padded by _PAD too;
-    # they fit, as 2 (M1 // 2 + 1) > M1: the inverse writes its counts
-    # into seg's, and acc's holds their rounded values
-    rounded, seg_floats = (
-        a.reshape(-1).view(np.float64)[: M1 * (M2 + _PAD)].reshape(M1, -1)[:, :M2] for a in padded
-    )
+    acc, seg = (np.empty(fft.shape, dtype=np.complex128) for _ in range(2))
     stage = np.empty(M, dtype=np.uint8)
     out = np.empty(ell, dtype=np.uint8)
     for i0 in range(0, ell, b_o):
@@ -434,40 +403,18 @@ def _toeplitz_parity(s: np.ndarray, raw: np.ndarray, d: int) -> np.ndarray:
             stage[: j1 - j0] = encode_digits(raw[j0 // w : -(-j1 // w)], d)[j0 % w :][: j1 - j0]
             stage[j1 - j0 :] = 0
             fft.forward(stage, acc, factor=seg)
-        counts = fft.inverse(acc, seg_floats)
-        done = i0
-        for r0, r1, c0, c1 in _row_pieces(b_i - 1, n, M2):
-            count, near = counts[r0:r1, c0:c1], rounded[r0:r1, c0:c1]
-            np.rint(count, out=near)
-            # entries are exact bit counts; a residual near 0.5 would mean
-            # the float path lost them
-            residual = np.abs(np.subtract(count, near, out=count), out=count)
-            if residual.max() > 1e-2:
-                raise FloatingPointError("convolution residual too large for exact bit counts")
-            # a count is odd when half of it is not a whole number;
-            # np.remainder gives the same bits at about seven times the cost
-            half = np.multiply(near, 0.5, out=near)
-            parity = out[done : done + half.size].reshape(half.shape)
-            np.not_equal(half, np.floor(half, out=count), out=parity)
-            done += half.size
+        counts = fft.inverse(acc, seg.reshape(-1).view(np.float64)[:M])[b_i - 1 : b_i - 1 + n]
+        rounded = np.rint(counts, out=acc.reshape(-1).view(np.float64)[:n])
+        # entries are exact bit counts; a residual near 0.5 would mean the
+        # float path lost them
+        residual = np.abs(np.subtract(counts, rounded, out=counts), out=counts)
+        if residual.max() > 1e-2:
+            raise FloatingPointError("convolution residual too large for exact bit counts")
+        # a count is odd when half of it is not a whole number; np.remainder
+        # gives the same bits at about seven times the cost
+        half = np.multiply(rounded, 0.5, out=rounded)
+        np.not_equal(half, np.floor(half, out=counts), out=out[i0 : i0 + n])
     return out
-
-
-def _row_pieces(start: int, n: int, width: int) -> Iterator[tuple[int, int, int, int]]:
-    """Cover the flat range [start, start + n) of a (rows, width) array row-wise, in order.
-
-    Yields (r0, r1, c0, c1) blocks [r0:r1, c0:c1]: a part of one row, or
-    up to _ROW_BLOCK whole rows.
-    """
-    end = start + n
-    while start < end:
-        r, c = divmod(start, width)
-        if c or end - start < width:
-            r1, c1 = r + 1, min(width, c + end - start)
-        else:
-            r1, c1 = r + min(_ROW_BLOCK, (end - start) // width), width
-        yield r, r1, c, c1
-        start += (r1 - r) * (c1 - c)
 
 
 def privacy_amplify(raw: np.ndarray, ell: int, seed: int, *, d: int) -> np.ndarray:
