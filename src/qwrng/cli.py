@@ -106,6 +106,8 @@ def _add_walk_flags(p: argparse.ArgumentParser, one_walk: bool) -> None:
                    help="which registers are measured")
     p.add_argument("--coin", choices=("hadamard", "general"), default="hadamard",
                    help="coin family")
+    p.add_argument("--flip", choices=("i", "x", "y"),
+                   help="pre-walk active-coin unitary: i if unset for one walk; a sweep tries only it")
     if one_walk:
         p.add_argument("-T", "--steps", dest="T", type=int, help="walk steps")
         p.add_argument("--theta", type=_finite, help="general coin mixing angle (pi/4 if unset)")
@@ -144,13 +146,10 @@ def _build_parser() -> tuple[_Parser, dict[str, argparse.ArgumentParser]]:
 
     p = new("evolve", "print the outcome distribution of one configured walk")
     _add_walk_flags(p, one_walk=True)
-    p.add_argument("--flip", choices=("i", "x", "y"), default="i",
-                   help="pre-walk active-coin unitary")
 
     p = new("maxprob", "minimize the peak outcome probability over a sweep grid")
     _add_walk_flags(p, one_walk=False)
     _add_sweep_flags(p, tmin=True)
-    p.add_argument("--flip", choices=("i", "x", "y"), help="restrict the sweep to one flip")
 
     _add_emit_flags(new("table", "evaluate a minima table preset and write it to disk"))
     _add_emit_flags(new("curve", "evaluate a rate-curve preset and write it to disk"))
@@ -158,8 +157,6 @@ def _build_parser() -> tuple[_Parser, dict[str, argparse.ArgumentParser]]:
     p = new("extract", "simulate one sampling round and extract output bits")
     _add_walk_flags(p, one_walk=True)
     _add_sweep_flags(p, tmin=True)
-    p.add_argument("--flip", choices=("i", "x", "y"),
-                   help="pre-walk flip; without -T, restricts the sweep instead")
     p.add_argument("-N", dest="N", type=int, help="total signals per run")
     p.add_argument("-m", dest="m", type=int, help="test subset size")
     p.add_argument("-Q", dest="Q", type=_finite, default=SourceModel.Q,

@@ -33,13 +33,6 @@ _SUBSET_INLINE_LIMIT = 10_000
 # signals sampled per pass; any size gives the same bits
 _SAMPLE_CHUNK = 1 << 16
 
-# alphabets up to this size count each digit's edges, larger ones
-# binary-search them; the uint8 count beats np.searchsorted up to here
-# (0.41-0.56 s against 0.67-0.81 at 256 outcomes, N = 1e7), a uint16
-# count is about even with it at 257 and loses from 336 on (0.86 s
-# against 0.70)
-_COUNT_EDGES_MAX = 256
-
 # bytes the hash's FFT working set may hold (_fft_working_set); the hash
 # picks its tile sizes to fit
 _FFT_BUDGET = 27 << 25  # 864 MiB
@@ -93,8 +86,8 @@ def sample_outcomes(
     An honest draw u in [0, 1) gives the digit #{k : edge_k <= u} over
     the edges cumsum(probs) before the last outcome of nonzero
     probability, so no rounding gap below 1 falls to an outcome of
-    probability 0.  Up to _COUNT_EDGES_MAX outcomes the digit is counted
-    edge by edge, above it np.searchsorted finds it; both give the same
+    probability 0.  A digit that fits a byte (d <= 256) is counted edge
+    by edge, a wider one is found by np.searchsorted; both give the same
     digits, ties included.  At Q = 0 no signal is depolarized, so the
     depolarization, test and mixed streams are not drawn and every test
     bit is 0; the streams are independent, so this moves no bit.  The
@@ -121,7 +114,10 @@ def sample_outcomes(
         u = honest.random(out=draws[: min(N - c0, _SAMPLE_CHUNK)])
         c1 = c0 + u.shape[0]
         chunk = digits[c0:c1]
-        if d <= _COUNT_EDGES_MAX:
+        # a uint8 count beats np.searchsorted (0.41-0.56 s against 0.67-0.81
+        # at 256 outcomes, N = 1e7); a uint16 count is about even with it
+        # at 257 and loses from 336 on (0.86 s against 0.70)
+        if digits.dtype == np.uint8:
             chunk.fill(0)
             past = passed[: u.shape[0]]
             for edge in edges:

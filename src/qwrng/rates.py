@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 from qwrng.walk import MeasurementMode
 
-# how far rounding may lift a walk's peak of 1 above 1: it drifts by
-# about 5.8e-17 per step, so this covers some 1.7e7 steps
+# how far rounding may move a walk's peak of 1 off 1, either way: it drifts
+# by about 5.8e-17 per step, so this covers some 1.7e7 steps
 _G_ROUNDING = 1e-9
 
 
@@ -98,10 +98,14 @@ class RateResult:
 
 
 def gamma_from_g(g: float) -> float:
-    """Min-entropy rate -log2(g) of a guessing probability; +0.0 from g = 1 to 1 + _G_ROUNDING."""
+    """Min-entropy rate -log2(g) of a guessing probability; +0.0 for g within _G_ROUNDING of 1.
+
+    The certain readout a rounded peak of 1 stands for has no entropy, so
+    this gives up at most 1.5e-9 bits, the safe direction.
+    """
     if not 0.0 < g <= 1.0 + _G_ROUNDING:
         raise ValueError(f"guessing probability must lie in (0, 1], got {g}")
-    return -math.log2(g) if g < 1.0 else 0.0
+    return -math.log2(g) if g < 1.0 - _G_ROUNDING else 0.0
 
 
 def _xlogy(x: float, y: float) -> float:

@@ -868,6 +868,8 @@ class TestParserBasics:
         )
         assert logged["command"] == "evolve"
         assert logged["config"]["P"] == 3
+        # the flip's default, I, is the walk's, as the angles' are
+        assert logged["config"]["flip"] is None
 
     def test_readme_examples_parse(self):
         # the documented commands only parse here; nothing runs

@@ -1,5 +1,5 @@
-"""Golden outputs: every preset CSV, seeded extraction files and single-walk
-readouts, byte for byte.
+"""Golden outputs: every preset CSV, seeded extraction files (one of them
+over digits too wide for a byte) and single-walk readouts, byte for byte.
 
 The digests pin what the program wrote before its walk, sweep and hash
 code were last simplified.  Changing one is a deliberate output change:
@@ -49,8 +49,10 @@ PRESET_DIGESTS = {
 
 # seeded extraction runs: the three readouts at one fixed walk, a kappa = 3
 # position readout (its marginal sums eight coin weights), one run
-# without -T, whose walk and gamma come from a sweep, and one whose source
-# depolarizes signals, so that every sampling stream is drawn
+# without -T, whose walk and gamma come from a sweep, one whose source
+# depolarizes signals, so that every sampling stream is drawn, and one
+# over 336 outcomes, whose digits are too wide for a byte: uint16 digits,
+# found by np.searchsorted and encoded in 9 bits
 EXTRACT_RUNS = {
     "all": ("-P", "5", "-k", "2", "-T", "636", "--mode", "all", "--seed", "7"),
     "memory": ("-P", "5", "-k", "2", "-T", "636", "--mode", "memory", "--seed", "7"),
@@ -60,6 +62,7 @@ EXTRACT_RUNS = {
               "--mode", "memory", "--seed", "1"),
     "depolarized": ("-P", "5", "-k", "2", "-T", "636", "--mode", "position", "-Q", "0.05",
                     "--seed", "7"),
+    "wide": ("-P", "21", "-k", "4", "-T", "60", "--mode", "all", "--seed", "7"),
 }
 # a tenth of the signals tested keeps the finite-size penalty small enough
 # that every run outputs bits
@@ -89,6 +92,10 @@ EXTRACT_DIGESTS = {
     "depolarized": (
         "edd73affe34bbe406a6e130626b96e191624b91890e8f891b81116e1bde7d154",
         "55721449bb72fe87e21bf90775905426fc8ab937208ce12effedad655ff2c10b",
+    ),
+    "wide": (
+        "b9c0682d23cc91fee25f335b42600158ffad36eebacea0cc635b11ae888b6c22",
+        "100a4290c81f5592e4ce0b6f51ed2963baf0f04a28ac465a5648d19b7c37b8c5",
     ),
 }
 

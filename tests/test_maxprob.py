@@ -67,13 +67,25 @@ def test_gamma_rejects_out_of_range():
 
 
 def test_a_peak_of_one_has_gamma_plus_zero():
-    # a deterministic walk's peak is 1, lifted by rounding by about 5.8e-17 a step
+    # a deterministic walk's peak is 1, moved either way by rounding by
+    # about 5.8e-17 a step; below 1 - 1e-9 the rate counts
     assert math.copysign(1.0, gamma_from_g(1.0)) == 1.0
-    assert gamma_from_g(1 + 1e-12) == 0.0
-    assert math.copysign(1.0, gamma_from_g(1 + 1e-12)) == 1.0
+    for near in (1 + 1e-12, 1 - 1e-12):
+        assert gamma_from_g(near) == 0.0
+        assert math.copysign(1.0, gamma_from_g(near)) == 1.0
+    assert gamma_from_g(1 - 1e-6) > 0.0
     for bad in (math.nan, 1 + 1e-6):
         with pytest.raises(ValueError):
             gamma_from_g(bad)
+
+
+def test_the_certain_position_readout_at_p2_has_gamma_plus_zero():
+    # at P = 2 each step moves the walker to the other site, so the
+    # position readout is certain, yet this sweep's minimum rounds to
+    # 0.9999999999999952
+    res = g_functions(2, 3, SweepGrid.for_coin("general", t_max=40, R=8), (POS,))[POS]
+    assert 1 - 1e-13 < res.value < 1.0
+    assert res.gamma == 0.0 and math.copysign(1.0, res.gamma) == 1.0
 
 
 # -- grid validation -----------------------------------------------------------

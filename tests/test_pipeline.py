@@ -124,17 +124,19 @@ def test_sampling_draws_from_the_given_distribution():
     assert (digits == 3).all()
 
 
-@pytest.mark.parametrize("lookup", ["count", "search"])
-def test_sampling_never_returns_an_outcome_of_probability_zero(monkeypatch, lookup):
+@pytest.mark.parametrize("d", [7, 300], ids=["count", "search"])
+def test_sampling_never_returns_an_outcome_of_probability_zero(d):
     # a real walk leaves a rounding gap below 1: at P = 4, kappa = 1, T = 2
     # the cdf reaches 1 - 4.4e-16 before its last, impossible, outcome
     walk = distribution(evolve(WalkConfig(P=4, kappa=1, T=2)), POS).probs
     assert walk[-1] == 0 and np.cumsum(walk)[-2] < 1.0
     # a gap wide enough to be hit, around an interior zero (tied edges)
-    # and before trailing zeros
-    monkeypatch.setattr(pipeline, "_COUNT_EDGES_MAX", 1 << 16 if lookup == "count" else 0)
-    probs = np.array([0.0, 0.25, 0.0, 0.5, 0.2499, 0.0, 0.0])
+    # and before trailing zeros; a byte-wide digit is counted, a wider
+    # one searched
+    probs = np.zeros(d)
+    probs[:5] = [0.0, 0.25, 0.0, 0.5, 0.2499]
     digits, test_bits = sample_outcomes(source(seed=5), 100_000, probs)
+    assert digits.dtype == (np.uint8 if d == 7 else np.uint16)
     assert set(np.unique(digits)) == {1, 3, 4}
     assert not test_bits.any()
 
@@ -185,10 +187,10 @@ def test_chunked_sampling_reproduces_the_single_shot_streams(monkeypatch, chunk)
     # size must not move a bit
     monkeypatch.setattr(pipeline, "_SAMPLE_CHUNK", chunk)
     rng = np.random.default_rng(chunk)
-    crossover = pipeline._COUNT_EDGES_MAX
-    # the digits are counted up to the crossover and searched above it;
+    # the digits are counted while they fit a byte and searched above it;
     # zero entries tie cdf edges, and where there are any, the last
     # outcome is one of them
+    crossover = 256
     for d, zeros in [(2, 0), (5, 0), (5, 2), (crossover, 0), (crossover, 4), (crossover + 1, 9), (300, 0)]:
         probs = rng.random(d)
         probs[rng.choice(d - 1, size=zeros, replace=False)] = 0.0
@@ -214,11 +216,9 @@ def test_chunked_sampling_reproduces_the_single_shot_streams(monkeypatch, chunk)
 def toeplitz_matrix(seed, ell, length):
     """Dense reference matrix built directly from the seed-bit contract."""
     s = toeplitz_seed_bits(seed, ell, length)
-    T = np.empty((ell, length), dtype=np.int64)
-    for i in range(ell):
-        for j in range(length):
-            T[i, j] = s[i - j + length - 1]
-    return T
+    # T[i, j] = s[i - j + length - 1]
+    i, j = np.ogrid[:ell, :length]
+    return s[i - j + length - 1].astype(np.int64)
 
 
 def test_hash_matches_dense_gf2_oracle():
