@@ -28,7 +28,8 @@ for kind, P, kappa, mode, grid in runs:
     res = g_functions(P, kappa, grid, (mode,))[mode]
     ref = reference_value(kind, mode, kappa, P)
     print(f"{kind:<10}{kappa:>6}{P:>4}{mode.value:>10}{res.value:>12.4f}{ref:>12.4f}")
-    extra = "" if res.at_theta is None else f", theta={res.at_theta:.3f}, phi={res.at_phi:.3f}"
+    coin = res.coin
+    extra = "" if coin.kind == "hadamard" else f", theta={coin.theta:.3f}, phi={coin.phi:.3f}"
     print(f"{'':>10}achieved at t={res.at_t}, flip={res.at_flip.name}{extra}")
 
 print("\nThe generalized sweep sits at or below the Hadamard value: a wider")

@@ -87,7 +87,7 @@ def _finite(text: str) -> float:
 
 
 # `key = value  # comment`, where a '#' inside a JSON string value is text
-_CONFIG_LINE = re.compile(r'\s*([^=#]*?)\s*=\s*("(?:[^"\\]|\\.)*"|[^#]*?)\s*(?:#.*)?')
+_CONFIG_LINE = re.compile(r'\s*([^=#\s][^=#]*?)\s*=\s*("(?:[^"\\]|\\.)*"|[^#]*?)\s*(?:#.*)?')
 
 # argparse's required= cannot see values that come from a config file
 _REQUIRED = {
@@ -275,7 +275,11 @@ def _check_memory(need: int, what: str) -> None:
     """Fail when `what` needs more memory than the machine has, before it can be killed mid-fill."""
     have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if need > have:
-        raise MemoryError(f"{what} needs about {need / 2**30:.1f} GiB of memory, "
+        try:
+            gib = f"{need / 2**30:.1f}"
+        except OverflowError:  # past a float's range, from 2**1054 bytes on
+            gib = str(need >> 30)
+        raise MemoryError(f"{what} needs about {gib} GiB of memory, "
                           f"more than the {have / 2**30:.1f} GiB this machine has")
 
 
@@ -342,9 +346,8 @@ def _cmd_maxprob(opts: dict) -> int:
         ("flip", res.at_flip.name),
         ("mode", mode.value),
     ]
-    if res.at_theta is not None:
-        items.append(("theta", repr(res.at_theta)))
-        items.append(("phi", repr(res.at_phi)))
+    if res.coin.kind != "hadamard":
+        items += [("theta", repr(res.coin.theta)), ("phi", repr(res.coin.phi))]
     if opts["json"]:
         print(json.dumps(dict(items)))
     else:

@@ -97,7 +97,7 @@ class SweepGrid:
 
 @dataclass(frozen=True)
 class MaxProbResult:
-    """Minimum peak probability and the grid point achieving it."""
+    """Minimum peak probability and the grid point achieving it: step count, flip and coin."""
 
     value: float
     at_t: int
@@ -105,8 +105,7 @@ class MaxProbResult:
     mode: MeasurementMode
     P: int
     kappa: int
-    at_theta: float | None = None
-    at_phi: float | None = None
+    coin: CoinOperator = CoinOperator("hadamard")
 
     @property
     def gamma(self) -> float:
@@ -114,11 +113,8 @@ class MaxProbResult:
 
     def walk_config(self) -> WalkConfig:
         """Config reproducing the recorded optimum."""
-        if self.at_theta is None:
-            coin = CoinOperator.hadamard()
-        else:
-            coin = CoinOperator.generalized(self.at_theta, self.at_phi)
-        return WalkConfig(P=self.P, kappa=self.kappa, T=self.at_t, coin=coin, flip=self.at_flip)
+        return WalkConfig(P=self.P, kappa=self.kappa, T=self.at_t, coin=self.coin,
+                          flip=self.at_flip)
 
 
 def _coin_batch(grid: SweepGrid) -> np.ndarray:
@@ -193,8 +189,9 @@ def g_functions(
     results: dict[MeasurementMode, MaxProbResult] = {}
     for mode, (value, t, flip, b) in _sweep(P, kappa, grid, modes, _coin_batch(grid)).items():
         # the batch is theta-major, so its first coin has the smallest theta, then phi
-        at = (None, None) if angles is None else [float(angles[i]) for i in divmod(b, len(angles))]
-        results[mode] = MaxProbResult(value, t, flip, mode, P, kappa, *at)
+        coin = CoinOperator.hadamard() if angles is None else CoinOperator.generalized(
+            *(float(angles[i]) for i in divmod(b, len(angles))))
+        results[mode] = MaxProbResult(value, t, flip, mode, P, kappa, coin)
     return results
 
 
@@ -210,5 +207,4 @@ def min_over_time(
     """Minimum over t alone at one fixed coin and flip."""
     grid = SweepGrid(t_min, t_max, flips=(flip,))
     value, t, _, _ = _sweep(P, kappa, grid, (mode,), coin.matrix()[None, :, :])[mode]
-    at = (None, None) if coin.kind == "hadamard" else (coin.theta, coin.phi)
-    return MaxProbResult(value, t, flip, mode, P, kappa, *at)
+    return MaxProbResult(value, t, flip, mode, P, kappa, coin)

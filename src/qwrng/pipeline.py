@@ -441,9 +441,7 @@ class RunRecord:
     """Everything one protocol run produced, enough to replay or audit it."""
 
     case: ProtocolCase
-    config: WalkConfig
-    source_Q: float
-    rng_seed: int
+    source: SourceModel
     params: ProtocolParams
     t_subset: np.ndarray  # sorted test indices, size m
     q: np.ndarray  # test outcomes on t_subset, 1 = failed the honest test
@@ -462,7 +460,7 @@ class RunRecord:
         return np.packbits(self.output).tobytes()
 
     def summary_items(self) -> list[tuple[str, str]]:
-        cfg = self.config
+        cfg = self.source.config
         if len(self.t_subset) > _SUBSET_INLINE_LIMIT:
             subset = _digest(",".join(map(str, self.t_subset)))
         else:
@@ -476,8 +474,8 @@ class RunRecord:
             ("theta", repr(cfg.coin.theta)),
             ("phi", repr(cfg.coin.phi)),
             ("flip", cfg.flip.name),
-            ("Q", repr(self.source_Q)),
-            ("rng_seed", str(self.rng_seed)),
+            ("Q", repr(self.source.Q)),
+            ("rng_seed", str(self.source.rng_seed)),
             ("N", str(self.params.N)),
             ("m", str(self.params.m)),
             ("epsilon", repr(self.params.epsilon)),
@@ -541,9 +539,7 @@ def run_protocol(
     output = privacy_amplify(raw, ell_bits, seed_matrix_id, d=probs.shape[0])
     return RunRecord(
         case=rr.case,
-        config=cfg,
-        source_Q=source.Q,
-        rng_seed=source.rng_seed,
+        source=source,
         params=params,
         t_subset=t_subset,
         q=q,

@@ -180,7 +180,7 @@ def ell_using_all(params: ProtocolParams, gamma: float, d: int) -> RateResult:
     eps = params.epsilon
     eps_tilde = pa_margin(params)
     n = params.n
-    dl = sampling_delta(params.m + n, params.m, eps)
+    dl = sampling_delta(params.N, params.m, eps)
     penalty = extended_entropy_d(params.Q + dl, d) * math.log2(d)
     ell = n * (gamma - penalty) - 2.0 * math.log2(1.0 / eps_tilde)
     return RateResult(

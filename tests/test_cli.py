@@ -372,19 +372,31 @@ class TestMemoryPreflight:
         assert errors == [{"error": "a walk over P = 4000000, kappa = 2 needs about 1.1 GiB of "
                                     "memory, more than the 0.5 GiB this machine has"}]
 
-    def test_a_huge_run_fails_in_the_preflight(self, tmp_path):
+    @pytest.mark.parametrize("argv, prefix", [
         # the charge must not factor the hash length: trial division from its
         # square root, about 1e15 here, would not end
-        N = str(10**30)
-        argv = ["extract", "-P", "5", "-k", "2", "-T", "5", "-N", N, "--seed", "1",
-                "-o", str(tmp_path / "run")]
+        (("extract", "-P", "5", "-k", "2", "-T", "5", "-N", str(10**30), "--seed", "1"),
+         f"a run of N = {10**30} signals needs about "),
+        # from 2**1054 bytes on, the need in GiB is past a float's range
+        (("evolve", "-P", "3", "-k", "1047", "-T", "1"), "a walk over P = 3, kappa = 1047 needs"),
+        (("extract", "-P", "3", "-T", "1", "-N", str(10**330), "--seed", "1"),
+         f"a run of N = {10**330} signals needs"),
+        (("maxprob", "-P", str(10**330)), f"a sweep over P = {10**330}, kappa = 1 needs"),
+        (("maxprob", "-P", "3", "--coin", "general", "--R", str(10**330)),
+         "a sweep over P = 3, kappa = 1 needs"),
+        (("table", "table2", "--R", str(10**330)),
+         "the sweep over P = 21, kappa = 3 of table2 needs"),
+    ], ids=["extract-N1e30", "evolve-k1047", "extract-N1e330", "maxprob-P1e330",
+            "maxprob-R1e330", "table-R1e330"])
+    def test_a_huge_run_fails_in_the_preflight(self, tmp_path, argv, prefix):
         done = subprocess.run([sys.executable, "-m", "qwrng.cli", *argv], env=src_env(),
-                              capture_output=True, text=True, timeout=60)
+                              cwd=tmp_path, capture_output=True, text=True, timeout=60)
         assert done.returncode == 2
         assert done.stdout == ""
         errors = [json.loads(line) for line in done.stderr.splitlines() if '"error"' in line]
         assert len(errors) == 1
-        assert errors[0]["error"].startswith(f"a run of N = {N} signals needs about ")
+        assert errors[0]["error"].startswith(prefix)
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("argv", [
         ("maxprob", "-P", "3", "--tmax", "100000000"),
@@ -778,12 +790,14 @@ class TestConfigFile:
         assert rc == 2
         assert "unknown config keys" in last_error(err)["error"]
 
-    def test_malformed_line_rejected(self, capsys, tmp_path):
+    @pytest.mark.parametrize("line", ["just words", "= 4", " = 4"],
+                             ids=["words", "no-key", "blank-key"])
+    def test_malformed_line_rejected(self, capsys, tmp_path, line):
         cfg = tmp_path / "bad.cfg"
-        cfg.write_text("just words\n")
+        cfg.write_text(line + "\n")
         rc, _, err = run(capsys, "maxprob", "-P", "3", "--config", str(cfg))
         assert rc == 2
-        last_error(err)
+        assert last_error(err)["error"] == f"config line is not `key = value`: {line.strip()!r}"
 
     def test_missing_config_file_rejected(self, capsys, tmp_path):
         rc, _, err = run(capsys, "maxprob", "-P", "3",

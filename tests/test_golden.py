@@ -9,9 +9,11 @@ The preset digests hold under every OpenBLAS kernel, because the sweep
 makes no BLAS call, and under every numpy SIMD level tried.  The
 `evolve` and `extract -T` digests do not: `evolve` steps with a complex
 matmul, which a DYNAMIC_ARCH OpenBLAS runs on a kernel it picks per CPU
-at run time.  They were taken on its SkylakeX
-kernel; under Sandybridge every one of them differs, and under Haswell
-the general-coin flip-Y `evolve` digest does (ROADMAP item 1).  That
+at run time.  They were taken on its SkylakeX kernel.  Under
+`OPENBLAS_CORETYPE=Sandybridge`, 9 of this file's 27 tests fail: every
+`evolve` digest and every `extract -T` digest but the `wide` run's,
+which passes.  Under Haswell the general-coin flip-Y `evolve` digest
+differs (ROADMAP item 2).  That
 digest also differs under numpy's X86_V2 baseline loops, whose complex
 `np.abs` rounds some values apart from the AVX2 and AVX-512 loops.
 """

@@ -142,7 +142,7 @@ def test_single_coin_sweep_matches_published_value():
     res = g_functions(3, 1, SweepGrid(1, 2000), (ALL,))[ALL]
     assert res.value == pytest.approx(0.2224, abs=5e-4)
     assert res.at_flip is FlipOperator.I
-    assert res.at_theta is None and res.at_phi is None
+    assert res.coin.kind == "hadamard"
 
 
 def test_two_coin_sweep_matches_published_value():
@@ -211,7 +211,7 @@ def test_min_over_time_agrees_with_direct_scan():
     )
     res = min_over_time(5, 2, POS, coin, FlipOperator.X, 1, 30)
     assert res.value == pytest.approx(best, abs=1e-13)
-    assert res.at_theta == 0.8 and res.at_phi == 0.3
+    assert res.coin == coin
 
 
 def test_shared_sweep_matches_individual_sweeps():
@@ -386,8 +386,7 @@ def test_ties_resolve_to_smallest_parameters():
     res = g_functions(3, 1, SweepGrid(1, 3, R=1, flips=(FlipOperator.I,)), (ALL,))[ALL]
     assert res.value == 1.0
     assert res.at_t == 1
-    assert res.at_theta == 0.0
-    assert res.at_phi == 0.0
+    assert res.coin == CoinOperator.generalized(0.0, 0.0)
 
 
 def test_cross_flip_tie_resolves_to_flip_order():
@@ -398,8 +397,7 @@ def test_cross_flip_tie_resolves_to_flip_order():
     res = g_functions(3, 1, grid, (ALL,))[ALL]
     assert res.at_flip is FlipOperator.X
     assert res.at_t == 1
-    assert res.at_theta == 0.0
-    assert res.at_phi == 0.0
+    assert res.coin == CoinOperator.generalized(0.0, 0.0)
 
 
 def test_record_argmin_takes_smallest_t_then_flip_then_coin(monkeypatch):
@@ -416,7 +414,7 @@ def test_record_argmin_takes_smallest_t_then_flip_then_coin(monkeypatch):
     monkeypatch.setattr(maxprob, "marginal", lambda weights, mode: next(rows)[None, :])
     res = g_functions(3, 1, SweepGrid(1, 3, R=1), (ALL,))[ALL]
     assert (res.value, res.at_t, res.at_flip) == (0.5, 2, FlipOperator.X)
-    assert (res.at_theta, res.at_phi) == (math.pi, 0.0)
+    assert res.coin == CoinOperator.generalized(math.pi, 0.0)
 
 
 def test_sweep_validates_dimensions():

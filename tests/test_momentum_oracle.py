@@ -100,8 +100,9 @@ def test_preset_rows_match_the_momentum_oracle(name):
     rng = np.random.default_rng(0)
     for row in run_table(spec).rows:
         mode = row.mode.value
-        series = peaks(row.P, row.kappa, coin(row.at_theta, row.at_phi),
-                       (row.at_flip.name,))[mode][:, 0]
+        # a Hadamard coin carries theta = phi = 0, which as angles is the identity
+        at = (None, None) if row.coin.kind == "hadamard" else (row.coin.theta, row.coin.phi)
+        series = peaks(row.P, row.kappa, coin(*at), (row.at_flip.name,))[mode][:, 0]
         where = f"{name} (P={row.P}, kappa={row.kappa}, {mode}) at t={row.at_t}"
         assert abs(series[row.at_t - 1] - row.value) <= REL * row.value, where
         assert series.min() >= row.value * (1 - REL), f"{where}: a lower t exists"
@@ -109,7 +110,7 @@ def test_preset_rows_match_the_momentum_oracle(name):
             continue
         n = angles.size
         others = [(angles[c // n], angles[c % n]) for c in rng.permutation(n * n)]
-        others = [a for a in others if a != (row.at_theta, row.at_phi)][:OTHER_COINS]
+        others = [a for a in others if a != at][:OTHER_COINS]
         for theta, phi in others:
             low = peaks(row.P, row.kappa, coin(theta, phi), tuple(FLIP_START))[mode].min()
             assert low >= row.value * (1 - REL), (
