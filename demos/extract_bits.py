@@ -20,7 +20,7 @@ print(f"walk tuned to t={res.at_t}: peak probability {res.value:.4f}, "
       f"gamma = {res.gamma:.4f} bits/signal")
 
 source = SourceModel(config=res.walk_config(), Q=0.02, rng_seed=7)
-params = ProtocolParams(N=200_000, m=20_000, Q=0.02)
+params = ProtocolParams(N=200_000, m=20_000)
 record = run_protocol(source, params, POS, gamma=res.gamma)
 
 print(f"tested {params.m} of {params.N} signals, "

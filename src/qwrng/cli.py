@@ -384,6 +384,9 @@ def _cmd_extract(opts: dict) -> int:
     _check_out_dir(stem.parent)
     record_path = stem.with_name(stem.name + ".record.txt")
     bits_path = stem.with_name(stem.name + ".bits")
+    for path in (record_path, bits_path):
+        if path.is_dir():
+            raise IsADirectoryError(f"-o/--out: {path} is a directory, not a file")
 
     # every input is checked before the sweep; until the sweep picks the
     # walk, the source holds the same walk at T = 0

@@ -25,7 +25,6 @@ from qwrng.walk import (
     FlipOperator,
     MeasurementMode,
     WalkConfig,
-    generalized_coin_matrix,
     marginal,
 )
 
@@ -89,10 +88,12 @@ class SweepGrid:
             flips,
         )
 
-    def angles(self) -> np.ndarray | None:
+    def coins(self) -> tuple[CoinOperator, ...]:
+        """Every coin of the grid, theta-major: the sweep's tie order after the flip."""
         if self.R is None:
-            return None
-        return np.arange(self.R + 1) * (math.pi / self.R)
+            return (CoinOperator.hadamard(),)
+        angles = [g * (math.pi / self.R) for g in range(self.R + 1)]
+        return tuple(CoinOperator.generalized(theta, phi) for theta in angles for phi in angles)
 
 
 @dataclass(frozen=True)
@@ -105,7 +106,7 @@ class MaxProbResult:
     mode: MeasurementMode
     P: int
     kappa: int
-    coin: CoinOperator = CoinOperator("hadamard")
+    coin: CoinOperator
 
     @property
     def gamma(self) -> float:
@@ -115,15 +116,6 @@ class MaxProbResult:
         """Config reproducing the recorded optimum."""
         return WalkConfig(P=self.P, kappa=self.kappa, T=self.at_t, coin=self.coin,
                           flip=self.at_flip)
-
-
-def _coin_batch(grid: SweepGrid) -> np.ndarray:
-    """Coin matrices for every angle pair, theta-major; Hadamard is a batch of one."""
-    angles = grid.angles()
-    if angles is None:
-        return CoinOperator.hadamard().matrix()[None, :, :]
-    n = len(angles)
-    return generalized_coin_matrix(np.repeat(angles, n), np.tile(angles, n))
 
 
 def _peaks(weights: np.ndarray, mode: MeasurementMode) -> np.ndarray:
@@ -138,6 +130,7 @@ def sweep_bytes(P: int, kappa: int, grid: SweepGrid) -> int:
     `walk.BatchWalk` keeps 72 per amplitude of each walk: state and coin
     output 16 each, step scratch 8, and the tiled coin entries 32.
     """
+    # len(grid.coins()), counted: listing the coins of a huge R would not end
     B = 1 if grid.R is None else (grid.R + 1) ** 2
     return 72 * B * WalkConfig(P=P, kappa=kappa, T=0).dim
 
@@ -147,15 +140,14 @@ def _sweep(
     kappa: int,
     grid: SweepGrid,
     modes: tuple[MeasurementMode, ...],
-    coins: np.ndarray,
-) -> dict[MeasurementMode, tuple[float, int, FlipOperator, int]]:
-    """Smallest peak of each mode over the grid's steps and flips and a coin batch.
+    coins: tuple[CoinOperator, ...],
+) -> dict[MeasurementMode, MaxProbResult]:
+    """Smallest peak of each mode over `coins` and the steps and flips of `grid`.
 
     Each flip runs the whole batch over the time range.  At every (t, flip)
     the batch's smallest peak and the first coin reaching it replace a
     mode's running best when (peak, t, flip index) is smaller, so ties go
-    to the smallest t, then the first flip.  Returns (value, t, flip, coin
-    index) per mode.
+    to the smallest t, then the first flip, then the first coin.
     """
     walk = BatchWalk(P, kappa, coins)
     best = {mode: (math.inf,) for mode in modes}
@@ -170,7 +162,8 @@ def _sweep(
                 peaks = _peaks(weights, mode)
                 b = int(np.argmin(peaks))
                 best[mode] = min(best[mode], (float(peaks[b]), t, j, b))
-    return {mode: (value, t, grid.flips[j], b) for mode, (value, t, j, b) in best.items()}
+    return {mode: MaxProbResult(value, t, grid.flips[j], mode, P, kappa, coins[b])
+            for mode, (value, t, j, b) in best.items()}
 
 
 def g_functions(
@@ -185,14 +178,7 @@ def g_functions(
     t, then the flip in order I, X, Y, then the smallest theta, then the
     smallest phi.
     """
-    angles = grid.angles()
-    results: dict[MeasurementMode, MaxProbResult] = {}
-    for mode, (value, t, flip, b) in _sweep(P, kappa, grid, modes, _coin_batch(grid)).items():
-        # the batch is theta-major, so its first coin has the smallest theta, then phi
-        coin = CoinOperator.hadamard() if angles is None else CoinOperator.generalized(
-            *(float(angles[i]) for i in divmod(b, len(angles))))
-        results[mode] = MaxProbResult(value, t, flip, mode, P, kappa, coin)
-    return results
+    return _sweep(P, kappa, grid, modes, grid.coins())
 
 
 def min_over_time(
@@ -205,6 +191,4 @@ def min_over_time(
     t_max: int,
 ) -> MaxProbResult:
     """Minimum over t alone at one fixed coin and flip."""
-    grid = SweepGrid(t_min, t_max, flips=(flip,))
-    value, t, _, _ = _sweep(P, kappa, grid, (mode,), coin.matrix()[None, :, :])[mode]
-    return MaxProbResult(value, t, flip, mode, P, kappa, coin)
+    return _sweep(P, kappa, SweepGrid(t_min, t_max, flips=(flip,)), (mode,), (coin,))[mode]

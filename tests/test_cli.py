@@ -378,7 +378,12 @@ class TestMemoryPreflight:
         (("extract", "-P", "5", "-k", "2", "-T", "5", "-N", str(10**30), "--seed", "1"),
          f"a run of N = {10**30} signals needs about "),
         # from 2**1054 bytes on, the need in GiB is past a float's range
-        (("evolve", "-P", "3", "-k", "1047", "-T", "1"), "a walk over P = 3, kappa = 1047 needs"),
+        (("evolve", "-P", str(10**330), "-k", "1", "-T", "1"),
+         f"a walk over P = {10**330}, kappa = 1 needs"),
+        # a coin register past numpy's index range fails before 2**kappa is
+        # formed, and kappa is not printed: past 4300 digits Python cannot
+        (("evolve", "-P", "3", "-k", str(10**30), "-T", "1"), "need kappa <= 61: "),
+        (("maxprob", "-P", "3", "-k", "15000"), "need kappa <= 61: "),
         (("extract", "-P", "3", "-T", "1", "-N", str(10**330), "--seed", "1"),
          f"a run of N = {10**330} signals needs"),
         (("maxprob", "-P", str(10**330)), f"a sweep over P = {10**330}, kappa = 1 needs"),
@@ -386,8 +391,8 @@ class TestMemoryPreflight:
          "a sweep over P = 3, kappa = 1 needs"),
         (("table", "table2", "--R", str(10**330)),
          "the sweep over P = 21, kappa = 3 of table2 needs"),
-    ], ids=["extract-N1e30", "evolve-k1047", "extract-N1e330", "maxprob-P1e330",
-            "maxprob-R1e330", "table-R1e330"])
+    ], ids=["extract-N1e30", "evolve-P1e330", "evolve-k1e30", "maxprob-k15000",
+            "extract-N1e330", "maxprob-P1e330", "maxprob-R1e330", "table-R1e330"])
     def test_a_huge_run_fails_in_the_preflight(self, tmp_path, argv, prefix):
         done = subprocess.run([sys.executable, "-m", "qwrng.cli", *argv], env=src_env(),
                               cwd=tmp_path, capture_output=True, text=True, timeout=60)
@@ -529,6 +534,22 @@ class TestExtract:
         assert rc == 2
         assert out == ""
         assert str(blocker) in last_error(err)["error"]
+
+    @pytest.mark.parametrize("taken", ["r1.bits", "r1.record.txt"])
+    def test_a_directory_at_an_output_path_fails_before_the_run(self, capsys, tmp_path,
+                                                                monkeypatch, taken):
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("ran before the output paths were checked")
+
+        monkeypatch.setattr(cli, "run_protocol", must_not_run)
+        (tmp_path / taken).mkdir()
+        rc, out, err = run(capsys, "extract", "-P", "3", "-T", "5", "-N", "1000", "--seed", "1",
+                           "-o", str(tmp_path / "r1"))
+        assert rc == 2
+        assert out == ""
+        errors = [json.loads(line) for line in err.splitlines() if '"error"' in line]
+        assert errors == [{"error": f"-o/--out: {tmp_path / taken} is a directory, not a file"}]
+        assert sorted(p.name for p in tmp_path.iterdir()) == [taken]
 
     def test_lost_hash_precision_is_a_json_error(self, capsys, tmp_path, monkeypatch):
         irfft = np.fft.irfft

@@ -8,7 +8,6 @@ import pytest
 from qwrng import maxprob
 from qwrng.maxprob import (
     MaxProbResult,
-    _coin_batch,
     _peaks,
     SweepGrid,
     g_functions,
@@ -22,8 +21,10 @@ from qwrng.walk import (
     MeasurementMode,
     WalkConfig,
     _memory_rotation_gather as memory_rotation_gather,
+    coin_matrices,
     distribution,
     evolve,
+    generalized_coin_matrix,
 )
 
 ALL = MeasurementMode.ALL
@@ -113,8 +114,15 @@ def test_grid_defaults():
     assert SweepGrid(1, 10).flips == (FlipOperator.I,)
     assert SweepGrid(1, 10, R=4).flips == (FlipOperator.I, FlipOperator.X, FlipOperator.Y)
     assert SweepGrid(1, 10, flips=(FlipOperator.Y,)).flips == (FlipOperator.Y,)
-    np.testing.assert_allclose(SweepGrid(1, 10, R=4).angles(), np.arange(5) * math.pi / 4)
-    assert SweepGrid(1, 10).angles() is None
+    assert SweepGrid(1, 10).coins() == (CoinOperator.hadamard(),)
+
+
+@pytest.mark.parametrize("R", [1, 4, 16, 64])
+def test_grid_coins_are_theta_major_over_the_angle_grid(R):
+    # each angle is the float np.arange(R + 1) * (pi / R) gives, bit for bit
+    angles = (np.arange(R + 1) * (math.pi / R)).tolist()
+    assert SweepGrid(1, 10, R=R).coins() == tuple(
+        CoinOperator.generalized(theta, phi) for theta, phi in itertools.product(angles, angles))
 
 
 def test_grid_for_coin_fills_only_unset_fields():
@@ -348,9 +356,9 @@ def test_step_kernel_is_bit_identical_to_einsum(P, kappa):
     # peak would change the published bytes: equality here is exact
     nc = 1 << kappa
     for grid in (SweepGrid(1, 60, R=4), SweepGrid(1, 60)):
-        coins = _coin_batch(grid)
+        coins = coin_matrices(grid.coins())
         B = coins.shape[0]
-        walk = BatchWalk(P, kappa, coins)  # one walk for every flip: start resets it
+        walk = BatchWalk(P, kappa, grid.coins())  # one walk for every flip: start resets it
         for flip in FlipOperator:
             start = np.zeros((B, P * nc // 2, 2), dtype=np.complex128)
             start[:, 0, 0] = 1.0
@@ -367,15 +375,24 @@ def test_step_kernel_is_bit_identical_to_einsum(P, kappa):
                     assert np.array_equal(peaks, _einsum_peaks(ref, mode)), (mode, t)
 
 
-@pytest.mark.parametrize("R", [1, 4, 16])
+@pytest.mark.parametrize("R", [1, 4, 16, 64])
 def test_sweep_coins_are_the_walk_coins(R):
-    # the sweep and evolve build the same coin matrix for the same angles
-    grid = SweepGrid(1, 1, R=R)
-    angles = grid.angles()
-    coins = _coin_batch(grid)
-    assert coins.shape == ((R + 1) ** 2, 2, 2)
-    for b, (th, ph) in enumerate(itertools.product(angles, angles)):
-        assert coins[b].tobytes() == CoinOperator.generalized(th, ph).matrix().tobytes()
+    # the sweep's vectorized matrices are the bits evolve's one-coin call gives
+    coins = SweepGrid(1, 1, R=R).coins()
+    matrices = coin_matrices(coins)
+    assert matrices.shape == ((R + 1) ** 2, 2, 2)
+    for coin, matrix in zip(coins, matrices):
+        assert matrix.tobytes() == coin.matrix().tobytes()
+        assert matrix.tobytes() == generalized_coin_matrix(coin.theta, coin.phi).tobytes()
+
+
+@pytest.mark.parametrize("P,kappa", [(3, 1), (5, 2), (11, 2), (21, 3), (5, 3)])
+def test_a_swept_optimum_replays_bit_for_bit(P, kappa):
+    # the result's coin is the coin whose walk reached the minimum: run
+    # alone at its flip, it reaches the same value at the same t
+    for mode, res in g_functions(P, kappa, SweepGrid(1, 60, R=8)).items():
+        again = min_over_time(P, kappa, mode, res.coin, res.at_flip, 1, 60)
+        assert (again.value, again.at_t) == (res.value, res.at_t), mode
 
 
 # -- tie breaking and determinism ----------------------------------------------
@@ -423,7 +440,8 @@ def test_sweep_validates_dimensions():
 
 
 def test_result_gamma_property():
-    res = MaxProbResult(value=0.25, at_t=3, at_flip=FlipOperator.I, mode=ALL, P=3, kappa=1)
+    res = MaxProbResult(value=0.25, at_t=3, at_flip=FlipOperator.I, mode=ALL, P=3, kappa=1,
+                        coin=CoinOperator.hadamard())
     assert res.gamma == 2.0
 
 

@@ -96,7 +96,7 @@ def peaks(P, kappa, u, flips, t_max=T_MAX):
 @pytest.mark.parametrize("name", PRESETS)
 def test_preset_rows_match_the_momentum_oracle(name):
     spec = preset(name, t_max=T_MAX)
-    angles = spec.grid.angles()
+    grid_coins = spec.grid.coins()
     rng = np.random.default_rng(0)
     for row in run_table(spec).rows:
         mode = row.mode.value
@@ -106,11 +106,10 @@ def test_preset_rows_match_the_momentum_oracle(name):
         where = f"{name} (P={row.P}, kappa={row.kappa}, {mode}) at t={row.at_t}"
         assert abs(series[row.at_t - 1] - row.value) <= REL * row.value, where
         assert series.min() >= row.value * (1 - REL), f"{where}: a lower t exists"
-        if angles is None:
+        if spec.grid.R is None:
             continue
-        n = angles.size
-        others = [(angles[c // n], angles[c % n]) for c in rng.permutation(n * n)]
-        others = [a for a in others if a != at][:OTHER_COINS]
+        others = [grid_coins[c] for c in rng.permutation(len(grid_coins))]
+        others = [(c.theta, c.phi) for c in others if c != row.coin][:OTHER_COINS]
         for theta, phi in others:
             low = peaks(row.P, row.kappa, coin(theta, phi), tuple(FLIP_START))[mode].min()
             assert low >= row.value * (1 - REL), (

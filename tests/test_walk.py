@@ -13,6 +13,7 @@ from qwrng.walk import (
     WalkState,
     _memory_rotation_gather as memory_rotation_gather,
     _step_source as step_source,
+    coin_matrices,
     distribution,
     evolve,
     generalized_coin_matrix,
@@ -57,6 +58,14 @@ def test_config_rejects_bad_dimensions():
         config(3, 0, 0)
     with pytest.raises(ValueError):
         config(3, 1, -1)
+
+
+@pytest.mark.parametrize("kappa", [62, 15000, 10**30])
+def test_config_rejects_a_coin_register_past_numpys_index_range(kappa):
+    # 2**62 * 2 amplitudes already pass 2**63 - 1; the check forms no 2**kappa
+    with pytest.raises(ValueError, match=r"^need kappa <= 61: "):
+        config(2, kappa, 0)
+    assert config(2, 61, 0).dim == 1 << 62
 
 
 def test_coin_operator_rejects_unknown_kind():
@@ -123,6 +132,18 @@ def test_general_coin_broadcasts_over_angle_arrays():
         for j in range(2):
             expect = generalized_coin_matrix(theta[i, j], phi[j])
             assert coins[i, j].tobytes() == expect.tobytes()
+
+
+def test_coin_matrices_keep_the_batch_order_and_each_coin_kind():
+    coins = (CoinOperator.generalized(0.3, 1.2), CoinOperator.hadamard(),
+             CoinOperator.generalized(2.0, 0.0))
+    matrices = coin_matrices(coins)
+    assert matrices.shape == (3, 2, 2)
+    assert matrices[0].tobytes() == generalized_coin_matrix(0.3, 1.2).tobytes()
+    assert matrices[1].tobytes() == FlipOperator.X.matrix().tobytes()
+    assert matrices[2].tobytes() == generalized_coin_matrix(2.0, 0.0).tobytes()
+    for coin, matrix in zip(coins, matrices):
+        assert coin.matrix().tobytes() == matrix.tobytes()
 
 
 def test_flip_matrices_are_unitary():
