@@ -44,6 +44,10 @@ _ROW_BLOCK = 16
 # columns of dst that _copy_transposed copies at a time
 _TILE = 512
 
+# packed seed bytes unpacked at a time: a 32 KiB temporary, well inside
+# the head room of _fft_working_set
+_UNPACK_BYTES = 1 << 12
+
 # what a transform costs beyond its points (the call, encoding and staging
 # an input block), in points, so that many tiny tiles never look cheapest
 _CALL_POINTS = 1 << 10
@@ -145,29 +149,46 @@ def _checked_digits(digits: np.ndarray, d: int) -> np.ndarray:
     return digits
 
 
-def encode_digits(digits: np.ndarray, d: int) -> np.ndarray:
-    """Big-endian fixed-width bit encoding of a digit string over 0..d-1."""
+def encode_digits(digits: np.ndarray, d: int, out: np.ndarray | None = None) -> np.ndarray:
+    """Big-endian fixed-width bit encoding of a digit string over 0..d-1.
+
+    The bits are written into `out`, a contiguous uint8 array of
+    len(digits) * ceil(log2 d) bytes, when one is given.  Bit column k
+    of every digit is one shift written through a strided view; a wider
+    digit is cast down to a byte on the way, and the final & 1 keeps
+    only its low bit, so the cast loses nothing.
+    """
     digits = _checked_digits(digits, d)
     w = digit_width(d)
-    # row v holds the w bits of v, so encoding is one gather
-    table = ((np.arange(d)[:, None] >> np.arange(w - 1, -1, -1)) & 1).astype(np.uint8)
-    return table[digits].reshape(-1)
+    if out is None:
+        out = np.empty(digits.shape[0] * w, dtype=np.uint8)
+    columns = out.reshape(-1, w)
+    for k in range(w):
+        np.right_shift(digits, w - 1 - k, out=columns[:, k], casting="unsafe")
+    return np.bitwise_and(out, 1, out=out)
 
 
 def run_bytes(N: int, m: int, d: int) -> int:
     """Bytes a run of N signals, m of them tested, over d outcomes holds at most.
 
-    Its O(N) arrays (digits, test bits, np.delete's kept-signal mask, the
-    kept digits, ell + L - 1 seed bits and the ell output bits, with
-    ell <= L = (N - m) ceil(log2 d)) plus the hash's working set.  Every
-    hash plan has b_o <= ell <= L and b_i <= L, so that set is at most
-    _FFT_BUDGET and one untiled tile's, which holds that tile's M bytes.
+    The largest of the run's three phases, with ell <= L = (N - m)
+    ceil(log2 d) and S = ell + L - 1 seed bits:
+    - sampling: the digits, the test bits, np.delete's kept-signal mask
+      and the kept digits;
+    - the seed draw: the kept digits, the S seed bits one to a byte and
+      their ceil(S / 8) packed bytes;
+    - the hash: the kept digits, the packed seed, the ell output bits and
+      the hash's working set.  Every hash plan has b_o <= ell <= L and
+      b_i <= L, so that set is at most _FFT_BUDGET and one untiled
+      tile's, which holds that tile's M bytes.
     """
     digit = np.min_scalar_type(d - 1).itemsize
     L = (N - m) * digit_width(d)
-    M = _smooth_len(2 * L - 1)
+    S = 2 * L - 1
+    M = _smooth_len(S)
     fft = _FFT_BUDGET if M >= _FFT_BUDGET else min(_FFT_BUDGET, _fft_working_set(M, L))
-    return N * digit + 2 * N + (N - m) * digit + 3 * L + fft
+    kept, packed = (N - m) * digit, -(-S // 8)
+    return max(N * digit + 2 * N + kept, kept + S + packed, kept + packed + L + fft)
 
 
 def toeplitz_seed_bits(seed: int, ell: int, length: int) -> np.ndarray:
@@ -304,8 +325,11 @@ def _fft_working_set(M: int, b_i: int) -> int:
     running sum and a seed segment's; the inverse writes into the
     second), the transform's own (M2, M1 // 2 + 1) first-pass array,
     its _ROW_BLOCK-row block buffer and two twiddle tables, the M-byte
-    stage that feeds each transform, and an input block's bits, charged
-    twice for encode_digits' gather buffers.
+    stage that feeds each transform, and 2 b_i bytes of head room.  The
+    input block and its seed segment are written straight into the
+    stage, so the head room covers only small buffers: numpy's iterator
+    buffers for encode_digits' casts, the seed's _UNPACK_BYTES-byte
+    unpacked chunks and the stage's few bytes either side.
     """
     M1, M2, A = _four_step_split(M)
     rows = M1 // 2 + 1
@@ -355,48 +379,55 @@ def _hash_plan(ell: int, L: int) -> tuple[int, int]:
     return best[1], best[2]
 
 
-def _toeplitz_parity(s: np.ndarray, raw: np.ndarray, d: int) -> np.ndarray:
-    """Parities of sum_j s[i - j + L - 1] x[j] for i < len(s) - L + 1, x = encode_digits(raw, d).
+def _toeplitz_parity(seed: np.ndarray, bits: int, raw: np.ndarray, d: int) -> np.ndarray:
+    """Parities of sum_j s[i - j + L - 1] x[j] for i < bits - L + 1, x = encode_digits(raw, d).
 
-    The middle product is tiled by _hash_plan.  Output block [i0, i1)
-    and input block [j0, j1) read the seed segment
-    s[L - j1 + i0 : i1 - j0 + L - 1].  A ragged last block is padded
-    with zeros (a zero input bit, or a seed bit outside s), so every
-    tile is b_o by b_i and keeps the slice [b_i - 1, b_i - 1 + b_o) of
-    a cyclic convolution of length M >= b_o + b_i - 1, which no wrapped
-    term reaches.  Every transform is a _RealFFT of length M, fed from
-    one M-byte stage.  An output block sums its tiles' spectra from
-    zero, each input block's product with its seed segment's streamed
-    into the sum as it is made, and inverts once; its counts, at most
-    L, are rounded back to exact integers.
-    Each input block is encoded from its own digits, so the L-bit string
-    never exists.
+    s is the `bits`-bit seed string, held packed big-endian in `seed`
+    (np.packbits of toeplitz_seed_bits).  The middle product is tiled
+    by _hash_plan.  Output block [i0, i1) and input block [j0, j1) read
+    the seed segment s[L - j1 + i0 : i1 - j0 + L - 1], unpacked into the
+    stage from its bit offset.  A ragged last block is padded with zeros
+    (a zero input bit, or a seed bit outside s), so every tile is b_o by
+    b_i and keeps the slice [b_i - 1, b_i - 1 + b_o) of a cyclic
+    convolution of length M >= b_o + b_i - 1, which no wrapped term
+    reaches.  Every transform is a _RealFFT of length M, fed from one
+    M-byte stage.  An output block sums its tiles' spectra from zero,
+    each input block's product with its seed segment's streamed into
+    the sum as it is made, and inverts once; its counts, at most L, are
+    rounded back to exact integers.
+    Each input block is encoded from its own digits straight into the
+    stage, so neither the L-bit string nor the unpacked seed exists.
+    A block that starts or ends inside a digit writes that digit's
+    other bits into w - 1 spare bytes on either side of the stage.
     """
     w = digit_width(d)
     L = raw.shape[0] * w
-    ell = s.shape[0] - L + 1
+    ell = bits - L + 1
     b_o, b_i = _hash_plan(ell, L)
     M = _smooth_len(b_o + b_i - 1)
     fft = _RealFFT(M)
     acc, seg = (np.empty(fft.shape, dtype=np.complex128) for _ in range(2))
-    stage = np.empty(M, dtype=np.uint8)
+    padded = np.empty(M + 2 * (w - 1), dtype=np.uint8)
+    stage = padded[w - 1 : w - 1 + M]
     out = np.empty(ell, dtype=np.uint8)
     for i0 in range(0, ell, b_o):
         n = min(b_o, ell - i0)
         acc[...] = 0
         for j0 in range(0, L, b_i):
             lo = L - j0 - b_i + i0
-            hi = min(i0 + b_o - j0 + L - 1, s.shape[0])
+            hi = min(i0 + b_o - j0 + L - 1, bits)
             # lo < 0 only under a ragged input block: the seed bits before s
             # meet only its zero padding, and are zeroed so that no stale
             # byte enters the spectrum
             pad = max(0, -lo)
             stage[:pad] = 0
-            stage[pad : hi - lo] = s[lo + pad : hi]
+            _unpack_into(stage[pad : hi - lo], seed, lo + pad)
             stage[hi - lo :] = 0
             fft.forward(stage, seg)
             j1 = min(j0 + b_i, L)
-            stage[: j1 - j0] = encode_digits(raw[j0 // w : -(-j1 // w)], d)[j0 % w :][: j1 - j0]
+            first, last = j0 // w, -(-j1 // w)
+            start = w - 1 - j0 % w
+            encode_digits(raw[first:last], d, out=padded[start : start + (last - first) * w])
             stage[j1 - j0 :] = 0
             fft.forward(stage, acc, factor=seg)
         counts = fft.inverse(acc, seg.reshape(-1).view(np.float64)[:M])[b_i - 1 : b_i - 1 + n]
@@ -411,6 +442,19 @@ def _toeplitz_parity(s: np.ndarray, raw: np.ndarray, d: int) -> np.ndarray:
         half = np.multiply(rounded, 0.5, out=rounded)
         np.not_equal(half, np.floor(half, out=counts), out=out[i0 : i0 + n])
     return out
+
+
+def _unpack_into(dst: np.ndarray, packed: np.ndarray, start: int) -> None:
+    """dst[:] = bits start, start + 1, ... of the big-endian packed bit string.
+
+    np.unpackbits makes a new array, so it unpacks _UNPACK_BYTES bytes
+    at a time and never holds more than one such chunk's bits.
+    """
+    for k in range(0, dst.shape[0], 8 * _UNPACK_BYTES):
+        n = min(8 * _UNPACK_BYTES, dst.shape[0] - k)
+        byte, skip = divmod(start + k, 8)
+        chunk = np.unpackbits(packed[byte : byte + -(-(skip + n) // 8)])
+        dst[k : k + n] = chunk[skip : skip + n]
 
 
 def privacy_amplify(raw: np.ndarray, ell: int, seed: int, *, d: int) -> np.ndarray:
@@ -433,7 +477,10 @@ def privacy_amplify(raw: np.ndarray, ell: int, seed: int, *, d: int) -> np.ndarr
         raise ValueError(f"cannot stretch {L} input bits to {ell} output bits")
     if ell == 0:
         return np.zeros(0, dtype=np.uint8)
-    return _toeplitz_parity(toeplitz_seed_bits(seed, ell, L), raw, d)
+    # only the packed seed is passed on: the bits one to a byte are freed
+    # here, before the hash's working set is allocated
+    packed = np.packbits(toeplitz_seed_bits(seed, ell, L))
+    return _toeplitz_parity(packed, ell + L - 1, raw, d)
 
 
 @dataclass(frozen=True)

@@ -356,8 +356,26 @@ class TestMemoryPreflight:
         assert rc == 2
         assert out == ""
         errors = [json.loads(line) for line in err.splitlines() if '"error"' in line]
-        assert errors == [{"error": "a run of N = 10000000 signals needs about 1.0 GiB of "
+        assert errors == [{"error": "a run of N = 10000000 signals needs about 0.9 GiB of "
                                     "memory, more than the 0.5 GiB this machine has"}]
+
+    def test_a_1e8_run_is_charged_its_largest_phase(self, tmp_path, monkeypatch):
+        # the hash phase, about 1.3 GiB, sets the charge; adding every O(N)
+        # array to the hash's working set charged 2.1 GiB and refused this run
+        pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 1 << 19}
+        monkeypatch.setattr(os, "sysconf", pages.__getitem__)
+
+        class Ran(Exception):
+            pass
+
+        def protocol(source, params, mode, gamma=None):
+            raise Ran(params.N)
+
+        monkeypatch.setattr(cli, "run_protocol", protocol)
+        with pytest.raises(Ran, match="^100000000$"):
+            main(["extract", "-P", "5", "-k", "2", "-T", "636", "--mode", "position",
+                  "-N", "100000000", "-o", str(tmp_path / "run")])
+        assert not list(tmp_path.iterdir())
 
     def test_evolve_is_charged_its_whole_run_once(self, capsys, monkeypatch, half_gib_machine):
         # 72 bytes per amplitude: 1.6e7 amplitudes need 1.07 GiB

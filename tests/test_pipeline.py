@@ -71,6 +71,26 @@ def test_digit_codec_roundtrip(d, seed, n):
     assert text == "".join(np.binary_repr(int(x), width=w) for x in digits)
 
 
+@pytest.mark.parametrize("d", [300, 70_000], ids=["w9-uint16", "w17-uint32"])
+def test_encoding_past_a_byte_matches_a_table_gather(d):
+    # the shifts write into a uint8 array with an unsafe cast; & 1 after
+    # them must leave every bit of a digit wider than a byte
+    w = digit_width(d)
+    dtype = np.min_scalar_type(d - 1)
+    assert w > 8 and dtype.itemsize > 1
+    digits = np.random.default_rng(d).integers(0, d, size=999).astype(dtype)
+    digits[:2] = 0, d - 1
+    table = ((np.arange(d)[:, None] >> np.arange(w - 1, -1, -1)) & 1).astype(np.uint8)
+    expect = table[digits].reshape(-1)
+    got = encode_digits(digits, d)
+    assert got.dtype == np.uint8
+    np.testing.assert_array_equal(got, expect)
+    out = np.full(expect.shape[0] + 2, 7, dtype=np.uint8)
+    assert np.shares_memory(encode_digits(digits, d, out=out[1:-1]), out)
+    np.testing.assert_array_equal(out[1:-1], expect)
+    assert out[0] == out[-1] == 7  # nothing outside out= is written
+
+
 # -- source sampling -----------------------------------------------------------
 
 def test_honest_source_never_fails_the_test():
@@ -342,8 +362,11 @@ def test_run_charge_past_the_budget_is_the_factored_one(N):
     m, d = math.isqrt(N), 20
     L = (N - m) * pipeline.digit_width(d)
     factored = pipeline._fft_working_set(pipeline._smooth_len(2 * L - 1), L)
-    rest = pipeline.run_bytes(N, m, d) - min(pipeline._FFT_BUDGET, factored)
-    assert rest == N + 2 * N + (N - m) + 3 * L
+    fft = min(pipeline._FFT_BUDGET, factored)
+    # the largest phase: sampling, the seed draw, the hash
+    kept, seed, packed = N - m, 2 * L - 1, -(-(2 * L - 1) // 8)
+    phases = (N + 2 * N + kept, kept + seed + packed, kept + packed + L + fft)
+    assert pipeline.run_bytes(N, m, d) == max(phases)
 
 
 @pytest.mark.parametrize("ell", [1, 2, 100])
@@ -380,14 +403,15 @@ def test_hash_plan_reports_a_budget_nothing_fits(monkeypatch):
 
 
 @pytest.mark.parametrize("budget", [700, 2000, 4000])
-@pytest.mark.parametrize("d", [2, 5, 17])
+@pytest.mark.parametrize("d", [2, 5, 17, 300])
 def test_tiled_hash_agrees_with_exact_paths(monkeypatch, budget, d):
     # a small budget forces many tiles; sizes give ragged last blocks,
-    # ell = 1 and ell = L
+    # ell = 1 and ell = L; d = 300 has uint16 digits 9 bits wide, so input
+    # blocks start inside a digit past its first byte
     monkeypatch.setattr(pipeline, "_FFT_BUDGET", budget)
     w = digit_width(d)
     rng = np.random.default_rng(budget + d)
-    seen = set()
+    seen, starts = set(), set()
     for n, ell in [(97, 1), (97, 97 * w), (61, 50), (128, 101), (150, 37)]:
         L = n * w
         raw = rng.integers(0, d, size=n).astype(np.min_scalar_type(d - 1))
@@ -402,16 +426,22 @@ def test_tiled_hash_agrees_with_exact_paths(monkeypatch, budget, d):
         b_o, b_i = pipeline._hash_plan(ell, L)
         n_out, n_in = tile_counts(ell, L)
         seen.add((n_out > 1, n_in > 1, ell % b_o != 0, L % b_i != 0))
+        starts.update(j0 % w for j0 in range(0, L, b_i))
+    # some input block starts at the last bit of a digit
+    assert max(starts) == w - 1
     assert any(split_out and split_in for split_out, split_in, _, _ in seen)
     assert any(ragged_out for _, _, ragged_out, _ in seen)
     assert any(ragged_in for _, _, _, ragged_in in seen)
 
 
-@pytest.mark.parametrize("N, ell, budget, tiles", [
+HASH_SIZES = pytest.mark.parametrize("N, ell, budget, tiles", [
     (200_000, 300_000, None, (1, 1)),
     (200_000, 20_000, None, (1, 3)),  # the cheapest split at a short output
     (60_000, 150_000, 5_000_000, (2, 2)),
 ])
+
+
+@HASH_SIZES
 def test_hash_working_set_model_bounds_what_the_hash_allocates(monkeypatch, N, ell, budget, tiles):
     """_fft_working_set, plus the ell output bits, against the hash's traced peak.
 
@@ -423,17 +453,43 @@ def test_hash_working_set_model_bounds_what_the_hash_allocates(monkeypatch, N, e
     d = 5
     raw = np.random.default_rng(N + ell).integers(0, d, size=N).astype(np.uint8)
     L = N * digit_width(d)
-    s = toeplitz_seed_bits(1, ell, L)
+    s = np.packbits(toeplitz_seed_bits(1, ell, L))
     assert tile_counts(ell, L) == tiles
     b_o, b_i = pipeline._hash_plan(ell, L)
     bound = pipeline._fft_working_set(pipeline._smooth_len(b_o + b_i - 1), b_i) + ell
     tracemalloc.start()
     try:
-        pipeline._toeplitz_parity(s, raw, d)
+        pipeline._toeplitz_parity(s, ell + L - 1, raw, d)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert 0.9 * bound <= peak <= bound, (peak, bound)
+
+
+@HASH_SIZES
+def test_the_hash_holds_its_seed_packed(monkeypatch, N, ell, budget, tiles):
+    """privacy_amplify, seed draw included, holds the seed packed through the hash.
+
+    Its traced peak stays within the hash's working set, the ell output
+    bits and the ceil((ell + L - 1) / 8) packed seed bytes; the seed's
+    ell + L - 1 bits one to a byte would not fit beside the working set.
+    """
+    if budget is not None:
+        monkeypatch.setattr(pipeline, "_FFT_BUDGET", budget)
+    d = 5
+    raw = np.random.default_rng(N + ell).integers(0, d, size=N).astype(np.uint8)
+    L = N * digit_width(d)
+    assert tile_counts(ell, L) == tiles
+    b_o, b_i = pipeline._hash_plan(ell, L)
+    working_set = pipeline._fft_working_set(pipeline._smooth_len(b_o + b_i - 1), b_i)
+    bound = working_set + ell + -(-(ell + L - 1) // 8)
+    tracemalloc.start()
+    try:
+        privacy_amplify(raw, ell, 1, d=d)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound, (peak, bound)
 
 
 # -- full protocol -------------------------------------------------------------
