@@ -283,11 +283,14 @@ def _check_memory(need: int, what: str) -> None:
                           f"more than the {have / 2**30:.1f} GiB this machine has")
 
 
-def _check_out_dir(path: Path) -> None:
-    """Fail, creating nothing, unless path is a directory or can become one."""
+def _check_out(path: Path, *files: Path) -> None:
+    """Fail, creating nothing, unless path is a directory or can become one and no file is one."""
     existing = next((p for p in (path, *path.parents) if p.exists()), path)
     if not existing.is_dir():
         raise NotADirectoryError(f"-o/--out: {existing} is not a directory")
+    for file in files:
+        if file.is_dir():
+            raise IsADirectoryError(f"-o/--out: {file} is a directory, not a file")
 
 
 def _outcome_labels(kappa: int, mode: MeasurementMode, lo: int, hi: int) -> list[str]:
@@ -361,7 +364,9 @@ def _cmd_preset(opts: dict, run) -> int:
     spec = preset(opts["preset"], R=opts["R"], t_max=opts["tmax"])
     need, P, kappa = max((sweep_bytes(P, k, spec.grid), P, k) for P, k, _ in spec.cases)
     _check_memory(need, f"the sweep over P = {P}, kappa = {kappa} of {spec.name}")
-    _check_out_dir(Path(opts["out"]))
+    # emit's file name is known before the sweep only when it carries no timestamp
+    out = Path(opts["out"])
+    _check_out(out, *([out / f"{spec.name}.{opts['format']}"] if opts["no_timestamp"] else []))
     result = run(spec)
     path = emit(result, fmt=opts["format"], path=opts["out"],
                 timestamp=not opts["no_timestamp"])
@@ -381,12 +386,9 @@ def _cmd_extract(opts: dict) -> int:
     stem = Path(opts["out"])
     if stem.name in ("", ".."):
         raise ValueError(f"-o/--out needs a file stem, such as runs/r1, not {opts['out']!r}")
-    _check_out_dir(stem.parent)
     record_path = stem.with_name(stem.name + ".record.txt")
     bits_path = stem.with_name(stem.name + ".bits")
-    for path in (record_path, bits_path):
-        if path.is_dir():
-            raise IsADirectoryError(f"-o/--out: {path} is a directory, not a file")
+    _check_out(stem.parent, record_path, bits_path)
 
     # every input is checked before the sweep; until the sweep picks the
     # walk, the source holds the same walk at T = 0

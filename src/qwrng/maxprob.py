@@ -19,14 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from qwrng.rates import gamma_from_g
-from qwrng.walk import (
-    BatchWalk,
-    CoinOperator,
-    FlipOperator,
-    MeasurementMode,
-    WalkConfig,
-    marginal,
-)
+from qwrng.walk import BatchWalk, CoinOperator, FlipOperator, MeasurementMode, WalkConfig
 
 # default sweep windows and angle resolution, applied only by SweepGrid.for_coin
 _T_MAX_HADAMARD = 2000
@@ -52,6 +45,8 @@ class SweepGrid:
     def __post_init__(self) -> None:
         if self.t_min < 1:
             raise ValueError("t_min must be at least 1")
+        if self.t_max >= 1 << 63:  # the int64 range; unprinted, as kappa is
+            raise ValueError("t_max must be below 2**63")
         if self.t_max < self.t_min:
             raise ValueError("empty time range: t_max below t_min")
         if self.R is not None and self.R < 1:
@@ -118,21 +113,10 @@ class MaxProbResult:
                           flip=self.at_flip)
 
 
-def _peaks(weights: np.ndarray, mode: MeasurementMode) -> np.ndarray:
-    """Largest outcome probability of `mode` in each walk of a batch of weights."""
-    outcomes = marginal(weights, mode)
-    return outcomes.max(axis=tuple(range(outcomes.ndim - 1)))
-
-
 def sweep_bytes(P: int, kappa: int, grid: SweepGrid) -> int:
-    """Bytes a sweep over (P, kappa) and `grid` holds, whatever its window.
-
-    `walk.BatchWalk` keeps 72 per amplitude of each walk: state and coin
-    output 16 each, step scratch 8, and the tiled coin entries 32.
-    """
+    """Bytes a sweep over (P, kappa) and `grid` holds, whatever its window: its batch's."""
     # len(grid.coins()), counted: listing the coins of a huge R would not end
-    B = 1 if grid.R is None else (grid.R + 1) ** 2
-    return 72 * B * WalkConfig(P=P, kappa=kappa, T=0).dim
+    return BatchWalk.nbytes(P, kappa, 1 if grid.R is None else (grid.R + 1) ** 2)
 
 
 def _sweep(
@@ -157,9 +141,7 @@ def _sweep(
             walk.step()
             if t < grid.t_min:
                 continue
-            weights = walk.weights()
-            for mode in modes:
-                peaks = _peaks(weights, mode)
+            for mode, peaks in zip(modes, walk.peaks(modes)):
                 b = int(np.argmin(peaks))
                 best[mode] = min(best[mode], (float(peaks[b]), t, j, b))
     return {mode: MaxProbResult(value, t, grid.flips[j], mode, P, kappa, coins[b])

@@ -130,8 +130,8 @@ class WalkConfig:
             # before anything forms 2**kappa; unprinted, as Python formats no int past 4300 digits
             raise ValueError("need kappa <= 61: 2**kappa * P amplitudes would exceed "
                              "numpy's index range of 2**63 - 1")
-        if self.T < 0:
-            raise ValueError("step count T must be non-negative")
+        if not 0 <= self.T < 1 << 63:  # the int64 range; unprinted, as kappa is
+            raise ValueError("step count T must be non-negative and below 2**63")
 
     @property
     def dim(self) -> int:
@@ -231,9 +231,9 @@ class BatchWalk:
         self.config = WalkConfig(P=P, kappa=kappa, T=0)  # validates dimensions
         n, B, u = self.config.dim, len(coins), coin_matrices(coins)
         h = n // 2
-        # rows[r] is the amplitude at row r; its inverse is the row of each amplitude
-        self.rows = np.arange(n).reshape(h, 2).T.reshape(-1)
-        self.source = np.argsort(self.rows)[_step_source(P, kappa)[self.rows]]
+        # _step_source in row order, each source amplitude 2p + c taken to its row c*h + p
+        source = _step_source(P, kappa).reshape(h, 2).T
+        self.source = ((source & 1) * h + (source >> 1)).reshape(-1)
         self.state = np.empty((2, n, B))
         self.coined = np.empty((2, n, B))
         # two (n/2, B) blocks of step scratch, which the readout reuses as (n, B)
@@ -241,7 +241,7 @@ class BatchWalk:
         # cr[a, c] and ci[a, c]: real and imaginary part of coin entry (a, c), tiled
         entries = np.stack([u.real, u.imag]).transpose(0, 2, 3, 1)
         cr, ci = np.ascontiguousarray(np.broadcast_to(entries[..., None, :], (2, 2, 2, h, B)))
-        re, im = self.state.reshape(2, 2, h, B)
+        re, im = self.planes = self.state.reshape(2, 2, h, B)
         out_re, out_im = self.coined.reshape(2, 2, h, B)
         t, u = scratch
         # output a, Re: sum over c of re*cr - im*ci; Im: sum over c of re*ci + im*cr
@@ -259,11 +259,22 @@ class BatchWalk:
         self.abs2 = scratch.reshape(n, B)
         self.readout = np.moveaxis(self.abs2.reshape(2, P, -1, B), 0, 2)
 
+    @staticmethod
+    def nbytes(P: int, kappa: int, B: int) -> int:
+        """Bytes a batch of B walks on (P, kappa) holds, its coins' objects included.
+
+        Per walk, 76 per amplitude (state and coin output 16 each, scratch 8,
+        tiled coin entries 32, one mode's marginal sum 4) and 256 for its coin
+        and matrices; per batch, `source` 8 and `start`'s initial state 16.
+        """
+        n = WalkConfig(P=P, kappa=kappa, T=0).dim
+        return (76 * n + 256) * B + 24 * n
+
     def start(self, flip: FlipOperator) -> None:
         """Set every walk of the batch to :func:`initial_state` under `flip`."""
         amplitudes = initial_state(replace(self.config, flip=flip)).amplitudes
-        self.state[0] = amplitudes.real[self.rows, None]
-        self.state[1] = amplitudes.imag[self.rows, None]
+        # (pair, coin, re/im) floats, transposed to the planes' (re/im, coin, pair) blocks
+        self.planes[...] = amplitudes.view(np.float64).reshape(-1, 2, 2).T[..., None]
 
     def step(self) -> None:
         """One coin toss, shift and memory rotation of every walk."""
@@ -272,17 +283,21 @@ class BatchWalk:
         # mode="raise" would buffer `out`; the source rows are all in range
         np.take(self.coined, self.source, axis=1, out=self.state, mode="clip")
 
-    def weights(self) -> np.ndarray:
-        """|amplitude|^2 of every walk, as marginal's (P, 2**(kappa-1), 2, B) view.
+    def peaks(self, modes: tuple[MeasurementMode, ...]) -> list[np.ndarray]:
+        """Largest outcome probability of each of `modes`, one (B,) array per mode.
 
-        The planes go through a complex buffer, for the same complex `np.abs`
-        that :func:`distribution` takes.
+        The planes go through a complex buffer, for the complex `np.abs` of :func:`distribution`.
         """
         np.copyto(self.interleaved.real, self.state[0])
         np.copyto(self.interleaved.imag, self.state[1])
         np.abs(self.interleaved, out=self.abs2)
         np.square(self.abs2, out=self.abs2)
-        return self.readout
+        peaks = []
+        for mode in modes:
+            outcomes = marginal(self.readout, mode)
+            peaks.append(outcomes.max(axis=tuple(range(outcomes.ndim - 1))))
+            del outcomes  # before the next mode's sum is built
+        return peaks
 
 
 def marginal(weights: np.ndarray, mode: MeasurementMode) -> np.ndarray:

@@ -15,6 +15,8 @@ import qwrng.cli as cli
 import qwrng.experiments as experiments
 import qwrng.pipeline as pipeline
 from qwrng.cli import main
+from qwrng.maxprob import SweepGrid, sweep_bytes
+from qwrng.pipeline import run_bytes
 from qwrng.rates import ProtocolParams
 
 
@@ -204,6 +206,24 @@ class TestTable:
         errors = [json.loads(line) for line in err.splitlines() if '"error"' in line]
         assert len(errors) == 1 and str(blocker) in errors[0]["error"]
 
+    @pytest.mark.parametrize("command,name,fmt", [("table", "table2", "csv"),
+                                                  ("curve", "fig1", "json")])
+    def test_a_directory_at_the_output_file_fails_before_any_sweep(
+            self, capsys, tmp_path, monkeypatch, command, name, fmt):
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("sweep ran")
+
+        monkeypatch.setattr(experiments, "g_functions", no_sweep)
+        taken = tmp_path / "d" / f"{name}.{fmt}"
+        taken.mkdir(parents=True)
+        rc, out, err = run(capsys, command, name, "--tmax", "30", "--format", fmt,
+                           "-o", str(tmp_path / "d"), "--no-timestamp")
+        assert rc == 2
+        assert out == ""
+        errors = [json.loads(line) for line in err.splitlines() if '"error"' in line]
+        assert errors == [{"error": f"-o/--out: {taken} is a directory, not a file"}]
+        assert sorted(tmp_path.rglob("*")) == [taken.parent, taken]
+
     def test_thread_option_is_gone(self, capsys, tmp_path):
         rc, _, err = run(capsys, "table", "table2", "--tmax", "1", "-o", str(tmp_path),
                          "--threads", "2")
@@ -315,7 +335,8 @@ class TestMemoryPreflight:
 
     def test_the_largest_preset_cell_sets_the_need(self, capsys, tmp_path, monkeypatch):
         # table2 at R = 1000 has B = 1002001 coins; its (P=21, kappa=3) cell
-        # needs 72 * B * 168 bytes, about 11.3 GiB, more than an 8 GiB machine
+        # needs (76 * 168 + 256) * B + 24 * 168 bytes, about 12.2 GiB, more
+        # than an 8 GiB machine
         pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 2 << 20}
         monkeypatch.setattr(os, "sysconf", pages.__getitem__)
 
@@ -327,7 +348,7 @@ class TestMemoryPreflight:
         assert rc == 2
         assert out == ""
         assert last_error(err)["error"] == (
-            "the sweep over P = 21, kappa = 3 of table2 needs about 11.3 GiB of memory, "
+            "the sweep over P = 21, kappa = 3 of table2 needs about 12.2 GiB of memory, "
             "more than the 8.0 GiB this machine has")
         assert not list(tmp_path.iterdir())
 
@@ -390,6 +411,33 @@ class TestMemoryPreflight:
         assert errors == [{"error": "a walk over P = 4000000, kappa = 2 needs about 1.1 GiB of "
                                     "memory, more than the 0.5 GiB this machine has"}]
 
+    # peak RSS above the post-import baseline, in KiB, printed after the run's output
+    _PEAK_KIB = ("import resource, sys\n"
+                 "from qwrng.cli import main\n"
+                 "base = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+                 "main(sys.argv[1:])\n"
+                 "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - base)\n")
+    # a process's ru_maxrss starts at the peak of the one that spawned it, so
+    # the run is spawned by a small interpreter, not by this test process
+    _LAUNCH = ("import subprocess, sys\n"
+               "sys.exit(subprocess.run([sys.executable, *sys.argv[1:]]).returncode)\n")
+
+    @pytest.mark.parametrize("argv, charge", [
+        (("maxprob", "-P", "1000000", "-k", "2", "--tmax", "3"),
+         sweep_bytes(1000000, 2, SweepGrid(1, 3))),
+        (("extract", "-P", "5", "-k", "2", "-T", "636", "--mode", "position",
+          "-N", "1000000", "--seed", "7"),
+         run_bytes(1000000, ProtocolParams(N=1000000).m, 5)),
+    ], ids=["maxprob", "extract"])
+    def test_a_run_peaks_within_its_charge(self, tmp_path, argv, charge):
+        # the preflight refuses what cannot fit, so a run that passes it must
+        # not then take more than it was charged
+        done = subprocess.run([sys.executable, "-c", self._LAUNCH, "-c", self._PEAK_KIB, *argv],
+                              env=src_env(), cwd=tmp_path, capture_output=True, text=True,
+                              timeout=300)
+        assert done.returncode == 0, done.stderr
+        assert 0 < int(done.stdout.splitlines()[-1]) * 1024 <= charge
+
     @pytest.mark.parametrize("argv, prefix", [
         # the charge must not factor the hash length: trial division from its
         # square root, about 1e15 here, would not end
@@ -441,6 +489,37 @@ class TestMemoryPreflight:
         monkeypatch.chdir(tmp_path)
         with pytest.raises(Swept, match="^100000000$"):
             main(list(argv))
+
+
+class TestStepBounds:
+    # a step count is an int64: at 2**63 or more it is refused before any walk
+    # steps, and not printed, as kappa is not
+    @pytest.mark.parametrize("argv", [
+        ("evolve", "-P", "3", "-T", str(10**30)),
+        ("maxprob", "-P", "3", "--tmax", str(10**30)),
+        ("maxprob", "-P", "3", "--tmin", str(2**63), "--tmax", str(2**63)),
+        ("table", "table1", "--tmax", str(2**63)),
+        ("curve", "fig1", "--tmax", str(10**30)),
+        ("extract", "-P", "3", "-N", "1000", "--seed", "1", "--tmax", str(10**30)),
+        ("extract", "-P", "3", "-N", "1000", "--seed", "1", "-T", str(2**63)),
+    ], ids=["evolve-T", "maxprob-tmax", "maxprob-tmin", "table", "curve", "extract",
+            "extract-T"])
+    def test_a_step_count_past_int64_is_refused(self, capsys, tmp_path, monkeypatch, argv):
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("stepped a walk past the int64 range")
+
+        for module, name in ((cli, "evolve"), (cli, "g_functions"), (cli, "run_protocol"),
+                             (experiments, "g_functions")):
+            monkeypatch.setattr(module, name, must_not_run)
+        monkeypatch.chdir(tmp_path)  # where table, curve and extract write by default
+        rc, out, err = run(capsys, *argv)
+        assert rc == 2
+        assert out == ""
+        errors = [json.loads(line)["error"] for line in err.splitlines() if '"error"' in line]
+        assert len(errors) == 1
+        assert errors[0].endswith("below 2**63")
+        assert str(2**63) not in errors[0] and str(10**30) not in errors[0]
+        assert not list(tmp_path.iterdir())
 
 
 class TestExtract:

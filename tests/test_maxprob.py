@@ -5,13 +5,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qwrng import maxprob
 from qwrng.maxprob import (
     MaxProbResult,
-    _peaks,
     SweepGrid,
     g_functions,
     min_over_time,
+    sweep_bytes,
 )
 from qwrng.rates import gamma_from_g
 from qwrng.walk import (
@@ -123,6 +122,14 @@ def test_grid_coins_are_theta_major_over_the_angle_grid(R):
     angles = (np.arange(R + 1) * (math.pi / R)).tolist()
     assert SweepGrid(1, 10, R=R).coins() == tuple(
         CoinOperator.generalized(theta, phi) for theta, phi in itertools.product(angles, angles))
+
+
+@pytest.mark.parametrize("t_min,t_max", [(1, 2**63), (2**63, 2**63), (5, 10**5000)],
+                         ids=["t_max", "both", "t_max-1e5000"])
+def test_grid_rejects_a_window_past_int64(t_min, t_max):
+    with pytest.raises(ValueError, match=r"^t_max must be below 2\*\*63$"):
+        SweepGrid(t_min, t_max)
+    assert SweepGrid(2**63 - 1, 2**63 - 1).t_max == 2**63 - 1
 
 
 def test_grid_for_coin_fills_only_unset_fields():
@@ -369,9 +376,7 @@ def test_step_kernel_is_bit_identical_to_einsum(P, kappa):
                 walk.step()
                 got = _amplitudes(walk.state).reshape(B, P, nc)
                 assert np.array_equal(got, ref), (grid.R, flip, t)
-                weights = walk.weights()
-                for mode in MeasurementMode:
-                    peaks = _peaks(weights, mode)
+                for mode, peaks in zip(MeasurementMode, walk.peaks(tuple(MeasurementMode))):
                     assert np.array_equal(peaks, _einsum_peaks(ref, mode)), (mode, t)
 
 
@@ -427,8 +432,7 @@ def test_record_argmin_takes_smallest_t_then_flip_then_coin(monkeypatch):
         hi, [0.9, 0.9, 0.5, 0.5], lo,     # X
         hi, [0.5, 0.9, 0.9, 0.9], lo,     # Y
     ))
-    # the batch is the readout's last axis, after the outcome axes
-    monkeypatch.setattr(maxprob, "marginal", lambda weights, mode: next(rows)[None, :])
+    monkeypatch.setattr(BatchWalk, "peaks", lambda walk, modes: [next(rows)])
     res = g_functions(3, 1, SweepGrid(1, 3, R=1), (ALL,))[ALL]
     assert (res.value, res.at_t, res.at_flip) == (0.5, 2, FlipOperator.X)
     assert res.coin == CoinOperator.generalized(math.pi, 0.0)
@@ -458,3 +462,24 @@ def test_sweep_memory_does_not_grow_with_the_window():
 
     traced_peak(50)  # first-call allocations, cached for later calls
     assert traced_peak(5000) <= traced_peak(50) + 4096
+
+
+@pytest.mark.parametrize("P,kappa,R,modes", [
+    (200_000, 2, None, (ALL,)),
+    (501, 1, 16, (ALL,)),
+    (501, 1, 16, (MEM,)),
+    (501, 1, 16, (POS,)),
+    (125, 3, 16, (ALL, MEM, POS)),
+], ids=["hadamard-B1", "R16-all", "R16-memory", "R16-position", "R16-k3-every-mode"])
+def test_sweep_bytes_bounds_what_a_sweep_allocates(P, kappa, R, modes):
+    # the preflight charges sweep_bytes, so a sweep must not allocate more;
+    # a charge far above the traced peak would refuse runs that fit
+    grid = SweepGrid(1, 3, R=R)
+    g_functions(3, 1, SweepGrid(1, 2, R=1))  # first-call allocations, cached for later calls
+    tracemalloc.start()
+    try:
+        g_functions(P, kappa, grid, modes)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 0.9 <= peak / sweep_bytes(P, kappa, grid) <= 1.0

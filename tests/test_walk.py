@@ -68,6 +68,14 @@ def test_config_rejects_a_coin_register_past_numpys_index_range(kappa):
     assert config(2, 61, 0).dim == 1 << 62
 
 
+@pytest.mark.parametrize("T", [2**63, 10**30, 10**5000], ids=["2**63", "1e30", "1e5000"])
+def test_config_rejects_a_step_count_past_int64(T):
+    # a walk of 2**63 steps would never end; T is not printed, as kappa is not
+    with pytest.raises(ValueError, match=r"^step count T must be non-negative and below 2\*\*63$"):
+        config(3, 1, T)
+    assert config(3, 1, 2**63 - 1).T == 2**63 - 1
+
+
 def test_coin_operator_rejects_unknown_kind():
     with pytest.raises(ValueError):
         CoinOperator("walsh")
