@@ -17,6 +17,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -328,8 +329,8 @@ def _fft_working_set(M: int, b_i: int) -> int:
     stage that feeds each transform, and 2 b_i bytes of head room.  The
     input block and its seed segment are written straight into the
     stage, so the head room covers only small buffers: numpy's iterator
-    buffers for encode_digits' casts, the seed's _UNPACK_BYTES-byte
-    unpacked chunks and the stage's few bytes either side.
+    buffers for encode_digits' casts and the seed's _UNPACK_BYTES-byte
+    unpacked chunks.
     """
     M1, M2, A = _four_step_split(M)
     rows = M1 // 2 + 1
@@ -337,98 +338,92 @@ def _fft_working_set(M: int, b_i: int) -> int:
     return 16 * bins + M + 2 * b_i
 
 
-def _hash_plan(ell: int, L: int) -> tuple[int, int]:
-    """Output and input block sizes (b_o, b_i) of the tiled hash.
+def _hash_plan(ell: int, L: int, w: int) -> tuple[int, int, int]:
+    """Block sizes (b_o, b_i) of the tiled hash, and its transform length M.
 
-    With n_out = ceil(ell / b_o) output blocks and n_in = ceil(L / b_i)
-    input blocks, each output block transforms every input block and its
-    seed segment and inverts their summed products once:
-    n_out (2 n_in + 1) transforms of length M = smooth(b_o + b_i - 1).
+    With n_out = ceil(ell / b_o) output blocks and n_in input blocks of
+    b_i = w ceil(L / (w n_in)) bits, whole w-bit digits, each output
+    block transforms every input block and its seed segment and inverts
+    their summed products once: n_out (2 n_in + 1) transforms of length
+    M = smooth(b_o + b_i - 1).
     Of the splits whose working set fits _FFT_BUDGET, this returns the
     cheapest, a transform costing M + _CALL_POINTS points, and the first
     in (n_out, n_in) order on a tie.
     """
+    n = L // w
+
+    def plan(n_out: int, n_in: int) -> tuple[int, int, int]:
+        b_o, b_i = -(-ell // n_out), w * -(-n // n_in)
+        return b_o, b_i, _smooth_len(b_o + b_i - 1)
 
     def fits(n_out: int, n_in: int) -> bool:
-        b_i = -(-L // n_in)
-        return _fft_working_set(_smooth_len(-(-ell // n_out) + b_i - 1), b_i) <= _FFT_BUDGET
+        _, b_i, M = plan(n_out, n_in)
+        return _fft_working_set(M, b_i) <= _FFT_BUDGET
 
-    best: tuple[int, int, int] | None = None
+    best: tuple[int, int, int, int] | None = None
     # a split costs more than 2 n_out L, since (2 n_in + 1) b_i > 2 L
     for n_out in range(1, ell + 1):
         if best is not None and 2 * n_out * L >= best[0]:
             break
-        if not fits(n_out, L):
+        if not fits(n_out, n):
             continue
-        b_o = -(-ell // n_out)
-        n_in = 1  # the working set shrinks as n_in grows, and n_in = L fits
+        n_in = 1  # the working set shrinks as n_in grows, and n_in = n fits
         while not fits(n_out, n_in):
             n_in += 1
-        while n_in <= L:
-            b_i = -(-L // n_in)
+        while n_in <= n:
+            b_o, b_i, M = plan(n_out, n_in)
             # a lower bound on this split's cost that grows with n_in
             bound = n_out * ((2 * n_in + 1) * (b_o - 1 + _CALL_POINTS) + 2 * L)
             if best is not None and bound >= best[0]:
                 break
-            cost = n_out * (2 * n_in + 1) * (_smooth_len(b_o + b_i - 1) + _CALL_POINTS)
+            cost = n_out * (2 * n_in + 1) * (M + _CALL_POINTS)
             if best is None or cost < best[0]:
-                best = (cost, b_o, b_i)
+                best = (cost, b_o, b_i, M)
             n_in += 1
     if best is None:
         raise MemoryError("the hash does not fit its FFT memory budget")
-    return best[1], best[2]
+    return best[1:]
 
 
 def _toeplitz_parity(seed: np.ndarray, bits: int, raw: np.ndarray, d: int) -> np.ndarray:
     """Parities of sum_j s[i - j + L - 1] x[j] for i < bits - L + 1, x = encode_digits(raw, d).
 
     s is the `bits`-bit seed string, held packed big-endian in `seed`
-    (np.packbits of toeplitz_seed_bits).  The middle product is tiled
-    by _hash_plan.  Output block [i0, i1) and input block [j0, j1) read
-    the seed segment s[L - j1 + i0 : i1 - j0 + L - 1], unpacked into the
-    stage from its bit offset.  A ragged last block is padded with zeros
-    (a zero input bit, or a seed bit outside s), so every tile is b_o by
-    b_i and keeps the slice [b_i - 1, b_i - 1 + b_o) of a cyclic
-    convolution of length M >= b_o + b_i - 1, which no wrapped term
-    reaches.  Every transform is a _RealFFT of length M, fed from one
-    M-byte stage.  An output block sums its tiles' spectra from zero,
-    each input block's product with its seed segment's streamed into
-    the sum as it is made, and inverts once; its counts, at most L, are
-    rounded back to exact integers.
-    Each input block is encoded from its own digits straight into the
-    stage, so neither the L-bit string nor the unpacked seed exists.
-    A block that starts or ends inside a digit writes that digit's
-    other bits into w - 1 spare bytes on either side of the stage.
+    (np.packbits of toeplitz_seed_bits).  _hash_plan tiles the middle
+    product b_o by b_i, in input blocks of whole digits that end at
+    j1 = L, L - b_i, ...; a short first block is zero-padded at its front.
+    Output block i0 and input block j1 read the seed from bit L - j1 + i0
+    >= 0, with zeros past the end of s, and each tile keeps the slice
+    [b_i - 1, b_i - 1 + b_o) of a cyclic convolution of length
+    M >= b_o + b_i - 1, which no wrapped term reaches.  The seed segment,
+    then the input block encoded from its own digits, are written into
+    one M-byte stage that feeds every _RealFFT, so neither the L-bit
+    string nor the unpacked seed exists.  An output block sums its tiles'
+    products of spectra from zero and inverts once; its counts, at most
+    L, are rounded back to exact integers.
     """
     w = digit_width(d)
     L = raw.shape[0] * w
     ell = bits - L + 1
-    b_o, b_i = _hash_plan(ell, L)
-    M = _smooth_len(b_o + b_i - 1)
+    b_o, b_i, M = _hash_plan(ell, L, w)
     fft = _RealFFT(M)
     acc, seg = (np.empty(fft.shape, dtype=np.complex128) for _ in range(2))
-    padded = np.empty(M + 2 * (w - 1), dtype=np.uint8)
-    stage = padded[w - 1 : w - 1 + M]
+    stage = np.empty(M, dtype=np.uint8)
     out = np.empty(ell, dtype=np.uint8)
     for i0 in range(0, ell, b_o):
         n = min(b_o, ell - i0)
         acc[...] = 0
-        for j0 in range(0, L, b_i):
-            lo = L - j0 - b_i + i0
-            hi = min(i0 + b_o - j0 + L - 1, bits)
-            # lo < 0 only under a ragged input block: the seed bits before s
-            # meet only its zero padding, and are zeroed so that no stale
-            # byte enters the spectrum
-            pad = max(0, -lo)
-            stage[:pad] = 0
-            _unpack_into(stage[pad : hi - lo], seed, lo + pad)
+        for j1 in range(L, 0, -b_i):
+            lo = L - j1 + i0
+            hi = min(lo + b_o + b_i - 1, bits)
+            _unpack_into(stage[: hi - lo], seed, lo)
             stage[hi - lo :] = 0
             fft.forward(stage, seg)
-            j1 = min(j0 + b_i, L)
-            first, last = j0 // w, -(-j1 // w)
-            start = w - 1 - j0 % w
-            encode_digits(raw[first:last], d, out=padded[start : start + (last - first) * w])
-            stage[j1 - j0 :] = 0
+            j0 = max(0, j1 - b_i)
+            pad = b_i - (j1 - j0)
+            stage[:pad] = 0
+            encode_digits(raw[j0 // w : j1 // w], d, out=stage[pad:b_i])
+            stage[b_i:] = 0
             fft.forward(stage, acc, factor=seg)
         counts = fft.inverse(acc, seg.reshape(-1).view(np.float64)[:M])[b_i - 1 : b_i - 1 + n]
         rounded = np.rint(counts, out=acc.reshape(-1).view(np.float64)[:n])
@@ -506,13 +501,17 @@ class RunRecord:
         """Output bits packed big-endian, zero-padded to a whole byte."""
         return np.packbits(self.output).tobytes()
 
-    def summary_items(self) -> list[tuple[str, str]]:
+    def summary_items(self) -> tuple[tuple[str, str], ...]:
+        return self._summary
+
+    @cached_property
+    def _summary(self) -> tuple[tuple[str, str], ...]:
+        """The record's fields as text, built once: its digests read every test index."""
         cfg = self.source.config
+        subset = ",".join(map(str, self.t_subset))
         if len(self.t_subset) > _SUBSET_INLINE_LIMIT:
-            subset = _digest(",".join(map(str, self.t_subset)))
-        else:
-            subset = ",".join(map(str, self.t_subset))
-        return [
+            subset = _digest(subset.encode("ascii"))
+        return (
             ("case", self.case.value),
             ("P", str(cfg.P)),
             ("kappa", str(cfg.kappa)),
@@ -529,7 +528,7 @@ class RunRecord:
             ("epsilon_pa", repr(self.params.epsilon_pa)),
             ("beta", repr(self.params.beta)),
             ("t_subset", subset),
-            ("q_digest", _digest("".join(map(str, self.q)))),
+            ("q_digest", _digest((self.q + ord("0")).tobytes())),  # q: uint8 0s and 1s
             ("w_q", repr(self.w_q)),
             ("gamma", repr(self.gamma)),
             ("delta", repr(self.delta)),
@@ -539,14 +538,14 @@ class RunRecord:
             ("output_bits", str(int(self.output.size))),
             ("seed_matrix_id", str(self.seed_matrix_id)),
             ("output_hex", self.output_bytes().hex()),
-        ]
+        )
 
     def to_text(self) -> str:
-        return "".join(f"{k}: {v}\n" for k, v in self.summary_items())
+        return "".join(f"{k}: {v}\n" for k, v in self._summary)
 
 
-def _digest(text: str) -> str:
-    return "sha256:" + hashlib.sha256(text.encode("ascii")).hexdigest()
+def _digest(data: bytes) -> str:
+    return "sha256:" + hashlib.sha256(data).hexdigest()
 
 
 def run_protocol(

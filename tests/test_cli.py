@@ -561,6 +561,19 @@ class TestExtract:
         assert (doc["aborted"], doc["gamma"], doc["output_bits"]) == ("true", "0.0", "0")
         assert (tmp_path / "d.bits").read_bytes() == b""
 
+    @pytest.mark.parametrize("json_flag", [(), ("--json",)], ids=["text", "json"])
+    def test_record_is_rendered_once(self, capsys, tmp_path, monkeypatch, json_flag):
+        # each digest joins every test index or bit, so the record file and
+        # the summary share one rendering of it
+        digested = []
+        digest = pipeline._digest
+        monkeypatch.setattr(pipeline, "_digest", lambda data: digested.append(data) or digest(data))
+        rc, _, _ = run(capsys, "extract", "-P", "5", "-T", "8", "--mode", "position",
+                       "-N", "30000", "-m", "10001", "--seed", "3", *json_flag,
+                       "-o", str(tmp_path / "r"))
+        assert rc == 0
+        assert len(digested) == 2  # t_subset's and q's
+
     def test_missing_seed_generates_and_prints_one(self, capsys, tmp_path):
         rc, out, _ = run(capsys, "extract", "-P", "5", "-T", "8",
                          "-N", "400", "-m", "40", "-o", str(tmp_path / "y"))

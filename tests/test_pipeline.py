@@ -1,3 +1,4 @@
+import hashlib
 import math
 import tracemalloc
 from dataclasses import replace
@@ -327,20 +328,31 @@ def test_four_step_transform_pair(M):
     np.testing.assert_array_equal(np.rint(got), cyclic)
 
 
-def tile_counts(ell, L):
-    b_o, b_i = pipeline._hash_plan(ell, L)
-    return -(-ell // b_o), -(-L // b_i)
+def plan(ell, L, w):
+    """(n_out, n_in, M) of the hash of L bits, in w-bit digits, down to ell."""
+    b_o, b_i, M = pipeline._hash_plan(ell, L, w)
+    return -(-ell // b_o), -(-L // b_i), M
+
+
+@pytest.mark.parametrize("ell, L, expected", [
+    (8_510_981, 29_990_514, (1, 2, 23_592_960)),  # extract-1e7
+    (128_702_601, 299_970_000, (7, 19, 34_560_000)),  # its walk's seed-7 run at N = 1e8
+    (850_548, 2_997_000, (1, 1, 3_888_000)),
+    (1, 29_990_514, (1, 127, 236_196)),
+    (100, 29_990_514, (1, 80, 375_000)),
+    (20_000, 598_659, (1, 5, 139_968)),
+])
+def test_hash_plans_at_measured_sizes(ell, L, expected):
+    # input blocks of whole 3-bit digits give the plans that blocks of
+    # any bit length gave at these sizes
+    assert plan(ell, L, 3) == expected
 
 
 def test_hash_plan_at_the_benchmark_size():
-    # extract-1e7 hashes L = 29,990,514 bits to ell = 8,510,981: one output
-    # block and two input blocks, within 2% of the FFT points of one
-    # untiled transform set
+    # extract-1e7 hashes L = 29,990,514 bits to ell = 8,510,981 in 1 x 2
+    # tiles, within 2% of the FFT points of one untiled transform set
     ell, L = 8_510_981, 29_990_514
-    b_o, b_i = pipeline._hash_plan(ell, L)
-    M = pipeline._smooth_len(b_o + b_i - 1)
-    assert tile_counts(ell, L) == (1, 2)
-    assert M == 23_592_960
+    _, b_i, M = pipeline._hash_plan(ell, L, 3)
     assert 5 * M <= 1.02 * 3 * pipeline._smooth_len(ell + L - 1)
     assert pipeline._fft_working_set(M, b_i) <= min(pipeline._FFT_BUDGET, 600 << 20)
 
@@ -348,10 +360,8 @@ def test_hash_plan_at_the_benchmark_size():
 def test_hash_plan_fits_the_budget_at_1e8_signals():
     # the seed-7 run of extract-1e7's walk at N = 1e8
     ell, L = 128_702_601, (10**8 - 10**4) * 3
-    b_o, b_i = pipeline._hash_plan(ell, L)
+    b_o, b_i, M = pipeline._hash_plan(ell, L, 3)
     assert 0 < b_o <= ell and 0 < b_i <= L
-    assert tile_counts(ell, L) == (7, 19)
-    M = pipeline._smooth_len(b_o + b_i - 1)
     assert pipeline._fft_working_set(M, b_i) <= pipeline._FFT_BUDGET
 
 
@@ -372,50 +382,55 @@ def test_run_charge_past_the_budget_is_the_factored_one(N):
 @pytest.mark.parametrize("ell", [1, 2, 100])
 def test_hash_plan_keeps_few_tiles_at_small_output_lengths(ell):
     # a run just above abort hashes extract-1e7's L bits to a few outputs;
-    # ranking splits by points alone would pick one-bit input tiles, about
-    # 6e7 transforms at ell = 1
-    L = 29_990_514
-    n_out, n_in = tile_counts(ell, L)
+    # ranking splits by points alone would pick one-digit input tiles,
+    # about 1e7 transforms at ell = 1
+    n_out, n_in, _ = plan(ell, 29_990_514, 3)
     assert n_out == 1 and n_in <= 200, (ell, n_in)
 
 
 def test_hash_plan_is_the_cheapest_split_that_fits(monkeypatch):
     monkeypatch.setattr(pipeline, "_FFT_BUDGET", 3000)
-    for ell, L in [(1, 1), (1, 300), (40, 41), (90, 300), (300, 300), (17, 250)]:
-        cheapest = None
-        for n_out in range(1, ell + 1):
-            for n_in in range(1, L + 1):
-                b_o, b_i = -(-ell // n_out), -(-L // n_in)
-                M = pipeline._smooth_len(b_o + b_i - 1)
-                if pipeline._fft_working_set(M, b_i) <= pipeline._FFT_BUDGET:
-                    cost = n_out * (2 * n_in + 1) * (M + pipeline._CALL_POINTS)
-                    cheapest = cost if cheapest is None else min(cheapest, cost)
-        b_o, b_i = pipeline._hash_plan(ell, L)
-        n_out, n_in = tile_counts(ell, L)
-        M = pipeline._smooth_len(b_o + b_i - 1)
-        assert n_out * (2 * n_in + 1) * (M + pipeline._CALL_POINTS) == cheapest, (ell, L)
+    for w in (1, 3, 9):
+        for ell, n in [(1, 1), (1, 300), (40, 41), (90, 300), (300, 300), (17, 250)]:
+            L = n * w
+            cheapest = None
+            # the block lengths of every split, input blocks in whole digits
+            for b_o in {-(-ell // k) for k in range(1, ell + 1)}:
+                for b_i in {w * -(-n // k) for k in range(1, n + 1)}:
+                    M = pipeline._smooth_len(b_o + b_i - 1)
+                    if pipeline._fft_working_set(M, b_i) <= pipeline._FFT_BUDGET:
+                        cost = -(-ell // b_o) * (2 * -(-L // b_i) + 1) * (M + pipeline._CALL_POINTS)
+                        cheapest = cost if cheapest is None else min(cheapest, cost)
+            b_o, b_i, M = pipeline._hash_plan(ell, L, w)
+            n_out, n_in = -(-ell // b_o), -(-L // b_i)
+            assert b_i % w == 0 and M == pipeline._smooth_len(b_o + b_i - 1)
+            assert n_out * (2 * n_in + 1) * (M + pipeline._CALL_POINTS) == cheapest, (w, ell, L)
 
 
 def test_hash_plan_reports_a_budget_nothing_fits(monkeypatch):
     monkeypatch.setattr(pipeline, "_FFT_BUDGET", 10)
     with pytest.raises(MemoryError):
-        pipeline._hash_plan(5, 5)
+        pipeline._hash_plan(5, 5, 1)
 
 
 @pytest.mark.parametrize("budget", [700, 2000, 4000])
 @pytest.mark.parametrize("d", [2, 5, 17, 300])
 def test_tiled_hash_agrees_with_exact_paths(monkeypatch, budget, d):
     # a small budget forces many tiles; sizes give ragged last blocks,
-    # ell = 1 and ell = L; d = 300 has uint16 digits 9 bits wide, so input
-    # blocks start inside a digit past its first byte
+    # ell = 1 and ell = L; d = 300 has uint16 digits 9 bits wide
     monkeypatch.setattr(pipeline, "_FFT_BUDGET", budget)
+    encode = pipeline.encode_digits
+    blocks = []  # the digits each input block is encoded from
+    monkeypatch.setattr(pipeline, "encode_digits",
+                        lambda digits, d, out=None: blocks.append(digits) or encode(digits, d, out))
     w = digit_width(d)
     rng = np.random.default_rng(budget + d)
-    seen, starts = set(), set()
+    seen, widths = set(), set()
     for n, ell in [(97, 1), (97, 97 * w), (61, 50), (128, 101), (150, 37)]:
         L = n * w
         raw = rng.integers(0, d, size=n).astype(np.min_scalar_type(d - 1))
         seed = int(rng.integers(0, 2**63))
+        blocks.clear()
         got = privacy_amplify(raw, ell, seed, d=d)
         x = encode_digits(raw, d).astype(np.int64)
         s = toeplitz_seed_bits(seed, ell, L).astype(np.int64)
@@ -423,15 +438,23 @@ def test_tiled_hash_agrees_with_exact_paths(monkeypatch, budget, d):
                                       err_msg=f"n={n} ell={ell}")
         np.testing.assert_array_equal(got, (toeplitz_matrix(seed, ell, L) @ x) % 2,
                                       err_msg=f"n={n} ell={ell}")
-        b_o, b_i = pipeline._hash_plan(ell, L)
-        n_out, n_in = tile_counts(ell, L)
+        b_o, b_i, _ = pipeline._hash_plan(ell, L, w)
+        n_out, n_in = -(-ell // b_o), -(-L // b_i)
+        # every input block is whole digits: each output block encodes the
+        # digits in blocks of b_i bits that end at L, L - b_i, ...
+        ends = [(b.ctypes.data - raw.ctypes.data) // raw.itemsize + b.shape[0] for b in blocks]
+        assert ends == list(range(n, 0, -b_i // w)) * n_out
+        assert [b.shape[0] * w for b in blocks] == [min(b_i, e * w) for e in ends]
         seen.add((n_out > 1, n_in > 1, ell % b_o != 0, L % b_i != 0))
-        starts.update(j0 % w for j0 in range(0, L, b_i))
-    # some input block starts at the last bit of a digit
-    assert max(starts) == w - 1
+        widths.add(b_i)
     assert any(split_out and split_in for split_out, split_in, _, _ in seen)
     assert any(ragged_out for _, _, ragged_out, _ in seen)
-    assert any(ragged_in for _, _, _, ragged_in in seen)
+    if widths == {w}:
+        # budget 700 holds one 5- or 9-bit digit per input block, so no
+        # input block is short there; budgets 2000 and 4000 cover it
+        assert budget == 700 and w >= 5
+    else:
+        assert any(ragged_in for _, _, _, ragged_in in seen)
 
 
 HASH_SIZES = pytest.mark.parametrize("N, ell, budget, tiles", [
@@ -439,6 +462,13 @@ HASH_SIZES = pytest.mark.parametrize("N, ell, budget, tiles", [
     (200_000, 20_000, None, (1, 3)),  # the cheapest split at a short output
     (60_000, 150_000, 5_000_000, (2, 2)),
 ])
+
+
+def planned_working_set(ell, L, w, tiles):
+    """_fft_working_set of the hash's plan, which must have `tiles` (n_out, n_in)."""
+    b_o, b_i, M = pipeline._hash_plan(ell, L, w)
+    assert (-(-ell // b_o), -(-L // b_i)) == tiles
+    return pipeline._fft_working_set(M, b_i)
 
 
 @HASH_SIZES
@@ -454,9 +484,7 @@ def test_hash_working_set_model_bounds_what_the_hash_allocates(monkeypatch, N, e
     raw = np.random.default_rng(N + ell).integers(0, d, size=N).astype(np.uint8)
     L = N * digit_width(d)
     s = np.packbits(toeplitz_seed_bits(1, ell, L))
-    assert tile_counts(ell, L) == tiles
-    b_o, b_i = pipeline._hash_plan(ell, L)
-    bound = pipeline._fft_working_set(pipeline._smooth_len(b_o + b_i - 1), b_i) + ell
+    bound = planned_working_set(ell, L, digit_width(d), tiles) + ell
     tracemalloc.start()
     try:
         pipeline._toeplitz_parity(s, ell + L - 1, raw, d)
@@ -479,10 +507,7 @@ def test_the_hash_holds_its_seed_packed(monkeypatch, N, ell, budget, tiles):
     d = 5
     raw = np.random.default_rng(N + ell).integers(0, d, size=N).astype(np.uint8)
     L = N * digit_width(d)
-    assert tile_counts(ell, L) == tiles
-    b_o, b_i = pipeline._hash_plan(ell, L)
-    working_set = pipeline._fft_working_set(pipeline._smooth_len(b_o + b_i - 1), b_i)
-    bound = working_set + ell + -(-(ell + L - 1) // 8)
+    bound = planned_working_set(ell, L, digit_width(d), tiles) + ell + -(-(ell + L - 1) // 8)
     tracemalloc.start()
     try:
         privacy_amplify(raw, ell, 1, d=d)
@@ -595,7 +620,10 @@ def test_record_digests_large_subsets():
     src = source(P=5, kappa=1, T=4, seed=6)
     rec = run_protocol(src, ProtocolParams(N=30_000, m=10_001), POS)
     text = dict(line.split(": ", 1) for line in rec.to_text().strip().splitlines())
-    assert text["t_subset"].startswith("sha256:")
+    # each digest is the sha256 of the field written out in full
+    for key, full in [("t_subset", ",".join(map(str, rec.t_subset))),
+                      ("q_digest", "".join(map(str, rec.q)))]:
+        assert text[key] == "sha256:" + hashlib.sha256(full.encode("ascii")).hexdigest()
 
 
 def test_output_bit_file_roundtrip():
