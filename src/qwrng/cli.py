@@ -13,8 +13,8 @@ Each flag declares its own default.  A --config file of flat
 parser, ahead of the explicit flags, which therefore win.  The resolved
 configuration and every error go to stderr as single JSON lines, so
 stdout carries only results.  Exit status is 0 on success, 2 on any
-usage or validation problem, file system error, failed allocation or
-lost hash precision.
+usage or validation problem, file system error, failed allocation, lost
+hash precision or interrupt.
 """
 
 from __future__ import annotations
@@ -449,8 +449,9 @@ def main(argv: list[str] | None = None) -> int:
         print(json.dumps({"command": cmd, "config": {k: opts[k] for k in sorted(opts)}}),
               file=sys.stderr)
         return _HANDLERS[cmd](opts)
-    except (ValueError, OSError, MemoryError, FloatingPointError) as exc:
-        print(json.dumps({"error": str(exc) or type(exc).__name__}), file=sys.stderr)
+    except (ValueError, OSError, MemoryError, FloatingPointError, KeyboardInterrupt) as exc:
+        error = "interrupted" if isinstance(exc, KeyboardInterrupt) else str(exc) or type(exc).__name__
+        print(json.dumps({"error": error}), file=sys.stderr)
         return 2
 
 

@@ -19,7 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from qwrng.rates import gamma_from_g
-from qwrng.walk import BatchWalk, CoinOperator, FlipOperator, MeasurementMode, WalkConfig
+from qwrng.walk import (BatchWalk, CoinOperator, FlipOperator, MeasurementMode, WalkConfig,
+                        generalized_coin_matrix)
 
 # default sweep windows and angle resolution, applied only by SweepGrid.for_coin
 _T_MAX_HADAMARD = 2000
@@ -83,12 +84,18 @@ class SweepGrid:
             flips,
         )
 
-    def coins(self) -> tuple[CoinOperator, ...]:
-        """Every coin of the grid, theta-major: the sweep's tie order after the flip."""
+    def matrices(self) -> np.ndarray:
+        """(B, 2, 2) matrices of every coin of the grid, theta-major: the sweep's tie order."""
         if self.R is None:
-            return (CoinOperator.hadamard(),)
-        angles = [g * (math.pi / self.R) for g in range(self.R + 1)]
-        return tuple(CoinOperator.generalized(theta, phi) for theta in angles for phi in angles)
+            return CoinOperator.hadamard().matrix()[None]
+        a = np.arange(self.R + 1) * (math.pi / self.R)
+        return generalized_coin_matrix(np.repeat(a, self.R + 1), np.tile(a, self.R + 1))
+
+    def coin(self, b: int) -> CoinOperator:
+        """The coin of `matrices()[b]`: theta and phi are its angles g * pi/R, bit for bit."""
+        if self.R is None:
+            return CoinOperator.hadamard()
+        return CoinOperator.generalized(*(g * (math.pi / self.R) for g in divmod(b, self.R + 1)))
 
 
 @dataclass(frozen=True)
@@ -114,8 +121,7 @@ class MaxProbResult:
 
 
 def sweep_bytes(P: int, kappa: int, grid: SweepGrid) -> int:
-    """Bytes a sweep over (P, kappa) and `grid` holds, whatever its window: its batch's."""
-    # len(grid.coins()), counted: listing the coins of a huge R would not end
+    """Bytes a sweep over (P, kappa) and `grid` holds at any window; B is counted, never built."""
     return BatchWalk.nbytes(P, kappa, 1 if grid.R is None else (grid.R + 1) ** 2)
 
 
@@ -124,16 +130,17 @@ def _sweep(
     kappa: int,
     grid: SweepGrid,
     modes: tuple[MeasurementMode, ...],
-    coins: tuple[CoinOperator, ...],
+    coin: CoinOperator | None = None,
 ) -> dict[MeasurementMode, MaxProbResult]:
-    """Smallest peak of each mode over `coins` and the steps and flips of `grid`.
+    """Smallest peak of each mode over `coin`, or every coin of `grid`, and its steps and flips.
 
     Each flip runs the whole batch over the time range.  At every (t, flip)
     the batch's smallest peak and the first coin reaching it replace a
     mode's running best when (peak, t, flip index) is smaller, so ties go
-    to the smallest t, then the first flip, then the first coin.
+    to the smallest t, then the first flip, then the first coin.  A grid's
+    batch is its matrices, and only each mode's winner b becomes a coin.
     """
-    walk = BatchWalk(P, kappa, coins)
+    walk = BatchWalk(P, kappa, grid.matrices() if coin is None else coin.matrix()[None])
     best = {mode: (math.inf,) for mode in modes}
     for j, flip in enumerate(grid.flips):
         walk.start(flip)
@@ -144,7 +151,7 @@ def _sweep(
             for mode, peaks in zip(modes, walk.peaks(modes)):
                 b = int(np.argmin(peaks))
                 best[mode] = min(best[mode], (float(peaks[b]), t, j, b))
-    return {mode: MaxProbResult(value, t, grid.flips[j], mode, P, kappa, coins[b])
+    return {mode: MaxProbResult(value, t, grid.flips[j], mode, P, kappa, coin or grid.coin(b))
             for mode, (value, t, j, b) in best.items()}
 
 
@@ -160,7 +167,7 @@ def g_functions(
     t, then the flip in order I, X, Y, then the smallest theta, then the
     smallest phi.
     """
-    return _sweep(P, kappa, grid, modes, grid.coins())
+    return _sweep(P, kappa, grid, modes)
 
 
 def min_over_time(
@@ -173,4 +180,4 @@ def min_over_time(
     t_max: int,
 ) -> MaxProbResult:
     """Minimum over t alone at one fixed coin and flip."""
-    return _sweep(P, kappa, SweepGrid(t_min, t_max, flips=(flip,)), (mode,), (coin,))[mode]
+    return _sweep(P, kappa, SweepGrid(t_min, t_max, flips=(flip,)), (mode,), coin)[mode]

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -493,7 +494,6 @@ class RunRecord:
     ell: float
     rate: float
     aborted: bool
-    raw: np.ndarray  # extraction digits, size N - m
     output: np.ndarray  # hashed bits, size floor(max(0, ell))
     seed_matrix_id: int
 
@@ -508,9 +508,10 @@ class RunRecord:
     def _summary(self) -> tuple[tuple[str, str], ...]:
         """The record's fields as text, built once: its digests read every test index."""
         cfg = self.source.config
-        subset = ",".join(map(str, self.t_subset))
-        if len(self.t_subset) > _SUBSET_INLINE_LIMIT:
-            subset = _digest(subset.encode("ascii"))
+        t, c = self.t_subset, _SUBSET_INLINE_LIMIT
+        # the joined indices, a chunk at a time: whole, they would take ~70 bytes an index
+        text = ("," * (i > 0) + ",".join(map(str, t[i : i + c].tolist())) for i in range(0, len(t), c))
+        subset = "".join(text) if len(t) <= c else _digest(chunk.encode("ascii") for chunk in text)
         return (
             ("case", self.case.value),
             ("P", str(cfg.P)),
@@ -528,7 +529,7 @@ class RunRecord:
             ("epsilon_pa", repr(self.params.epsilon_pa)),
             ("beta", repr(self.params.beta)),
             ("t_subset", subset),
-            ("q_digest", _digest((self.q + ord("0")).tobytes())),  # q: uint8 0s and 1s
+            ("q_digest", _digest([(self.q + ord("0")).tobytes()])),  # q: uint8 0s and 1s
             ("w_q", repr(self.w_q)),
             ("gamma", repr(self.gamma)),
             ("delta", repr(self.delta)),
@@ -544,8 +545,11 @@ class RunRecord:
         return "".join(f"{k}: {v}\n" for k, v in self._summary)
 
 
-def _digest(data: bytes) -> str:
-    return "sha256:" + hashlib.sha256(data).hexdigest()
+def _digest(chunks: Iterable[bytes]) -> str:
+    h = hashlib.sha256()
+    for chunk in chunks:
+        h.update(chunk)
+    return "sha256:" + h.hexdigest()
 
 
 def run_protocol(
@@ -595,7 +599,6 @@ def run_protocol(
         ell=rr.ell,
         rate=rr.rate,
         aborted=aborted,
-        raw=raw,
         output=output,
         seed_matrix_id=seed_matrix_id,
     )

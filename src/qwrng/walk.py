@@ -52,9 +52,7 @@ class FlipOperator(enum.Enum):
         return np.array([[1, 1], [1j, -1j]], dtype=np.complex128) * _SQRT_HALF
 
 
-def generalized_coin_matrix(
-    theta: float | np.ndarray, phi: float | np.ndarray
-) -> np.ndarray:
+def generalized_coin_matrix(theta: float | np.ndarray, phi: float | np.ndarray) -> np.ndarray:
     """Two-angle coin unitary, broadcast over array angles to shape (..., 2, 2).
 
     Rows are (e^{i phi} cos theta, e^{i phi} sin theta) and
@@ -65,11 +63,7 @@ def generalized_coin_matrix(
     th, ph = theta.reshape(-1), phi.reshape(-1)
     ct, st = np.cos(th), np.sin(th)
     ep = np.exp(1j * ph)
-    coins = np.empty((th.size, 2, 2), dtype=np.complex128)
-    coins[:, 0, 0] = ep * ct
-    coins[:, 0, 1] = ep * st
-    coins[:, 1, 0] = -np.conj(ep) * st
-    coins[:, 1, 1] = np.conj(ep) * ct
+    coins = np.stack([ep * ct, ep * st, -np.conj(ep) * st, np.conj(ep) * ct], axis=-1)
     return coins.reshape(theta.shape + (2, 2))
 
 
@@ -98,17 +92,9 @@ class CoinOperator:
         return cls("general", theta, phi)
 
     def matrix(self) -> np.ndarray:
-        return coin_matrices((self,))[0]
-
-
-def coin_matrices(coins: tuple[CoinOperator, ...]) -> np.ndarray:
-    """Matrices of a batch of coins, shape (B, 2, 2), in one vectorized call.
-
-    It gives the bits a call per coin would, at a hundredth of the cost.
-    """
-    matrices = generalized_coin_matrix(*np.array([(c.theta, c.phi) for c in coins]).T)
-    matrices[[c.kind == "hadamard" for c in coins]] = FlipOperator.X.matrix()
-    return matrices
+        if self.kind == "hadamard":
+            return FlipOperator.X.matrix()
+        return generalized_coin_matrix(self.theta, self.phi)
 
 
 @dataclass(frozen=True)
@@ -212,7 +198,7 @@ def evolve(config: WalkConfig) -> WalkState:
 
 
 class BatchWalk:
-    """A batch of walks on one (P, kappa), coins[b] driving walk b, stepped in place.
+    """A batch of walks on one (P, kappa), stepped in place; walk b tosses coin `matrices[b]`.
 
     The state is float64 of shape (re/im, row, B): planar and batch-minor.
     Amplitude 2p + c (amplitude pair p, active coin c) sits at row
@@ -224,12 +210,13 @@ class BatchWalk:
     products): the roundings, in the order, of a complex einsum over c,
     so the step is bit-identical to it; a batched matmul or complex
     multiply differs in the last ulp.  The shift and memory rotation are
-    :func:`_step_source` carried over to rows, applied as one take.
+    :func:`_step_source` carried over to rows, applied as one take.  The
+    (B, 2, 2) complex128 `matrices` are read only while the batch is built.
     """
 
-    def __init__(self, P: int, kappa: int, coins: tuple[CoinOperator, ...]) -> None:
+    def __init__(self, P: int, kappa: int, matrices: np.ndarray) -> None:
         self.config = WalkConfig(P=P, kappa=kappa, T=0)  # validates dimensions
-        n, B, u = self.config.dim, len(coins), coin_matrices(coins)
+        n, B = self.config.dim, matrices.shape[0]
         h = n // 2
         # _step_source in row order, each source amplitude 2p + c taken to its row c*h + p
         source = _step_source(P, kappa).reshape(h, 2).T
@@ -239,7 +226,7 @@ class BatchWalk:
         # two (n/2, B) blocks of step scratch, which the readout reuses as (n, B)
         scratch = np.empty((2, h, B))
         # cr[a, c] and ci[a, c]: real and imaginary part of coin entry (a, c), tiled
-        entries = np.stack([u.real, u.imag]).transpose(0, 2, 3, 1)
+        entries = matrices.view(np.float64).reshape(B, 2, 2, 2).transpose(3, 1, 2, 0)
         cr, ci = np.ascontiguousarray(np.broadcast_to(entries[..., None, :], (2, 2, 2, h, B)))
         re, im = self.planes = self.state.reshape(2, 2, h, B)
         out_re, out_im = self.coined.reshape(2, 2, h, B)
@@ -261,14 +248,15 @@ class BatchWalk:
 
     @staticmethod
     def nbytes(P: int, kappa: int, B: int) -> int:
-        """Bytes a batch of B walks on (P, kappa) holds, its coins' objects included.
+        """Bytes a sweep holds while it steps and reads out a batch of B walks on (P, kappa).
 
         Per walk, 76 per amplitude (state and coin output 16 each, scratch 8,
-        tiled coin entries 32, one mode's marginal sum 4) and 256 for its coin
-        and matrices; per batch, `source` 8 and `start`'s initial state 16.
+        tiled coin entries 32, one mode's marginal sum 4) and 64: its coin matrix
+        until the batch is built, then up to four (B,) peaks; per batch, `source`
+        8 and `start`'s initial state 16 per amplitude, and 16 KiB of Python objects.
         """
         n = WalkConfig(P=P, kappa=kappa, T=0).dim
-        return (76 * n + 256) * B + 24 * n
+        return (76 * n + 64) * B + 24 * n + 16384
 
     def start(self, flip: FlipOperator) -> None:
         """Set every walk of the batch to :func:`initial_state` under `flip`."""

@@ -4,6 +4,7 @@ import json
 import os
 import re
 import shlex
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -335,7 +336,7 @@ class TestMemoryPreflight:
 
     def test_the_largest_preset_cell_sets_the_need(self, capsys, tmp_path, monkeypatch):
         # table2 at R = 1000 has B = 1002001 coins; its (P=21, kappa=3) cell
-        # needs (76 * 168 + 256) * B + 24 * 168 bytes, about 12.2 GiB, more
+        # needs (76 * 168 + 64) * B + 24 * 168 + 16384 bytes, about 12.0 GiB, more
         # than an 8 GiB machine
         pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 2 << 20}
         monkeypatch.setattr(os, "sysconf", pages.__getitem__)
@@ -348,7 +349,7 @@ class TestMemoryPreflight:
         assert rc == 2
         assert out == ""
         assert last_error(err)["error"] == (
-            "the sweep over P = 21, kappa = 3 of table2 needs about 12.2 GiB of memory, "
+            "the sweep over P = 21, kappa = 3 of table2 needs about 12.0 GiB of memory, "
             "more than the 8.0 GiB this machine has")
         assert not list(tmp_path.iterdir())
 
@@ -1015,6 +1016,22 @@ class TestParserBasics:
         assert logged["config"]["P"] == 3
         # the flip's default, I, is the walk's, as the angles' are
         assert logged["config"]["flip"] is None
+
+    def test_an_interrupt_is_one_json_line_and_exit_2(self, tmp_path):
+        # SIGINT once the config line is logged, so the sweep is under way
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "qwrng.cli", "maxprob", "-P", "51", "-k", "4", "--tmax", "100000"],
+            env=src_env(), cwd=tmp_path, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+        try:
+            assert json.loads(proc.stderr.readline())["command"] == "maxprob"
+            proc.send_signal(signal.SIGINT)
+            out, err = proc.communicate(timeout=60)
+        finally:
+            proc.kill()
+            proc.wait()
+        assert proc.returncode == 2
+        assert out == ""
+        assert [json.loads(line) for line in err.splitlines()] == [{"error": "interrupted"}]
 
     def test_readme_examples_parse(self):
         # the documented commands only parse here; nothing runs

@@ -1,4 +1,3 @@
-import itertools
 import math
 import tracemalloc
 
@@ -20,7 +19,6 @@ from qwrng.walk import (
     MeasurementMode,
     WalkConfig,
     _memory_rotation_gather as memory_rotation_gather,
-    coin_matrices,
     distribution,
     evolve,
     generalized_coin_matrix,
@@ -113,15 +111,23 @@ def test_grid_defaults():
     assert SweepGrid(1, 10).flips == (FlipOperator.I,)
     assert SweepGrid(1, 10, R=4).flips == (FlipOperator.I, FlipOperator.X, FlipOperator.Y)
     assert SweepGrid(1, 10, flips=(FlipOperator.Y,)).flips == (FlipOperator.Y,)
-    assert SweepGrid(1, 10).coins() == (CoinOperator.hadamard(),)
+    # a Hadamard grid has one coin
+    hadamard = SweepGrid(1, 10)
+    assert hadamard.matrices().shape == (1, 2, 2)
+    assert hadamard.matrices()[0].tobytes() == CoinOperator.hadamard().matrix().tobytes()
+    assert hadamard.coin(0) == CoinOperator.hadamard()
 
 
 @pytest.mark.parametrize("R", [1, 4, 16, 64])
 def test_grid_coins_are_theta_major_over_the_angle_grid(R):
-    # each angle is the float np.arange(R + 1) * (pi / R) gives, bit for bit
-    angles = (np.arange(R + 1) * (math.pi / R)).tolist()
-    assert SweepGrid(1, 10, R=R).coins() == tuple(
-        CoinOperator.generalized(theta, phi) for theta, phi in itertools.product(angles, angles))
+    # each angle is g * (pi / R), bit for bit, theta-major over (theta, phi)
+    grid = SweepGrid(1, 10, R=R)
+    pairs = [(g * (math.pi / R), h * (math.pi / R)) for g in range(R + 1) for h in range(R + 1)]
+    assert [grid.coin(b) for b in range(len(pairs))] == [
+        CoinOperator.generalized(theta, phi) for theta, phi in pairs]
+    angles = np.array([(grid.coin(b).theta, grid.coin(b).phi) for b in range(len(pairs))])
+    assert angles.tobytes() == np.array(pairs).tobytes()
+    assert grid.matrices().tobytes() == generalized_coin_matrix(*np.array(pairs).T).tobytes()
 
 
 @pytest.mark.parametrize("t_min,t_max", [(1, 2**63), (2**63, 2**63), (5, 10**5000)],
@@ -363,9 +369,9 @@ def test_step_kernel_is_bit_identical_to_einsum(P, kappa):
     # peak would change the published bytes: equality here is exact
     nc = 1 << kappa
     for grid in (SweepGrid(1, 60, R=4), SweepGrid(1, 60)):
-        coins = coin_matrices(grid.coins())
+        coins = grid.matrices()
         B = coins.shape[0]
-        walk = BatchWalk(P, kappa, grid.coins())  # one walk for every flip: start resets it
+        walk = BatchWalk(P, kappa, coins)  # one walk for every flip: start resets it
         for flip in FlipOperator:
             start = np.zeros((B, P * nc // 2, 2), dtype=np.complex128)
             start[:, 0, 0] = 1.0
@@ -380,15 +386,14 @@ def test_step_kernel_is_bit_identical_to_einsum(P, kappa):
                     assert np.array_equal(peaks, _einsum_peaks(ref, mode)), (mode, t)
 
 
-@pytest.mark.parametrize("R", [1, 4, 16, 64])
+@pytest.mark.parametrize("R", [1, 4, 16, 64, 200])
 def test_sweep_coins_are_the_walk_coins(R):
     # the sweep's vectorized matrices are the bits evolve's one-coin call gives
-    coins = SweepGrid(1, 1, R=R).coins()
-    matrices = coin_matrices(coins)
+    grid = SweepGrid(1, 1, R=R)
+    matrices = grid.matrices()
     assert matrices.shape == ((R + 1) ** 2, 2, 2)
-    for coin, matrix in zip(coins, matrices):
-        assert matrix.tobytes() == coin.matrix().tobytes()
-        assert matrix.tobytes() == generalized_coin_matrix(coin.theta, coin.phi).tobytes()
+    for b, matrix in enumerate(matrices):
+        assert matrix.tobytes() == grid.coin(b).matrix().tobytes()
 
 
 @pytest.mark.parametrize("P,kappa", [(3, 1), (5, 2), (11, 2), (21, 3), (5, 3)])
@@ -470,7 +475,10 @@ def test_sweep_memory_does_not_grow_with_the_window():
     (501, 1, 16, (MEM,)),
     (501, 1, 16, (POS,)),
     (125, 3, 16, (ALL, MEM, POS)),
-], ids=["hadamard-B1", "R16-all", "R16-memory", "R16-position", "R16-k3-every-mode"])
+    (3, 1, 200, (ALL,)),
+    (3, 1, 200, (ALL, MEM, POS)),
+], ids=["hadamard-B1", "R16-all", "R16-memory", "R16-position", "R16-k3-every-mode",
+        "R200-p3-all", "R200-p3-every-mode"])
 def test_sweep_bytes_bounds_what_a_sweep_allocates(P, kappa, R, modes):
     # the preflight charges sweep_bytes, so a sweep must not allocate more;
     # a charge far above the traced peak would refuse runs that fit

@@ -96,7 +96,6 @@ def peaks(P, kappa, u, flips, t_max=T_MAX):
 @pytest.mark.parametrize("name", PRESETS)
 def test_preset_rows_match_the_momentum_oracle(name):
     spec = preset(name, t_max=T_MAX)
-    grid_coins = spec.grid.coins()
     rng = np.random.default_rng(0)
     for row in run_table(spec).rows:
         mode = row.mode.value
@@ -108,7 +107,7 @@ def test_preset_rows_match_the_momentum_oracle(name):
         assert series.min() >= row.value * (1 - REL), f"{where}: a lower t exists"
         if spec.grid.R is None:
             continue
-        others = [grid_coins[c] for c in rng.permutation(len(grid_coins))]
+        others = [spec.grid.coin(b) for b in rng.permutation((spec.grid.R + 1) ** 2)]
         others = [(c.theta, c.phi) for c in others if c != row.coin][:OTHER_COINS]
         for theta, phi in others:
             low = peaks(row.P, row.kappa, coin(theta, phi), tuple(FLIP_START))[mode].min()

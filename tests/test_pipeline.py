@@ -519,7 +519,20 @@ def test_the_hash_holds_its_seed_packed(monkeypatch, N, ell, budget, tiles):
 
 # -- full protocol -------------------------------------------------------------
 
-def test_honest_run_certifies_the_analytic_length():
+@pytest.fixture
+def hashed_digits(monkeypatch):
+    """The digits each run hands privacy_amplify, in call order."""
+    seen = []
+
+    def spy(raw, ell, seed, *, d):
+        seen.append(raw.copy())
+        return privacy_amplify(raw, ell, seed, d=d)
+
+    monkeypatch.setattr(pipeline, "privacy_amplify", spy)
+    return seen
+
+
+def test_honest_run_certifies_the_analytic_length(hashed_digits):
     src = source(P=5, kappa=1, T=8, Q=0.0, seed=2718)
     params = ProtocolParams(N=20_000, m=2000)
     rec = run_protocol(src, params, POS)
@@ -531,10 +544,11 @@ def test_honest_run_certifies_the_analytic_length():
     assert rec.ell == expected.ell
     assert rec.output.size == math.floor(expected.ell)
     assert not rec.aborted
-    assert rec.raw.size == params.N - params.m
+    [raw] = hashed_digits
+    assert raw.size == params.N - params.m
 
 
-def test_run_reads_gamma_and_digits_from_one_evolution(monkeypatch):
+def test_run_reads_gamma_and_digits_from_one_evolution(monkeypatch, hashed_digits):
     # a stand-in walk that never leaves the origin: gamma, the sampled
     # digits and the hash alphabet must all come from its one evolution
     calls = []
@@ -548,7 +562,8 @@ def test_run_reads_gamma_and_digits_from_one_evolution(monkeypatch):
     rec = run_protocol(src, ProtocolParams(N=20_000, m=2000), POS)
     assert calls == [src.config]
     assert rec.gamma == 0.0
-    assert not rec.raw.any()
+    [raw] = hashed_digits
+    assert raw.size == 18_000 and not raw.any()
 
 
 def test_run_accepts_a_supplied_gamma():
@@ -624,6 +639,30 @@ def test_record_digests_large_subsets():
     for key, full in [("t_subset", ",".join(map(str, rec.t_subset))),
                       ("q_digest", "".join(map(str, rec.q)))]:
         assert text[key] == "sha256:" + hashlib.sha256(full.encode("ascii")).hexdigest()
+
+
+@pytest.mark.parametrize("m", [10_001, 19_999, 20_000, 20_001, 30_001])
+def test_a_large_subset_is_digested_a_chunk_at_a_time(m):
+    # above the inline limit the indices are hashed 10,000 at a time, with
+    # the commas between chunks; the digest is that of the whole joined text
+    rec = run_protocol(source(seed=6), ProtocolParams(N=5000), POS)
+    t_subset = np.arange(m) * 37 + 11
+    text = dict(replace(rec, t_subset=t_subset).summary_items())
+    joined = ",".join(map(str, t_subset)).encode("ascii")
+    assert text["t_subset"] == "sha256:" + hashlib.sha256(joined).hexdigest()
+
+
+def test_a_large_subset_digest_holds_one_chunk_of_text():
+    # the joined text of 60,000 indices peaks at about 4.4 MB, against 1.1 MB
+    rec = run_protocol(source(seed=6), ProtocolParams(N=5000), POS)
+    rec = replace(rec, t_subset=np.arange(60_000) * 199)
+    tracemalloc.start()
+    try:
+        rec.summary_items()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 << 20, peak
 
 
 def test_output_bit_file_roundtrip():

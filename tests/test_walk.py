@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qwrng.walk import (
+    BatchWalk,
     CoinOperator,
     FlipOperator,
     MeasurementMode,
@@ -13,7 +14,6 @@ from qwrng.walk import (
     WalkState,
     _memory_rotation_gather as memory_rotation_gather,
     _step_source as step_source,
-    coin_matrices,
     distribution,
     evolve,
     generalized_coin_matrix,
@@ -143,15 +143,23 @@ def test_general_coin_broadcasts_over_angle_arrays():
 
 
 def test_coin_matrices_keep_the_batch_order_and_each_coin_kind():
-    coins = (CoinOperator.generalized(0.3, 1.2), CoinOperator.hadamard(),
+    # a Hadamard coin's matrix is X's whatever its angles, and BatchWalk's
+    # walk b follows matrix b
+    coins = (CoinOperator.generalized(0.3, 1.2), CoinOperator("hadamard", 0.3, 1.2),
              CoinOperator.generalized(2.0, 0.0))
-    matrices = coin_matrices(coins)
-    assert matrices.shape == (3, 2, 2)
-    assert matrices[0].tobytes() == generalized_coin_matrix(0.3, 1.2).tobytes()
-    assert matrices[1].tobytes() == FlipOperator.X.matrix().tobytes()
-    assert matrices[2].tobytes() == generalized_coin_matrix(2.0, 0.0).tobytes()
-    for coin, matrix in zip(coins, matrices):
-        assert coin.matrix().tobytes() == matrix.tobytes()
+    assert coins[0].matrix().tobytes() == generalized_coin_matrix(0.3, 1.2).tobytes()
+    assert coins[1].matrix().tobytes() == FlipOperator.X.matrix().tobytes()
+    assert coins[2].matrix().tobytes() == generalized_coin_matrix(2.0, 0.0).tobytes()
+    walk = BatchWalk(5, 2, np.stack([coin.matrix() for coin in coins]))
+    walk.start(FlipOperator.Y)
+    for _ in range(7):
+        walk.step()
+    peaks = walk.peaks(tuple(MeasurementMode))
+    assert len(set(peaks[0].tolist())) == 3  # three coins, three walks
+    for mode, mode_peaks in zip(MeasurementMode, peaks):
+        for coin, got in zip(coins, mode_peaks):
+            want = distribution(evolve(config(5, 2, 7, coin, FlipOperator.Y)), mode).probs.max()
+            assert got == pytest.approx(want, rel=1e-13), (coin, mode)
 
 
 def test_flip_matrices_are_unitary():
