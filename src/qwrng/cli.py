@@ -29,7 +29,7 @@ import secrets
 import sys
 from pathlib import Path
 
-from qwrng.experiments import emit, preset, run_rate_curve, run_table
+from qwrng.experiments import emit, preset, run_rate_curve, run_table, write_whole
 from qwrng.maxprob import SweepGrid, g_functions, sweep_bytes
 from qwrng.pipeline import SourceModel, run_bytes, run_protocol
 from qwrng.rates import ProtocolParams, pa_margin
@@ -412,11 +412,10 @@ def _cmd_extract(opts: dict) -> int:
         source, gamma = dataclasses.replace(source, config=res.walk_config()), res.gamma
     record = run_protocol(source, params, mode, gamma=gamma)
 
-    stem.parent.mkdir(parents=True, exist_ok=True)
-    record_path.write_text(record.to_text(), encoding="ascii")
-    bits_path.write_bytes(record.output_bytes())
+    # the bits go into place first, so a record on disk always has its bits
+    write_whole((bits_path, record.output_bytes()), (record_path, record.to_text().encode("ascii")))
 
-    summary = dict(record.summary_items())
+    summary = dict(record.summary_items)
     if opts["json"]:
         print(json.dumps({**summary, "record_path": str(record_path),
                           "bits_path": str(bits_path)}))

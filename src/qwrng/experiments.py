@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -198,11 +199,11 @@ def run_rate_curve(spec: ExperimentSpec) -> RateCurve:
     """Analytic rate-versus-N series for every (cell, noise) pair of a preset."""
     if not spec.noise_levels:
         raise ValueError(f"{spec.name} is a table preset, not a rate curve: use `qwrng table`")
-    points = []
+    points, signals = [], default_signal_grid()
     for (P, kappa, mode), res in zip(spec.cases, _sweep_cells(spec)):
         gamma = res.gamma
         for Q in spec.noise_levels:
-            for N in default_signal_grid():
+            for N in signals:
                 rr = rate_for_mode(ProtocolParams(N=N, Q=Q), gamma, P, kappa, mode)
                 points.append(CurvePoint(case=rr.case, kappa=kappa, P=P, Q=Q, N=N, rate=rr.rate))
     return RateCurve(name=spec.name, rows=tuple(points))
@@ -229,11 +230,31 @@ def emit(
     if timestamp:
         name += time.strftime("_%Y%m%dT%H%M%S")
     out = Path(path) / f"{name}.{fmt}"
-    out.parent.mkdir(parents=True, exist_ok=True)
     if fmt == "csv":
-        lines = [",".join(header)] + [",".join(row) for row in cells]
-        out.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        text = "\n".join([",".join(header)] + [",".join(row) for row in cells])
     else:
-        doc = {"name": result.name, "rows": [dict(zip(header, row)) for row in cells]}
-        out.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+        text = json.dumps({"name": result.name, "rows": [dict(zip(header, row)) for row in cells]},
+                          indent=2)
+    write_whole((out, (text + "\n").encode("utf-8")))
     return out
+
+
+def write_whole(*files: tuple[Path, bytes]) -> None:
+    """Write each (path, data) pair, then move the files into place in the order given.
+
+    Each file is written to a temporary name in its own directory, which
+    is made if missing, and replaced whole, and none until every one is
+    written.  On any failure, an interrupt included, the temporary files
+    are removed, and a file not yet replaced keeps its older bytes.
+    """
+    temps = [path.with_name(f".{path.name}.{os.getpid()}.tmp") for path, _ in files]
+    try:
+        for tmp, (_, data) in zip(temps, files):
+            tmp.parent.mkdir(parents=True, exist_ok=True)
+            tmp.write_bytes(data)
+        for tmp, (path, _) in zip(temps, files):
+            os.replace(tmp, path)
+    except BaseException:
+        for tmp in temps:
+            tmp.unlink(missing_ok=True)
+        raise

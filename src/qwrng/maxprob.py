@@ -148,9 +148,10 @@ def _sweep(
             walk.step()
             if t < grid.t_min:
                 continue
-            for mode, peaks in zip(modes, walk.peaks(modes)):
-                b = int(np.argmin(peaks))
-                best[mode] = min(best[mode], (float(peaks[b]), t, j, b))
+            # the comprehension drops each peaks array, so none lives on into the next readout
+            least = [(float(p[b]), b) for p in walk.peaks(modes) for b in [int(np.argmin(p))]]
+            for mode, (value, b) in zip(modes, least):
+                best[mode] = min(best[mode], (value, t, j, b))
     return {mode: MaxProbResult(value, t, grid.flips[j], mode, P, kappa, coin or grid.coin(b))
             for mode, (value, t, j, b) in best.items()}
 

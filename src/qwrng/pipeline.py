@@ -173,10 +173,15 @@ def encode_digits(digits: np.ndarray, d: int, out: np.ndarray | None = None) -> 
 def run_bytes(N: int, m: int, d: int) -> int:
     """Bytes a run of N signals, m of them tested, over d outcomes holds at most.
 
-    The largest of the run's three phases, with ell <= L = (N - m)
+    The largest of the run's four phases, with ell <= L = (N - m)
     ceil(log2 d) and S = ell + L - 1 seed bits:
     - sampling: the digits, the test bits, np.delete's kept-signal mask
       and the kept digits;
+    - the subset draw: the digits, the test bits and what numpy's
+      choice(N, m, replace=False) holds.  Past N = 10,000 and m = N // 50
+      it shuffles the tail of an int64 arange(N) and copies the m indices
+      out, 8 (N + m) bytes; below, Floyd's algorithm holds the m indices
+      and a hash set of at most 2.4 m slots, under 28 m bytes;
     - the seed draw: the kept digits, the S seed bits one to a byte and
       their ceil(S / 8) packed bytes;
     - the hash: the kept digits, the packed seed, the ell output bits and
@@ -190,7 +195,9 @@ def run_bytes(N: int, m: int, d: int) -> int:
     M = _smooth_len(S)
     fft = _FFT_BUDGET if M >= _FFT_BUDGET else min(_FFT_BUDGET, _fft_working_set(M, L))
     kept, packed = (N - m) * digit, -(-S // 8)
-    return max(N * digit + 2 * N + kept, kept + S + packed, kept + packed + L + fft)
+    draw = 8 * (N + m) if N > 10_000 and m > N // 50 else 28 * m
+    return max(N * digit + 2 * N + kept, N * digit + N + draw, kept + S + packed,
+               kept + packed + L + fft)
 
 
 def toeplitz_seed_bits(seed: int, ell: int, length: int) -> np.ndarray:
@@ -501,11 +508,8 @@ class RunRecord:
         """Output bits packed big-endian, zero-padded to a whole byte."""
         return np.packbits(self.output).tobytes()
 
-    def summary_items(self) -> tuple[tuple[str, str], ...]:
-        return self._summary
-
     @cached_property
-    def _summary(self) -> tuple[tuple[str, str], ...]:
+    def summary_items(self) -> tuple[tuple[str, str], ...]:
         """The record's fields as text, built once: its digests read every test index."""
         cfg = self.source.config
         t, c = self.t_subset, _SUBSET_INLINE_LIMIT
@@ -542,7 +546,7 @@ class RunRecord:
         )
 
     def to_text(self) -> str:
-        return "".join(f"{k}: {v}\n" for k, v in self._summary)
+        return "".join(f"{k}: {v}\n" for k, v in self.summary_items)
 
 
 def _digest(chunks: Iterable[bytes]) -> str:

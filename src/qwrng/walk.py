@@ -252,7 +252,7 @@ class BatchWalk:
 
         Per walk, 76 per amplitude (state and coin output 16 each, scratch 8,
         tiled coin entries 32, one mode's marginal sum 4) and 64: its coin matrix
-        until the batch is built, then up to four (B,) peaks; per batch, `source`
+        until the batch is built, then one (B,) peaks per mode; per batch, `source`
         8 and `start`'s initial state 16 per amplitude, and 16 KiB of Python objects.
         """
         n = WalkConfig(P=P, kappa=kappa, T=0).dim

@@ -1,5 +1,6 @@
 """End-to-end command line behavior through main() with captured streams."""
 
+import errno
 import json
 import os
 import re
@@ -47,6 +48,23 @@ def summary_dict(out):
             key, value = line.split(" = ", 1)
             pairs[key] = value
     return pairs
+
+
+def fail_the_nth_write(monkeypatch, nth):
+    """Make the nth file opened for writing fail as a full disk would, once it is open."""
+    opened = []
+    real_open = Path.open
+
+    def open_(path, mode="r", *args, **kwargs):
+        fh = real_open(path, mode, *args, **kwargs)
+        if set(mode) & set("wxa"):
+            opened.append(path)
+            if len(opened) == nth:
+                fh.close()
+                raise OSError(errno.ENOSPC, "No space left on device")
+        return fh
+
+    monkeypatch.setattr(Path, "open", open_)
 
 
 class TestEvolve:
@@ -256,6 +274,18 @@ class TestTable:
         written = re.search(r"wrote 15 rows to (\S+)", out).group(1)
         assert re.fullmatch(r"kappa1_\d{8}T\d{6}\.csv", written.split("/")[-1])
 
+    def test_a_failed_write_keeps_the_older_file(self, capsys, tmp_path, monkeypatch):
+        older = tmp_path / "kappa1.csv"
+        older.write_bytes(b"older table\n")
+        fail_the_nth_write(monkeypatch, 1)
+        rc, out, err = run(capsys, "table", "kappa1", "--tmax", "2", "-o", str(tmp_path),
+                           "--no-timestamp")
+        assert rc == 2
+        assert out == ""
+        assert last_error(err) == {"error": "[Errno 28] No space left on device"}
+        assert list(tmp_path.iterdir()) == [older]
+        assert older.read_bytes() == b"older table\n"
+
 
 class TestCurve:
     def test_fig_preset_covers_noise_grid(self, capsys, tmp_path):
@@ -399,6 +429,27 @@ class TestMemoryPreflight:
                   "-N", "100000000", "-o", str(tmp_path / "run")])
         assert not list(tmp_path.iterdir())
 
+    def test_a_large_subset_is_charged_its_draw(self, capsys, tmp_path, monkeypatch):
+        # at m = N / 2 numpy draws the subset by shuffling an int64 arange(N),
+        # 0.8 GB at N = 1e8 beside the digits and test bits: about 1.3 GiB,
+        # where the hash phase is 1.07 GiB
+        pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": round(1.1 * 2**30 / 4096)}
+        monkeypatch.setattr(os, "sysconf", pages.__getitem__)
+
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("sampled a run that cannot fit in memory")
+
+        monkeypatch.setattr(cli, "run_protocol", must_not_run)
+        rc, out, err = run(capsys, "extract", "-P", "5", "-k", "2", "-T", "636",
+                           "--mode", "position", "-N", "100000000", "-m", "50000000",
+                           "-o", str(tmp_path / "run"))
+        assert rc == 2
+        assert out == ""
+        errors = [json.loads(line) for line in err.splitlines() if '"error"' in line]
+        assert errors == [{"error": "a run of N = 100000000 signals needs about 1.3 GiB of "
+                                    "memory, more than the 1.1 GiB this machine has"}]
+        assert not list(tmp_path.iterdir())
+
     def test_evolve_is_charged_its_whole_run_once(self, capsys, monkeypatch, half_gib_machine):
         # 72 bytes per amplitude: 1.6e7 amplitudes need 1.07 GiB
         def must_not_run(*args, **kwargs):
@@ -537,6 +588,37 @@ class TestExtract:
         bits_a = (tmp_path / "a.bits").read_bytes()
         assert bits_a == (tmp_path / "b.bits").read_bytes()
         assert len(bits_a) > 0
+
+    def test_a_failed_write_keeps_the_older_pair(self, capsys, tmp_path, monkeypatch):
+        # the second file fails once open: neither output may replace its older file
+        older = {tmp_path / "r.record.txt": b"older record\n", tmp_path / "r.bits": b"\x01\x02"}
+        for path, data in older.items():
+            path.write_bytes(data)
+        fail_the_nth_write(monkeypatch, 2)
+        rc, out, err = run(capsys, "extract", "-P", "5", "-T", "8", "--mode", "position",
+                           "-N", "20000", "-m", "2000", "--seed", "42", "-o", str(tmp_path / "r"))
+        assert rc == 2
+        assert out == ""
+        assert last_error(err) == {"error": "[Errno 28] No space left on device"}
+        assert {path: path.read_bytes() for path in tmp_path.iterdir()} == older
+
+    def test_an_interrupt_writes_no_file(self, tmp_path):
+        # SIGINT once the config line is logged, so the sweep is under way
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "qwrng.cli", "extract", "-P", "51", "-k", "4",
+             "--tmax", "1000000", "-N", "1000", "--seed", "1", "-o", "run"],
+            env=src_env(), cwd=tmp_path, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+        try:
+            assert json.loads(proc.stderr.readline())["command"] == "extract"
+            proc.send_signal(signal.SIGINT)
+            out, err = proc.communicate(timeout=60)
+        finally:
+            proc.kill()
+            proc.wait()
+        assert proc.returncode == 2
+        assert out == ""
+        assert [json.loads(line) for line in err.splitlines()] == [{"error": "interrupted"}]
+        assert list(tmp_path.iterdir()) == []
 
     def test_heavy_noise_aborts_with_empty_output(self, capsys, tmp_path):
         rc, out, _ = run(capsys, "extract", "-P", "5", "-T", "8",

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -467,6 +468,28 @@ def test_sweep_memory_does_not_grow_with_the_window():
 
     traced_peak(50)  # first-call allocations, cached for later calls
     assert traced_peak(5000) <= traced_peak(50) + 4096
+
+
+def test_a_sweep_of_no_modes_steps_and_finds_nothing():
+    assert g_functions(3, 1, SweepGrid(1, 5, R=2), ()) == {}
+    assert g_functions(5, 2, SweepGrid(1, 5), ()) == {}
+
+
+def test_no_peaks_array_lives_on_into_the_next_readout(monkeypatch):
+    # BatchWalk.nbytes charges one (B,) peaks array per mode; one kept from
+    # the step before would be another 8 bytes per coin
+    read = BatchWalk.peaks
+    last, alive = [], []
+
+    def peaks(walk, modes):
+        alive.append(sum(ref() is not None for ref in last))
+        out = read(walk, modes)
+        last[:] = [weakref.ref(p) for p in out]
+        return out
+
+    monkeypatch.setattr(BatchWalk, "peaks", peaks)
+    g_functions(3, 1, SweepGrid(1, 5, R=2), (ALL, MEM, POS))
+    assert len(alive) == 3 * 5 and not any(alive)
 
 
 @pytest.mark.parametrize("P,kappa,R,modes", [

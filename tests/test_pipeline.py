@@ -628,7 +628,7 @@ def test_record_text_layout():
     assert lines["q_digest"].startswith("sha256:")
     assert lines["output_hex"] == rec.output_bytes().hex()
     assert lines["aborted"] == "false"
-    assert dict(rec.summary_items()) == lines
+    assert dict(rec.summary_items) == lines
 
 
 def test_record_digests_large_subsets():
@@ -647,7 +647,7 @@ def test_a_large_subset_is_digested_a_chunk_at_a_time(m):
     # the commas between chunks; the digest is that of the whole joined text
     rec = run_protocol(source(seed=6), ProtocolParams(N=5000), POS)
     t_subset = np.arange(m) * 37 + 11
-    text = dict(replace(rec, t_subset=t_subset).summary_items())
+    text = dict(replace(rec, t_subset=t_subset).summary_items)
     joined = ",".join(map(str, t_subset)).encode("ascii")
     assert text["t_subset"] == "sha256:" + hashlib.sha256(joined).hexdigest()
 
@@ -658,7 +658,7 @@ def test_a_large_subset_digest_holds_one_chunk_of_text():
     rec = replace(rec, t_subset=np.arange(60_000) * 199)
     tracemalloc.start()
     try:
-        rec.summary_items()
+        rec.summary_items
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
