@@ -188,6 +188,8 @@ def run_bytes(N: int, m: int, d: int) -> int:
       the hash's working set.  Every hash plan has b_o <= ell <= L and
       b_i <= L, so that set is at most _FFT_BUDGET and one untiled
       tile's, which holds that tile's M bytes.
+    The seed draw and the hash also hold the test indices and outcomes, 9
+    bytes per tested signal, which the record keeps.
     """
     digit = np.min_scalar_type(d - 1).itemsize
     L = (N - m) * digit_width(d)
@@ -196,8 +198,9 @@ def run_bytes(N: int, m: int, d: int) -> int:
     fft = _FFT_BUDGET if M >= _FFT_BUDGET else min(_FFT_BUDGET, _fft_working_set(M, L))
     kept, packed = (N - m) * digit, -(-S // 8)
     draw = 8 * (N + m) if N > 10_000 and m > N // 50 else 28 * m
-    return max(N * digit + 2 * N + kept, N * digit + N + draw, kept + S + packed,
-               kept + packed + L + fft)
+    tested = 9 * m  # t_subset int64 and q uint8
+    return max(N * digit + 2 * N + kept, N * digit + N + draw, kept + S + packed + tested,
+               kept + packed + L + fft + tested)
 
 
 def toeplitz_seed_bits(seed: int, ell: int, length: int) -> np.ndarray:

@@ -212,12 +212,26 @@ class BatchWalk:
     multiply differs in the last ulp.  The shift and memory rotation are
     :func:`_step_source` carried over to rows, applied as one take.  The
     (B, 2, 2) complex128 `matrices` are read only while the batch is built.
+
+    `least` reads each mode's smallest peak out in two passes.  It first
+    reduces the weights re*re + im*im of every walk to approximate peaks,
+    each within a relative `delta` of the exact one, then takes the exact
+    peaks (`peaks`: complex `np.abs` squared, as :func:`distribution`
+    computes) of only the walks whose approximate peak is within `delta`
+    of the smallest.  Every walk reaching the exact minimum is among
+    them, so the minimum and its first walk are those of a full readout.
     """
 
     def __init__(self, P: int, kappa: int, matrices: np.ndarray) -> None:
         self.config = WalkConfig(P=P, kappa=kappa, T=0)  # validates dimensions
         n, B = self.config.dim, matrices.shape[0]
         h = n // 2
+        # least's two readouts of a peak differ by under 2**(kappa - 52) + 2**-49
+        # relative: each marginal adds 2**kappa rounded terms, complex np.abs and the
+        # squarings round a few times, and a weight far below a unit-norm walk's peak
+        # may underflow, which moves the sum far less; the filter needs twice the
+        # difference, and delta is at least twice that
+        self.delta = 2.0 ** -38 + 2.0 ** (kappa - 50)
         # _step_source in row order, each source amplitude 2p + c taken to its row c*h + p
         source = _step_source(P, kappa).reshape(h, 2).T
         self.source = ((source & 1) * h + (source >> 1)).reshape(-1)
@@ -241,10 +255,9 @@ class BatchWalk:
                                  (np.multiply, im[c], y[a, c], u),
                                  (combine, dst, u, dst)]
                 self.ops.append((np.add, out, t, out))
-        # the readout's complex buffer shares memory with the coin output
-        self.interleaved = self.coined.reshape(-1).view(np.complex128).reshape(n, B)
-        self.abs2 = scratch.reshape(n, B)
-        self.readout = np.moveaxis(self.abs2.reshape(2, P, -1, B), 0, 2)
+        # the readout's weights reuse the step scratch, free after the take
+        self.weights = scratch.reshape(n, B)
+        self.readout = self._readout(self.weights)
 
     @staticmethod
     def nbytes(P: int, kappa: int, B: int) -> int:
@@ -252,17 +265,20 @@ class BatchWalk:
 
         Per walk, 76 per amplitude (state and coin output 16 each, scratch 8,
         tiled coin entries 32, one mode's marginal sum 4) and 64: its coin matrix
-        until the batch is built, then one (B,) peaks per mode; per batch, `source`
-        8 and `start`'s initial state 16 per amplitude, and 16 KiB of Python objects.
+        until the batch is built, then the readout's (B,) peaks, masks and indices;
+        per batch, `source` 8 and `start`'s initial state 16 per amplitude, and
+        16 KiB of Python objects.
         """
         n = WalkConfig(P=P, kappa=kappa, T=0).dim
         return (76 * n + 64) * B + 24 * n + 16384
 
-    def start(self, flip: FlipOperator) -> None:
-        """Set every walk of the batch to :func:`initial_state` under `flip`."""
-        amplitudes = initial_state(replace(self.config, flip=flip)).amplitudes
-        # (pair, coin, re/im) floats, transposed to the planes' (re/im, coin, pair) blocks
-        self.planes[...] = amplitudes.view(np.float64).reshape(-1, 2, 2).T[..., None]
+    def start(self, *flips: FlipOperator) -> None:
+        """Set the walks to :func:`initial_state`, the batch split into equal runs, one per flip."""
+        runs = self.planes.reshape(2, 2, self.config.dim // 2, len(flips), -1)
+        for i, flip in enumerate(flips):
+            amplitudes = initial_state(replace(self.config, flip=flip)).amplitudes
+            # (pair, coin, re/im) floats, transposed to the planes' (re/im, coin, pair) blocks
+            runs[..., i, :] = amplitudes.view(np.float64).reshape(-1, 2, 2).T[..., None]
 
     def step(self) -> None:
         """One coin toss, shift and memory rotation of every walk."""
@@ -271,21 +287,62 @@ class BatchWalk:
         # mode="raise" would buffer `out`; the source rows are all in range
         np.take(self.coined, self.source, axis=1, out=self.state, mode="clip")
 
-    def peaks(self, modes: tuple[MeasurementMode, ...]) -> list[np.ndarray]:
-        """Largest outcome probability of each of `modes`, one (B,) array per mode.
+    def _readout(self, weights: np.ndarray) -> np.ndarray:
+        """(n, k) weights in state rows as `marginal`'s (P, 2**(kappa-1), 2, k) view."""
+        return np.moveaxis(weights.reshape(2, self.config.P, -1, weights.shape[1]), 0, 2)
 
-        The planes go through a complex buffer, for the complex `np.abs` of :func:`distribution`.
+    def peaks(self, modes: tuple[MeasurementMode, ...], walks: np.ndarray) -> list[np.ndarray]:
+        """Largest outcome probability of each of `modes` for walks `walks`, one array per mode.
+
+        The walks' planes go through a complex buffer, which shares memory with
+        the coin output, for the complex `np.abs` of :func:`distribution`.
         """
-        np.copyto(self.interleaved.real, self.state[0])
-        np.copyto(self.interleaved.imag, self.state[1])
-        np.abs(self.interleaved, out=self.abs2)
-        np.square(self.abs2, out=self.abs2)
-        peaks = []
-        for mode in modes:
-            outcomes = marginal(self.readout, mode)
-            peaks.append(outcomes.max(axis=tuple(range(outcomes.ndim - 1))))
-            del outcomes  # before the next mode's sum is built
-        return peaks
+        n, k = self.config.dim, len(walks)
+        interleaved = self.coined.reshape(-1)[:2 * n * k].view(np.complex128).reshape(n, k)
+        abs2 = self.weights.reshape(-1)[:n * k].reshape(n, k)
+        for plane, part in zip(self.state, (interleaved.real, interleaved.imag)):
+            np.take(plane, walks, axis=1, out=abs2, mode="clip")
+            np.copyto(part, abs2)
+        np.abs(interleaved, out=abs2)
+        np.square(abs2, out=abs2)
+        readout = self._readout(abs2)
+        return [_mode_peaks(abs2, readout, mode) for mode in modes]
+
+    def least(self, modes: tuple[MeasurementMode, ...],
+              bounds: list[float]) -> list[tuple[float, int] | None]:
+        """Each mode's smallest peak and the first walk reaching it, or None.
+
+        None says that no walk's peak can be at most the mode's bound; then
+        no exact peak of that mode is taken.
+        """
+        # approximate weights re*re + im*im, squared in the coin output buffer
+        np.square(self.state, out=self.coined)
+        np.add(*self.coined, out=self.weights)
+        live, wanted = [], False
+        for m, (mode, bound) in enumerate(zip(modes, bounds)):
+            rough = _mode_peaks(self.weights, self.readout, mode)
+            low = np.minimum.reduce(rough)
+            if low * (1 - self.delta) <= bound:
+                live.append(m)
+                wanted = wanted | (rough <= low * (1 + self.delta))
+        found: list[tuple[float, int] | None] = [None] * len(modes)
+        if live:
+            walks = np.flatnonzero(wanted)
+            # a walk wanted only for another mode peaks above this mode's minimum
+            for m, peaks in zip(live, self.peaks(tuple(modes[m] for m in live), walks)):
+                i = int(np.argmin(peaks))
+                found[m] = (float(peaks[i]), int(walks[i]))
+        return found
+
+
+def _mode_peaks(weights: np.ndarray, readout: np.ndarray, mode: MeasurementMode) -> np.ndarray:
+    """Each walk's largest outcome probability of `mode` from (n, k) weights in `BatchWalk` rows.
+
+    `readout` is the weights' `marginal`-shaped view.
+    """
+    if mode is not MeasurementMode.ALL:  # a max is exact in any order, so ALL reads the rows
+        weights = marginal(readout, mode).reshape(-1, weights.shape[1])
+    return np.maximum.reduce(weights, axis=0)
 
 
 def marginal(weights: np.ndarray, mode: MeasurementMode) -> np.ndarray:

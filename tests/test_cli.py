@@ -345,7 +345,7 @@ class TestMemoryPreflight:
     @pytest.mark.parametrize("argv,what", [
         (("evolve", "-P", "5", "-T", "3"), "a walk over P = 5, kappa = 1"),
         (("maxprob", "-P", "5", "-k", "2"), "a sweep over P = 5, kappa = 2"),
-        (("table", "table2", "--tmax", "3"), "the sweep over P = 21, kappa = 3 of table2"),
+        (("table", "table2", "--tmax", "3"), "the sweep over P = 11, kappa = 2 of table2"),
         (("curve", "fig4", "--tmax", "3"), "the sweep over P = 51, kappa = 4 of fig4"),
         (("extract", "-P", "5", "--mode", "position", "-N", "1000", "--seed", "1"),
          "the sweep over P = 5, kappa = 1"),
@@ -365,9 +365,9 @@ class TestMemoryPreflight:
         assert not list(tmp_path.iterdir())
 
     def test_the_largest_preset_cell_sets_the_need(self, capsys, tmp_path, monkeypatch):
-        # table2 at R = 1000 has B = 1002001 coins; its (P=21, kappa=3) cell
-        # needs (76 * 168 + 64) * B + 24 * 168 + 16384 bytes, about 12.0 GiB, more
-        # than an 8 GiB machine
+        # table2 at R = 12000 has B = 144,024,001 coins, whose matrices take 64
+        # bytes each, about 8.6 GiB, more than an 8 GiB machine; each cell adds
+        # its largest block, which at (P=3, kappa=1) is 8000 walks, the most
         pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 2 << 20}
         monkeypatch.setattr(os, "sysconf", pages.__getitem__)
 
@@ -375,11 +375,11 @@ class TestMemoryPreflight:
             raise AssertionError("swept a preset that cannot fit in memory")
 
         monkeypatch.setattr(experiments, "g_functions", must_not_run)
-        rc, out, err = run(capsys, "table", "table2", "--R", "1000", "-o", str(tmp_path))
+        rc, out, err = run(capsys, "table", "table2", "--R", "12000", "-o", str(tmp_path))
         assert rc == 2
         assert out == ""
         assert last_error(err)["error"] == (
-            "the sweep over P = 21, kappa = 3 of table2 needs about 12.0 GiB of memory, "
+            "the sweep over P = 3, kappa = 1 of table2 needs about 8.6 GiB of memory, "
             "more than the 8.0 GiB this machine has")
         assert not list(tmp_path.iterdir())
 
@@ -431,8 +431,8 @@ class TestMemoryPreflight:
 
     def test_a_large_subset_is_charged_its_draw(self, capsys, tmp_path, monkeypatch):
         # at m = N / 2 numpy draws the subset by shuffling an int64 arange(N),
-        # 0.8 GB at N = 1e8 beside the digits and test bits: about 1.3 GiB,
-        # where the hash phase is 1.07 GiB
+        # 0.8 GB at N = 1e8 beside the digits and test bits: about 1.3 GiB; the
+        # hash phase holds the 5e7 test indices and outcomes too, about 1.5 GiB
         pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": round(1.1 * 2**30 / 4096)}
         monkeypatch.setattr(os, "sysconf", pages.__getitem__)
 
@@ -446,7 +446,7 @@ class TestMemoryPreflight:
         assert rc == 2
         assert out == ""
         errors = [json.loads(line) for line in err.splitlines() if '"error"' in line]
-        assert errors == [{"error": "a run of N = 100000000 signals needs about 1.3 GiB of "
+        assert errors == [{"error": "a run of N = 100000000 signals needs about 1.5 GiB of "
                                     "memory, more than the 1.1 GiB this machine has"}]
         assert not list(tmp_path.iterdir())
 
@@ -508,7 +508,7 @@ class TestMemoryPreflight:
         (("maxprob", "-P", "3", "--coin", "general", "--R", str(10**330)),
          "a sweep over P = 3, kappa = 1 needs"),
         (("table", "table2", "--R", str(10**330)),
-         "the sweep over P = 21, kappa = 3 of table2 needs"),
+         "the sweep over P = 3, kappa = 1 of table2 needs"),
     ], ids=["extract-N1e30", "evolve-P1e330", "evolve-k1e30", "maxprob-k15000",
             "extract-N1e330", "maxprob-P1e330", "maxprob-R1e330", "table-R1e330"])
     def test_a_huge_run_fails_in_the_preflight(self, tmp_path, argv, prefix):

@@ -166,11 +166,14 @@ def test_evolve_json_is_golden(capsys, name):
 
 
 def run_tables_under(tmp_path: Path, **env_vars: str) -> None:
-    """Run table2 and table5 in a fresh interpreter under `env_vars`; check their digests."""
+    """Run table2, table4, table5 and table6 in a fresh interpreter under `env_vars`.
+
+    Their digests are checked: every mode's readout, general and Hadamard.
+    """
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, **env_vars, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    names = ("table2", "table5")
+    names = ("table2", "table4", "table5", "table6")
     script = ("import sys; from qwrng.cli import main; "
               "sys.exit(max(main(['table', name, '--tmax', sys.argv[1], '--no-timestamp', "
               "'-o', sys.argv[2]]) for name in sys.argv[3:]))")

@@ -1,10 +1,12 @@
 import math
 import tracemalloc
-import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from qwrng import maxprob
 from qwrng.maxprob import (
     MaxProbResult,
     SweepGrid,
@@ -23,6 +25,7 @@ from qwrng.walk import (
     distribution,
     evolve,
     generalized_coin_matrix,
+    marginal,
 )
 
 ALL = MeasurementMode.ALL
@@ -383,8 +386,12 @@ def test_step_kernel_is_bit_identical_to_einsum(P, kappa):
                 walk.step()
                 got = _amplitudes(walk.state).reshape(B, P, nc)
                 assert np.array_equal(got, ref), (grid.R, flip, t)
-                for mode, peaks in zip(MeasurementMode, walk.peaks(tuple(MeasurementMode))):
-                    assert np.array_equal(peaks, _einsum_peaks(ref, mode)), (mode, t)
+                every = walk.peaks(tuple(MeasurementMode), np.arange(B))
+                found = walk.least(tuple(MeasurementMode), [math.inf] * 3)
+                for mode, peaks, (value, b) in zip(MeasurementMode, every, found):
+                    want = _einsum_peaks(ref, mode)
+                    assert np.array_equal(peaks, want), (mode, t)
+                    assert (value, b) == (want.min(), int(np.argmin(want))), (mode, t)
 
 
 @pytest.mark.parametrize("R", [1, 4, 16, 64, 200])
@@ -433,15 +440,37 @@ def test_record_argmin_takes_smallest_t_then_flip_then_coin(monkeypatch):
     # 0.5 is reached at (t=3, I), at (t=2, X) by coins 2 and 3, and at
     # (t=2, Y); the earliest t wins over the earlier flip
     hi, lo = [0.9] * 4, [0.5] * 4
-    rows = iter(np.array(r) for r in (
-        hi, hi, [0.9, 0.5, 0.9, 0.9],     # I
-        hi, [0.9, 0.9, 0.5, 0.5], lo,     # X
-        hi, [0.5, 0.9, 0.9, 0.9], lo,     # Y
-    ))
-    monkeypatch.setattr(BatchWalk, "peaks", lambda walk, modes: [next(rows)])
-    res = g_functions(3, 1, SweepGrid(1, 3, R=1), (ALL,))[ALL]
-    assert (res.value, res.at_t, res.at_flip) == (0.5, 2, FlipOperator.X)
-    assert res.coin == CoinOperator.generalized(math.pi, 0.0)
+    planted = {
+        FlipOperator.I: (hi, hi, [0.9, 0.5, 0.9, 0.9]),
+        FlipOperator.X: (hi, [0.9, 0.9, 0.5, 0.5], lo),
+        FlipOperator.Y: (hi, [0.5, 0.9, 0.9, 0.9], lo),
+    }
+    coins = [m.tobytes() for m in SweepGrid(1, 3, R=1).matrices()]
+
+    class PlantedWalk:
+        """Walk b of a block reads the planted peak of its (flip, coin) at each t."""
+
+        def __init__(self, P, kappa, matrices):
+            self.coins = [coins.index(m.tobytes()) for m in matrices]
+
+        def start(self, *flips):
+            run = len(self.coins) // len(flips)
+            self.flips, self.t = [flips[b // run] for b in range(len(self.coins))], 0
+
+        def step(self):
+            self.t += 1
+
+        def least(self, modes, bounds):
+            peaks = [planted[f][self.t - 1][c] for f, c in zip(self.flips, self.coins)]
+            return [(min(peaks), peaks.index(min(peaks)))]
+
+    monkeypatch.setattr(maxprob, "BatchWalk", PlantedWalk)
+    # one walk per block, one flip's coins per block, and every walk in one block
+    for block in (1, 6 * 4, 3 * 6 * 4):
+        monkeypatch.setattr(maxprob, "_BLOCK_AMPLITUDES", block)
+        res = g_functions(3, 1, SweepGrid(1, 3, R=1), (ALL,))[ALL]
+        assert (res.value, res.at_t, res.at_flip) == (0.5, 2, FlipOperator.X), block
+        assert res.coin == CoinOperator.generalized(math.pi, 0.0), block
 
 
 def test_sweep_validates_dimensions():
@@ -476,20 +505,25 @@ def test_a_sweep_of_no_modes_steps_and_finds_nothing():
 
 
 def test_no_peaks_array_lives_on_into_the_next_readout(monkeypatch):
-    # BatchWalk.nbytes charges one (B,) peaks array per mode; one kept from
-    # the step before would be another 8 bytes per coin
-    read = BatchWalk.peaks
-    last, alive = [], []
+    # BatchWalk.nbytes charges one readout's (B,) arrays; any kept from the
+    # step before would be another 8 bytes per walk, here 40 KB
+    read, held = BatchWalk.least, []
 
-    def peaks(walk, modes):
-        alive.append(sum(ref() is not None for ref in last))
-        out = read(walk, modes)
-        last[:] = [weakref.ref(p) for p in out]
-        return out
+    def least(walk, modes, bounds):
+        held.append(tracemalloc.get_traced_memory()[0])
+        return read(walk, modes, bounds)
 
-    monkeypatch.setattr(BatchWalk, "peaks", peaks)
-    g_functions(3, 1, SweepGrid(1, 5, R=2), (ALL, MEM, POS))
-    assert len(alive) == 3 * 5 and not any(alive)
+    monkeypatch.setattr(BatchWalk, "least", least)
+    grid = SweepGrid(1, 5, R=40)
+    g_functions(3, 1, grid, (ALL, MEM, POS))  # first-call allocations, cached for later calls
+    held.clear()
+    tracemalloc.start()
+    try:
+        g_functions(3, 1, grid, (ALL, MEM, POS))
+    finally:
+        tracemalloc.stop()
+    assert len(held) == 5  # the three flips of the 1681 coins stack into one block
+    assert max(held) - min(held) < 2048
 
 
 @pytest.mark.parametrize("P,kappa,R,modes", [
@@ -500,11 +534,15 @@ def test_no_peaks_array_lives_on_into_the_next_readout(monkeypatch):
     (125, 3, 16, (ALL, MEM, POS)),
     (3, 1, 200, (ALL,)),
     (3, 1, 200, (ALL, MEM, POS)),
+    (21, 3, 16, (ALL, MEM, POS)),
+    (11, 2, 16, (ALL,)),
 ], ids=["hadamard-B1", "R16-all", "R16-memory", "R16-position", "R16-k3-every-mode",
-        "R200-p3-all", "R200-p3-every-mode"])
+        "R200-p3-all", "R200-p3-every-mode", "R16-chunked", "R16-stacked-flips"])
 def test_sweep_bytes_bounds_what_a_sweep_allocates(P, kappa, R, modes):
     # the preflight charges sweep_bytes, so a sweep must not allocate more;
-    # a charge far above the traced peak would refuse runs that fit
+    # a charge far above the traced peak would refuse runs that fit.  The
+    # R = 16 cells at P = 125 and 501 and at (21, 3) split their coins into
+    # blocks, and (11, 2) stacks its three flips into one
     grid = SweepGrid(1, 3, R=R)
     g_functions(3, 1, SweepGrid(1, 2, R=1))  # first-call allocations, cached for later calls
     tracemalloc.start()
@@ -514,3 +552,129 @@ def test_sweep_bytes_bounds_what_a_sweep_allocates(P, kappa, R, modes):
     finally:
         tracemalloc.stop()
     assert 0.9 <= peak / sweep_bytes(P, kappa, grid) <= 1.0
+
+
+# -- filtered readout and blocks -----------------------------------------------
+
+def _full_peaks(walk, modes):
+    """Every walk's peaks as the sweep first read them out: the whole batch
+    interleaved, complex `np.abs`, squared, `marginal` and max."""
+    _, n, B = walk.state.shape
+    amplitudes = np.empty((n, B), dtype=np.complex128)
+    amplitudes.real, amplitudes.imag = walk.state
+    weights = np.moveaxis(np.square(np.abs(amplitudes)).reshape(2, walk.config.P, -1, B), 0, 2)
+    peaks = []
+    for mode in modes:
+        outcomes = marginal(weights, mode)
+        peaks.append(outcomes.max(axis=tuple(range(outcomes.ndim - 1))))
+    return peaks
+
+
+def _full_readout_sweep(P, kappa, grid, modes):
+    """(value, t, flip index, coin index) of each mode's minimum: one batch of
+    every coin per flip, each step read out whole, ties to the first coin."""
+    walk = BatchWalk(P, kappa, grid.matrices())
+    best = {mode: (math.inf,) for mode in modes}
+    for j, flip in enumerate(grid.flips):
+        walk.start(flip)
+        for t in range(1, grid.t_max + 1):
+            walk.step()
+            if t >= grid.t_min:
+                for mode, peaks in zip(modes, _full_peaks(walk, modes)):
+                    b = int(np.argmin(peaks))
+                    best[mode] = min(best[mode], (float(peaks[b]), t, j, b))
+    return best
+
+
+def _as_tuples(results, grid):
+    coins = [grid.coin(b) for b in range(len(grid.matrices()))]
+    return {mode: (r.value, r.at_t, grid.flips.index(r.at_flip), coins.index(r.coin))
+            for mode, r in results.items()}
+
+
+@pytest.mark.parametrize("P,kappa,grid", [
+    (3, 1, SweepGrid(1, 300, R=1)),
+    (5, 2, SweepGrid(1, 300, R=2)),
+    (11, 2, SweepGrid(1, 200, R=4)),
+    (21, 3, SweepGrid(40, 200, R=6)),
+    (5, 2, SweepGrid(1, 400, flips=tuple(FlipOperator))),
+    (21, 3, SweepGrid(1, 400, flips=tuple(FlipOperator))),
+    (51, 4, SweepGrid(1, 300, flips=tuple(FlipOperator))),
+], ids=["R1-p3-k1", "R2-p5-k2", "R4-p11-k2", "R6-p21-k3-from-t40", "hadamard-p5-k2",
+        "hadamard-p21-k3", "hadamard-p51-k4"])
+def test_the_filtered_readout_finds_the_full_readouts_minima(P, kappa, grid):
+    # R = 1 and 2 tie whole rows of coins, and flip I ties every coin at t = 1
+    want = _full_readout_sweep(P, kappa, grid, tuple(MeasurementMode))
+    assert _as_tuples(g_functions(P, kappa, grid), grid) == want
+
+
+_amplitude_columns = st.lists(st.tuples(
+    st.integers(0, 3),  # 0 a fresh column, 1 a copy, 2 a copy one ulp off, 3 tiny entries
+    st.integers(0, 2**32 - 1),
+), min_size=1, max_size=12)
+
+
+class _AskedWalk(BatchWalk):
+    """A BatchWalk that records the walks each exact readout is asked for."""
+
+    asked: list[set[int]] = []
+
+    def peaks(self, modes, walks):
+        self.asked.append(set(walks.tolist()))
+        return super().peaks(modes, walks)
+
+
+@settings(max_examples=150, deadline=None)
+@given(cell=st.sampled_from([(2, 1), (3, 2), (5, 2), (3, 3)]), columns=_amplitude_columns)
+def test_the_readouts_candidates_hold_every_walk_at_the_minimum(cell, columns):
+    # unit-norm columns, some repeated exactly, some one ulp off a repeat, some
+    # with entries whose squares underflow
+    P, kappa = cell
+    n = P << kappa
+    state = np.empty((2, n, len(columns)))
+    for b, (kind, seed) in enumerate(columns):
+        rng = np.random.default_rng(seed)
+        if kind in (1, 2) and b:
+            state[:, :, b] = state[:, :, seed % b]
+            if kind == 2:
+                row = seed % n
+                state[0, row, b] = np.nextafter(state[0, row, b], 1.0)
+            continue
+        column = rng.standard_normal((2, n)) * (rng.random((2, n)) < 0.6)
+        tiny = rng.random(n) < 0.5
+        tiny[seed % n] = False  # the column's largest entry, so its peak is far above underflow
+        column[0, seed % n] += 1.0
+        if kind == 3:
+            column[:, tiny] *= 2.0 ** -540
+        state[:, :, b] = column / np.sqrt(np.sum(column * column))
+    walk = _AskedWalk(P, kappa, np.tile(np.eye(2, dtype=np.complex128), (len(columns), 1, 1)))
+    walk.state[...] = state
+    modes = tuple(MeasurementMode)
+    full = _full_peaks(walk, modes)
+    for bound in (math.inf, None, 0.0):
+        walk.asked = []
+        bounds = [p.min() if bound is None else bound for p in full]
+        found = walk.least(modes, bounds)
+        for mode, peaks, hit, limit in zip(modes, full, found, bounds):
+            at_min = set(np.flatnonzero(peaks == peaks.min()).tolist())
+            if hit is None:
+                assert peaks.min() > limit, mode
+                continue
+            assert hit == (peaks.min(), min(at_min)), mode
+            assert at_min <= walk.asked[0], mode
+
+
+@pytest.mark.parametrize("P,kappa,grid", [
+    (5, 2, SweepGrid(1, 120, R=4)),
+    (21, 3, SweepGrid(1, 80, R=3)),
+    (11, 2, SweepGrid(1, 200, flips=tuple(FlipOperator))),
+], ids=["R4-p5-k2", "R3-p21-k3", "hadamard-p11-k2"])
+def test_results_do_not_depend_on_the_block_size(monkeypatch, P, kappa, grid):
+    n, B = P << kappa, len(grid.matrices())
+    results = []
+    # one walk per block, coin chunks, one flip per block and every walk in one block
+    for block in (1, 3 * n, n * B, 3 * n * B):
+        monkeypatch.setattr(maxprob, "_BLOCK_AMPLITUDES", block)
+        results.append(_as_tuples(g_functions(P, kappa, grid), grid))
+    assert all(r == results[0] for r in results[1:])
+    assert results[0] == _full_readout_sweep(P, kappa, grid, tuple(MeasurementMode))

@@ -373,9 +373,10 @@ def test_run_charge_past_the_budget_is_the_factored_one(N):
     L = (N - m) * pipeline.digit_width(d)
     factored = pipeline._fft_working_set(pipeline._smooth_len(2 * L - 1), L)
     fft = min(pipeline._FFT_BUDGET, factored)
-    # the largest phase: sampling, the seed draw, the hash
+    # the largest phase: sampling, the seed draw, the hash; the last two hold
+    # the m test indices and outcomes, 9 bytes each
     kept, seed, packed = N - m, 2 * L - 1, -(-(2 * L - 1) // 8)
-    phases = (N + 2 * N + kept, kept + seed + packed, kept + packed + L + fft)
+    phases = (N + 2 * N + kept, kept + seed + packed + 9 * m, kept + packed + L + fft + 9 * m)
     assert pipeline.run_bytes(N, m, d) == max(phases)
 
 

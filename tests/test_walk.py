@@ -154,12 +154,30 @@ def test_coin_matrices_keep_the_batch_order_and_each_coin_kind():
     walk.start(FlipOperator.Y)
     for _ in range(7):
         walk.step()
-    peaks = walk.peaks(tuple(MeasurementMode))
+    peaks = walk.peaks(tuple(MeasurementMode), np.arange(len(coins)))
     assert len(set(peaks[0].tolist())) == 3  # three coins, three walks
     for mode, mode_peaks in zip(MeasurementMode, peaks):
         for coin, got in zip(coins, mode_peaks):
             want = distribution(evolve(config(5, 2, 7, coin, FlipOperator.Y)), mode).probs.max()
             assert got == pytest.approx(want, rel=1e-13), (coin, mode)
+
+
+def test_complex_abs_of_an_element_does_not_depend_on_its_place():
+    # BatchWalk.peaks takes the complex np.abs of a few walks' amplitudes, a
+    # full readout of every walk's: a SIMD loop that rounded by lane or in a
+    # scalar tail would give the two readouts different bits
+    rng = np.random.default_rng(3)
+    scale = np.exp2(rng.integers(-1080, 8, size=(2, 1024)))
+    scale[:, ::7] = 1.0
+    z = np.empty(1024, dtype=np.complex128)
+    z.real, z.imag = rng.standard_normal((2, 1024)) * scale * (rng.random((2, 1024)) < 0.9)
+    whole = np.abs(z)
+    for length in [*range(1, 41), 63, 64, 65, 127, 128, 129, 500]:
+        for start in range(0, 1024 - length, 37 + length):
+            part = np.abs(z[start:start + length].copy())
+            assert part.tobytes() == whole[start:start + length].tobytes(), (start, length)
+            two = np.abs(z[start:start + length].copy().reshape(-1, 1))
+            assert two.tobytes() == part.tobytes(), (start, length)
 
 
 def test_flip_matrices_are_unitary():
