@@ -6,13 +6,14 @@ outcome probability in each measurement mode.  Sweeping the step count
 and taking the minimum gives the guessing probability charged to the
 source; gamma = -log2 of it is the certified min-entropy per signal.
 
-The sweep steps the grid's (flip, coin) walks together in blocks, each
-one `walk.BatchWalk` of at most _BLOCK_AMPLITUDES amplitudes, one step
-per candidate t, so a full grid costs O(t_max) batched steps per block
-instead of O(sum of t).  At each step a block reads out only each mode's
-smallest peak (`BatchWalk.least`): exact peaks are taken only for walks
-whose approximate peak is near the block's smallest, and for none when
-no walk can reach the mode's running best.
+The sweep numbers the grid's (flip, coin) walks flip-major and steps
+them in contiguous blocks of that one range, each one `walk.BatchWalk`
+of at most _BLOCK_AMPLITUDES amplitudes built once with its walks' start
+states, one step per candidate t, so a full grid costs O(t_max) batched
+steps per block instead of O(sum of t).  At each step a block reads out
+only each mode's smallest peak (`BatchWalk.least`): exact peaks are
+taken only for walks whose approximate peak is near the block's
+smallest, and for none when no walk can reach the mode's running best.
 """
 
 from __future__ import annotations
@@ -64,10 +65,12 @@ class SweepGrid:
         flips = self.flips
         if flips is None:
             flips = (FlipOperator.I,) if self.R is None else tuple(FlipOperator)
-        if not flips:
-            raise ValueError("empty flip set")
+        if not all(isinstance(f, FlipOperator) for f in flips):
+            raise ValueError(f"unknown flip in {flips!r}: flips are FlipOperator members")
         # I, X, Y order is the sweep's tie order across flips
         object.__setattr__(self, "flips", tuple(f for f in FlipOperator if f in flips))
+        if not self.flips:
+            raise ValueError("empty flip set")
 
     @classmethod
     def for_coin(
@@ -133,18 +136,12 @@ class MaxProbResult:
                           flip=self.at_flip)
 
 
-def _packing(P: int, kappa: int, B: int, flips: int) -> tuple[int, int]:
-    """How a sweep packs its flips x B walks on (P, kappa) into blocks: (f, chunks).
-
-    A block is f whole flips, f a divisor of `flips`, of one of `chunks`
-    contiguous chunks of the B coins, chunk c being coins c*B//chunks up to
-    (c+1)*B//chunks.  Flips stack while their walks fit _BLOCK_AMPLITUDES;
-    past it the coins split into the fewest chunks that fit, or one coin each.
-    """
+def _block_count(P: int, kappa: int, walks: int) -> int:
+    """How many blocks k a sweep of `walks` walks on (P, kappa) takes: the fewest of at
+    most _BLOCK_AMPLITUDES amplitudes, or one walk each, block c holding walks c*walks//k
+    up to (c+1)*walks//k."""
     n = WalkConfig(P=P, kappa=kappa, T=0).dim  # validates dimensions
-    f = max(f for f in range(1, flips + 1)
-            if flips % f == 0 and (f == 1 or f * n * B <= _BLOCK_AMPLITUDES))
-    return f, min(B, -(-n * B // _BLOCK_AMPLITUDES))
+    return min(walks, -(-n * walks // _BLOCK_AMPLITUDES))
 
 
 def sweep_bytes(P: int, kappa: int, grid: SweepGrid) -> int:
@@ -153,8 +150,8 @@ def sweep_bytes(P: int, kappa: int, grid: SweepGrid) -> int:
     The grid's matrices, 64 bytes per coin, and its largest block's `BatchWalk`.
     """
     B = 1 if grid.R is None else (grid.R + 1) ** 2
-    f, chunks = _packing(P, kappa, B, len(grid.flips))
-    return 64 * B + BatchWalk.nbytes(P, kappa, f * -(-B // chunks))
+    walks = len(grid.flips) * B
+    return 64 * B + BatchWalk.nbytes(P, kappa, -(-walks // _block_count(P, kappa, walks)))
 
 
 def _sweep(
@@ -166,33 +163,34 @@ def _sweep(
 ) -> dict[MeasurementMode, MaxProbResult]:
     """Smallest peak of each mode over `coin`, or every coin of `grid`, and its steps and flips.
 
-    The (flip, coin) walks run over the time range in blocks (`_packing`).
-    At every t a block's smallest peak and the first walk reaching it, in
-    (flip, coin) order, replace a mode's running best when (peak, t, flip
-    index, coin index) is smaller, so ties go to the smallest t, then the
-    first flip, then the first coin, whatever the order of the blocks.  A
-    grid's batch is its matrices, and only each mode's winner b becomes a coin.
+    Walk w = j*B + b starts at flip j of the grid and tosses coin b, and the
+    walks run over the time range in contiguous blocks (`_block_count`).  At
+    every t a block's smallest peak and the first walk w reaching it replace
+    a mode's running best when (peak, t, w) is smaller, so ties go to the
+    smallest t, then the first flip, then the first coin, whatever the order
+    of the blocks.  A grid's batch is its matrices, and only each mode's
+    winner w becomes a flip and a coin.
     """
     matrices = grid.matrices() if coin is None else coin.matrix()[None]
     B = len(matrices)
-    f, chunks = _packing(P, kappa, B, len(grid.flips))
+    walks = len(grid.flips) * B
+    k = _block_count(P, kappa, walks)
     best = {mode: (math.inf,) for mode in modes}
-    for c in range(chunks):
-        lo, hi = c * B // chunks, (c + 1) * B // chunks
-        walk = BatchWalk(P, kappa, np.tile(matrices[lo:hi], (f, 1, 1)))
-        for i in range(0, len(grid.flips), f):
-            walk.start(*grid.flips[i:i + f])
-            for t in range(1, grid.t_max + 1):
-                walk.step()
-                if t < grid.t_min:
-                    continue
-                for mode, found in zip(modes, walk.least(modes, [best[m][0] for m in modes])):
-                    if found is not None:
-                        j, b = divmod(found[1], hi - lo)
-                        best[mode] = min(best[mode], (found[0], t, i + j, lo + b))
-        del walk  # before the next chunk's block is built
-    return {mode: MaxProbResult(value, t, grid.flips[j], mode, P, kappa, coin or grid.coin(b))
-            for mode, (value, t, j, b) in best.items()}
+    for c in range(k):
+        lo, hi = c * walks // k, (c + 1) * walks // k
+        walk = BatchWalk(P, kappa, matrices[np.arange(lo, hi) % B],
+                         [grid.flips[w // B] for w in range(lo, hi)])
+        for t in range(1, grid.t_max + 1):
+            walk.step()
+            if t < grid.t_min:
+                continue
+            for mode, found in zip(modes, walk.least(modes, [best[m][0] for m in modes])):
+                if found is not None:
+                    best[mode] = min(best[mode], (found[0], t, lo + found[1]))
+        del walk  # before the next block is built
+    return {mode: MaxProbResult(value, t, grid.flips[w // B], mode, P, kappa,
+                                coin or grid.coin(w % B))
+            for mode, (value, t, w) in best.items()}
 
 
 def g_functions(

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -198,7 +198,8 @@ def evolve(config: WalkConfig) -> WalkState:
 
 
 class BatchWalk:
-    """A batch of walks on one (P, kappa), stepped in place; walk b tosses coin `matrices[b]`.
+    """A batch of walks on one (P, kappa), stepped in place; walk b starts at
+    :func:`initial_state` of flip `flips[b]` and tosses coin `matrices[b]`.
 
     The state is float64 of shape (re/im, row, B): planar and batch-minor.
     Amplitude 2p + c (amplitude pair p, active coin c) sits at row
@@ -211,7 +212,8 @@ class BatchWalk:
     so the step is bit-identical to it; a batched matmul or complex
     multiply differs in the last ulp.  The shift and memory rotation are
     :func:`_step_source` carried over to rows, applied as one take.  The
-    (B, 2, 2) complex128 `matrices` are read only while the batch is built.
+    (B, 2, 2) complex128 `matrices` and the B `flips` are read only while
+    the batch is built.
 
     `least` reads each mode's smallest peak out in two passes.  It first
     reduces the weights re*re + im*im of every walk to approximate peaks,
@@ -222,7 +224,8 @@ class BatchWalk:
     them, so the minimum and its first walk are those of a full readout.
     """
 
-    def __init__(self, P: int, kappa: int, matrices: np.ndarray) -> None:
+    def __init__(self, P: int, kappa: int, matrices: np.ndarray,
+                 flips: list[FlipOperator]) -> None:
         self.config = WalkConfig(P=P, kappa=kappa, T=0)  # validates dimensions
         n, B = self.config.dim, matrices.shape[0]
         h = n // 2
@@ -235,14 +238,19 @@ class BatchWalk:
         # _step_source in row order, each source amplitude 2p + c taken to its row c*h + p
         source = _step_source(P, kappa).reshape(h, 2).T
         self.source = ((source & 1) * h + (source >> 1)).reshape(-1)
-        self.state = np.empty((2, n, B))
+        del source  # freed here, not at return, so it is never held with the state
+        self.state = np.zeros((2, n, B))
+        # rows 0 and h, amplitudes 0 and 1 (the origin at active coin 0 and 1), hold
+        # each walk's flip's first column, as initial_state writes it
+        first = {flip: flip.matrix()[:, 0] for flip in FlipOperator}
+        self.state[:, ::h] = np.array([first[f] for f in flips]).view(np.float64).reshape(B, 2, 2).T
         self.coined = np.empty((2, n, B))
         # two (n/2, B) blocks of step scratch, which the readout reuses as (n, B)
         scratch = np.empty((2, h, B))
         # cr[a, c] and ci[a, c]: real and imaginary part of coin entry (a, c), tiled
         entries = matrices.view(np.float64).reshape(B, 2, 2, 2).transpose(3, 1, 2, 0)
         cr, ci = np.ascontiguousarray(np.broadcast_to(entries[..., None, :], (2, 2, 2, h, B)))
-        re, im = self.planes = self.state.reshape(2, 2, h, B)
+        re, im = self.state.reshape(2, 2, h, B)
         out_re, out_im = self.coined.reshape(2, 2, h, B)
         t, u = scratch
         # output a, Re: sum over c of re*cr - im*ci; Im: sum over c of re*ci + im*cr
@@ -266,19 +274,10 @@ class BatchWalk:
         Per walk, 76 per amplitude (state and coin output 16 each, scratch 8,
         tiled coin entries 32, one mode's marginal sum 4) and 64: its coin matrix
         until the batch is built, then the readout's (B,) peaks, masks and indices;
-        per batch, `source` 8 and `start`'s initial state 16 per amplitude, and
-        16 KiB of Python objects.
+        per batch, the step's row index, 8 per amplitude, and 16 KiB of Python objects.
         """
         n = WalkConfig(P=P, kappa=kappa, T=0).dim
-        return (76 * n + 64) * B + 24 * n + 16384
-
-    def start(self, *flips: FlipOperator) -> None:
-        """Set the walks to :func:`initial_state`, the batch split into equal runs, one per flip."""
-        runs = self.planes.reshape(2, 2, self.config.dim // 2, len(flips), -1)
-        for i, flip in enumerate(flips):
-            amplitudes = initial_state(replace(self.config, flip=flip)).amplitudes
-            # (pair, coin, re/im) floats, transposed to the planes' (re/im, coin, pair) blocks
-            runs[..., i, :] = amplitudes.view(np.float64).reshape(-1, 2, 2).T[..., None]
+        return (76 * n + 64) * B + 8 * n + 16384
 
     def step(self) -> None:
         """One coin toss, shift and memory rotation of every walk."""

@@ -101,6 +101,10 @@ def test_grid_rejects_empty_ranges():
         SweepGrid(1, 10, R=0)
     with pytest.raises(ValueError):
         SweepGrid(1, 10, flips=())
+    # a string is not a flip: it must not be dropped into an empty flip set
+    for flips in (("x",), (FlipOperator.I, "x")):
+        with pytest.raises(ValueError):
+            SweepGrid(1, 5, flips=flips)
 
 
 def test_grid_needs_its_window():
@@ -375,17 +379,18 @@ def test_step_kernel_is_bit_identical_to_einsum(P, kappa):
     for grid in (SweepGrid(1, 60, R=4), SweepGrid(1, 60)):
         coins = grid.matrices()
         B = coins.shape[0]
-        walk = BatchWalk(P, kappa, coins)  # one walk for every flip: start resets it
-        for flip in FlipOperator:
+        # one flip for every walk, then a batch whose flips change walk by walk
+        for flips in (*([flip] * B for flip in FlipOperator),
+                      [tuple(FlipOperator)[b % 3] for b in range(B)]):
+            walk = BatchWalk(P, kappa, coins, flips)
             start = np.zeros((B, P * nc // 2, 2), dtype=np.complex128)
             start[:, 0, 0] = 1.0
-            ref = (start @ flip.matrix().T).reshape(B, P, nc)
-            walk.start(flip)
+            ref = (start @ np.stack([flip.matrix().T for flip in flips])).reshape(B, P, nc)
             for t in range(1, 61):
                 ref = _einsum_step(ref, coins, kappa)
                 walk.step()
                 got = _amplitudes(walk.state).reshape(B, P, nc)
-                assert np.array_equal(got, ref), (grid.R, flip, t)
+                assert np.array_equal(got, ref), (grid.R, flips, t)
                 every = walk.peaks(tuple(MeasurementMode), np.arange(B))
                 found = walk.least(tuple(MeasurementMode), [math.inf] * 3)
                 for mode, peaks, (value, b) in zip(MeasurementMode, every, found):
@@ -450,12 +455,9 @@ def test_record_argmin_takes_smallest_t_then_flip_then_coin(monkeypatch):
     class PlantedWalk:
         """Walk b of a block reads the planted peak of its (flip, coin) at each t."""
 
-        def __init__(self, P, kappa, matrices):
+        def __init__(self, P, kappa, matrices, flips):
             self.coins = [coins.index(m.tobytes()) for m in matrices]
-
-        def start(self, *flips):
-            run = len(self.coins) // len(flips)
-            self.flips, self.t = [flips[b // run] for b in range(len(self.coins))], 0
+            self.flips, self.t = flips, 0
 
         def step(self):
             self.t += 1
@@ -465,8 +467,9 @@ def test_record_argmin_takes_smallest_t_then_flip_then_coin(monkeypatch):
             return [(min(peaks), peaks.index(min(peaks)))]
 
     monkeypatch.setattr(maxprob, "BatchWalk", PlantedWalk)
-    # one walk per block, one flip's coins per block, and every walk in one block
-    for block in (1, 6 * 4, 3 * 6 * 4):
+    # one walk per block, one flip's coins per block, blocks of 6 walks (the first
+    # ending inside flip X), and every walk in one block
+    for block in (1, 6 * 4, 6 * 6, 3 * 6 * 4):
         monkeypatch.setattr(maxprob, "_BLOCK_AMPLITUDES", block)
         res = g_functions(3, 1, SweepGrid(1, 3, R=1), (ALL,))[ALL]
         assert (res.value, res.at_t, res.at_flip) == (0.5, 2, FlipOperator.X), block
@@ -536,13 +539,18 @@ def test_no_peaks_array_lives_on_into_the_next_readout(monkeypatch):
     (3, 1, 200, (ALL, MEM, POS)),
     (21, 3, 16, (ALL, MEM, POS)),
     (11, 2, 16, (ALL,)),
+    (200_000, 2, None, (ALL, MEM, POS)),
+    (21, 2, 16, (ALL,)),
+    (21, 2, 16, (ALL, MEM, POS)),
 ], ids=["hadamard-B1", "R16-all", "R16-memory", "R16-position", "R16-k3-every-mode",
-        "R200-p3-all", "R200-p3-every-mode", "R16-chunked", "R16-stacked-flips"])
+        "R200-p3-all", "R200-p3-every-mode", "R16-chunked", "R16-stacked-flips",
+        "hadamard-B1-every-mode", "R16-block-spans-flips-all", "R16-block-spans-flips-every-mode"])
 def test_sweep_bytes_bounds_what_a_sweep_allocates(P, kappa, R, modes):
     # the preflight charges sweep_bytes, so a sweep must not allocate more;
     # a charge far above the traced peak would refuse runs that fit.  The
-    # R = 16 cells at P = 125 and 501 and at (21, 3) split their coins into
-    # blocks, and (11, 2) stacks its three flips into one
+    # R = 16 cells at P = 125 and 501 and at (21, 3) take several blocks to
+    # a flip, (11, 2) holds its three flips in one, and (21, 2)'s first block
+    # holds flip I and part of flip X
     grid = SweepGrid(1, 3, R=R)
     g_functions(3, 1, SweepGrid(1, 2, R=1))  # first-call allocations, cached for later calls
     tracemalloc.start()
@@ -573,10 +581,10 @@ def _full_peaks(walk, modes):
 def _full_readout_sweep(P, kappa, grid, modes):
     """(value, t, flip index, coin index) of each mode's minimum: one batch of
     every coin per flip, each step read out whole, ties to the first coin."""
-    walk = BatchWalk(P, kappa, grid.matrices())
+    coins = grid.matrices()
     best = {mode: (math.inf,) for mode in modes}
     for j, flip in enumerate(grid.flips):
-        walk.start(flip)
+        walk = BatchWalk(P, kappa, coins, [flip] * len(coins))
         for t in range(1, grid.t_max + 1):
             walk.step()
             if t >= grid.t_min:
@@ -647,7 +655,8 @@ def test_the_readouts_candidates_hold_every_walk_at_the_minimum(cell, columns):
         if kind == 3:
             column[:, tiny] *= 2.0 ** -540
         state[:, :, b] = column / np.sqrt(np.sum(column * column))
-    walk = _AskedWalk(P, kappa, np.tile(np.eye(2, dtype=np.complex128), (len(columns), 1, 1)))
+    walk = _AskedWalk(P, kappa, np.tile(np.eye(2, dtype=np.complex128), (len(columns), 1, 1)),
+                      [FlipOperator.I] * len(columns))
     walk.state[...] = state
     modes = tuple(MeasurementMode)
     full = _full_peaks(walk, modes)
@@ -672,8 +681,9 @@ def test_the_readouts_candidates_hold_every_walk_at_the_minimum(cell, columns):
 def test_results_do_not_depend_on_the_block_size(monkeypatch, P, kappa, grid):
     n, B = P << kappa, len(grid.matrices())
     results = []
-    # one walk per block, coin chunks, one flip per block and every walk in one block
-    for block in (1, 3 * n, n * B, 3 * n * B):
+    # one walk per block, three walks per block, one flip per block, two blocks of
+    # 1.5 flips each and every walk in one block
+    for block in (1, 3 * n, n * B, 2 * n * B, 3 * n * B):
         monkeypatch.setattr(maxprob, "_BLOCK_AMPLITUDES", block)
         results.append(_as_tuples(g_functions(P, kappa, grid), grid))
     assert all(r == results[0] for r in results[1:])

@@ -150,8 +150,7 @@ def test_coin_matrices_keep_the_batch_order_and_each_coin_kind():
     assert coins[0].matrix().tobytes() == generalized_coin_matrix(0.3, 1.2).tobytes()
     assert coins[1].matrix().tobytes() == FlipOperator.X.matrix().tobytes()
     assert coins[2].matrix().tobytes() == generalized_coin_matrix(2.0, 0.0).tobytes()
-    walk = BatchWalk(5, 2, np.stack([coin.matrix() for coin in coins]))
-    walk.start(FlipOperator.Y)
+    walk = BatchWalk(5, 2, np.stack([coin.matrix() for coin in coins]), [FlipOperator.Y] * 3)
     for _ in range(7):
         walk.step()
     peaks = walk.peaks(tuple(MeasurementMode), np.arange(len(coins)))
