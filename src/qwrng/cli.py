@@ -29,7 +29,7 @@ import secrets
 import sys
 from pathlib import Path
 
-from qwrng.experiments import emit, preset, run_rate_curve, run_table, write_whole
+from qwrng.experiments import emit, pool_size, preset, run_rate_curve, run_table, write_whole
 from qwrng.maxprob import SweepGrid, g_functions, sweep_bytes
 from qwrng.pipeline import SourceModel, run_bytes, run_protocol
 from qwrng.rates import ProtocolParams, pa_margin
@@ -362,8 +362,10 @@ def _cmd_maxprob(opts: dict) -> int:
 def _cmd_preset(opts: dict, run) -> int:
     """`table` and `curve`: evaluate a preset with `run` and write the result."""
     spec = preset(opts["preset"], R=opts["R"], t_max=opts["tmax"])
-    need, P, kappa = max((sweep_bytes(P, k, spec.grid), P, k) for P, k, _ in spec.cases)
-    _check_memory(need, f"the sweep over P = {P}, kappa = {kappa} of {spec.name}")
+    # each of pool_size workers holds one sweep, so the largest few are held at once
+    needs = sorted({(sweep_bytes(P, k, spec.grid), P, k) for P, k, _ in spec.cases}, reverse=True)
+    _check_memory(sum(n for n, _, _ in needs[:pool_size(len(needs))]),
+                  "the sweep over P = {1}, kappa = {2} of ".format(*needs[0]) + spec.name)
     # emit's file name is known before the sweep only when it carries no timestamp
     out = Path(opts["out"])
     _check_out(out, *([out / f"{spec.name}.{opts['format']}"] if opts["no_timestamp"] else []))

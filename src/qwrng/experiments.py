@@ -179,6 +179,11 @@ def preset(name: str, R: int | None = None, t_max: int | None = None) -> Experim
     return ExperimentSpec(name=name, cases=cases, grid=grid, noise_levels=noises)
 
 
+def pool_size(sweeps: int) -> int:
+    """Processes that sweep at once: one per CPU this process may use, at most `sweeps`."""
+    return min(sweeps, len(os.sched_getaffinity(0))) if hasattr(os, "sched_getaffinity") else 1
+
+
 def _sweep_cells(spec: ExperimentSpec) -> list[MaxProbResult]:
     """Every cell's result, one pass per (P, kappa) over only the modes its cells ask for."""
     if not spec.cases:
@@ -186,7 +191,26 @@ def _sweep_cells(spec: ExperimentSpec) -> list[MaxProbResult]:
     requested: dict[tuple[int, int], dict[MeasurementMode, None]] = {}
     for P, kappa, mode in spec.cases:
         requested.setdefault((P, kappa), {})[mode] = None
-    swept = {key: g_functions(*key, spec.grid, tuple(modes)) for key, modes in requested.items()}
+    # largest (P * 2**kappa, as the cells share one grid) first, each to the next free worker
+    keys = sorted(requested, key=lambda key: key[0] << key[1], reverse=True)
+    args = [(*key, spec.grid, tuple(requested[key])) for key in keys]
+    workers = pool_size(len(keys))
+    if workers == 1:
+        results = [g_functions(*a) for a in args]
+    else:  # imported here, so that the CLI's import does not slow down
+        import multiprocessing
+        import signal
+        # forked with SIGINT blocked, the workers leave an interrupt to this process
+        mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+        try:
+            with multiprocessing.get_context("fork").Pool(workers) as pool:
+                signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+                results = pool.starmap(g_functions, args, chunksize=1)
+                pool.close()
+                pool.join()
+        finally:
+            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+    swept = dict(zip(keys, results))
     return [swept[(P, kappa)][mode] for P, kappa, mode in spec.cases]
 
 
@@ -201,10 +225,9 @@ def run_rate_curve(spec: ExperimentSpec) -> RateCurve:
         raise ValueError(f"{spec.name} is a table preset, not a rate curve: use `qwrng table`")
     points, signals = [], default_signal_grid()
     for (P, kappa, mode), res in zip(spec.cases, _sweep_cells(spec)):
-        gamma = res.gamma
         for Q in spec.noise_levels:
             for N in signals:
-                rr = rate_for_mode(ProtocolParams(N=N, Q=Q), gamma, P, kappa, mode)
+                rr = rate_for_mode(ProtocolParams(N=N, Q=Q), res.gamma, P, kappa, mode)
                 points.append(CurvePoint(case=rr.case, kappa=kappa, P=P, Q=Q, N=N, rate=rr.rate))
     return RateCurve(name=spec.name, rows=tuple(points))
 

@@ -8,6 +8,7 @@ import shlex
 import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -243,6 +244,30 @@ class TestTable:
         assert errors == [{"error": f"-o/--out: {taken} is a directory, not a file"}]
         assert sorted(tmp_path.rglob("*")) == [taken.parent, taken]
 
+    @pytest.mark.parametrize("delay", [0.0, 1.0], ids=["at-once", "mid-sweep"])
+    def test_an_interrupted_preset_leaves_no_process(self, tmp_path, delay):
+        # SIGINT to the whole process group, as a terminal's Ctrl-C sends it:
+        # at once, as the workers start, or after a second, as they sweep
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "qwrng.cli", "table", "table1", "--tmax", "1000000",
+             "--no-timestamp"],
+            env=src_env(), cwd=tmp_path, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            start_new_session=True)
+        try:
+            assert json.loads(proc.stderr.readline())["command"] == "table"
+            time.sleep(delay)
+            os.killpg(proc.pid, signal.SIGINT)
+            out, err = proc.communicate(timeout=60)
+        finally:
+            proc.kill()
+            proc.wait()
+        assert proc.returncode == 2
+        assert out == ""
+        assert [json.loads(line) for line in err.splitlines()] == [{"error": "interrupted"}]
+        assert list(tmp_path.iterdir()) == []
+        with pytest.raises(ProcessLookupError):  # no worker outlived the run
+            os.killpg(proc.pid, 0)
+
     def test_thread_option_is_gone(self, capsys, tmp_path):
         rc, _, err = run(capsys, "table", "table2", "--tmax", "1", "-o", str(tmp_path),
                          "--threads", "2")
@@ -375,6 +400,7 @@ class TestMemoryPreflight:
             raise AssertionError("swept a preset that cannot fit in memory")
 
         monkeypatch.setattr(experiments, "g_functions", must_not_run)
+        monkeypatch.setattr(cli, "pool_size", lambda sweeps: 1)  # one sweep held at a time
         rc, out, err = run(capsys, "table", "table2", "--R", "12000", "-o", str(tmp_path))
         assert rc == 2
         assert out == ""
@@ -387,6 +413,33 @@ class TestMemoryPreflight:
     def half_gib_machine(self, monkeypatch):
         pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 1 << 17}
         monkeypatch.setattr(os, "sysconf", pages.__getitem__)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_a_preset_is_charged_the_sweeps_its_workers_hold(self, capsys, tmp_path, monkeypatch,
+                                                             half_gib_machine, workers):
+        # table2 at R = 2300: each of its three largest cells needs about 0.32
+        # GiB, so one fits in 0.5 GiB and two held at once do not
+        class Swept(Exception):
+            pass
+
+        def sweep(*args):
+            raise Swept
+
+        monkeypatch.setattr(experiments, "g_functions", sweep)
+        monkeypatch.setattr(experiments, "pool_size", lambda sweeps: 1)  # the spy runs here
+        monkeypatch.setattr(cli, "pool_size", lambda sweeps: min(sweeps, workers))
+        argv = ["table", "table2", "--R", "2300", "--tmax", "3", "-o", str(tmp_path)]
+        if workers == 1:
+            with pytest.raises(Swept):
+                main(argv)
+            return
+        rc, out, err = run(capsys, *argv)
+        assert rc == 2
+        assert out == ""
+        errors = [json.loads(line) for line in err.splitlines() if '"error"' in line]
+        assert errors == [{"error": "the sweep over P = 3, kappa = 1 of table2 needs about 0.6 GiB "
+                                    "of memory, more than the 0.5 GiB this machine has"}]
+        assert not list(tmp_path.iterdir())
 
     def test_a_small_run_is_charged_the_hash_it_can_run(self, capsys, tmp_path,
                                                          half_gib_machine):
@@ -538,6 +591,7 @@ class TestMemoryPreflight:
 
         for module in (cli, experiments):
             monkeypatch.setattr(module, "g_functions", sweep)
+        monkeypatch.setattr(experiments, "pool_size", lambda sweeps: 1)  # the spy runs here
         monkeypatch.chdir(tmp_path)
         with pytest.raises(Swept, match="^100000000$"):
             main(list(argv))

@@ -1,6 +1,8 @@
 """Preset layout, sweep sharing and file emission."""
 
 import json
+import multiprocessing
+import os
 import re
 
 import pytest
@@ -132,6 +134,7 @@ class TestRunTable:
             return g_functions(P, kappa, grid, modes)
 
         monkeypatch.setattr(experiments, "g_functions", spy)
+        monkeypatch.setattr(experiments, "pool_size", lambda sweeps: 1)  # the spy runs here
         rows = run_table(ExperimentSpec(name="mixed", cases=cases, grid=grid)).rows
         assert dict(calls) == {(5, 2): (all_,), (3, 2): (all_, mem, pos), (3, 1): (all_,)}
         assert len(calls) == 3
@@ -146,10 +149,38 @@ class TestRunTable:
             return g_functions(P, kappa, grid, modes)
 
         monkeypatch.setattr(experiments, "g_functions", spy)
+        monkeypatch.setattr(experiments, "pool_size", lambda sweeps: 1)  # the spy runs here
         spec = _tiny_table_spec()
         first = run_table(spec)
         assert run_table(spec) == first
         assert len(calls) == 2 * len(spec.cases)  # the second run swept every cell again
+
+
+class TestWorkerPool:
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_pooled_rows_equal_the_in_process_rows(self, monkeypatch, name):
+        spec = preset(name, t_max=20)
+        # two workers even on one CPU, so the pool runs wherever the test does
+        monkeypatch.setattr(experiments, "pool_size", lambda sweeps: min(sweeps, 2))
+        pooled = run_table(spec)
+        assert multiprocessing.active_children() == []
+        monkeypatch.setattr(experiments, "pool_size", lambda sweeps: 1)
+        in_process = run_table(spec)
+        assert pooled.rows == in_process.rows
+        assert pooled.cells() == in_process.cells()
+
+    def test_a_failed_sweep_leaves_no_worker(self, monkeypatch):
+        monkeypatch.setattr(experiments, "pool_size", lambda sweeps: min(sweeps, 2))
+        # P = 1 fails in its worker; the error comes back, and the pool is ended
+        cases = ((5, 2, MeasurementMode.ALL), (1, 1, MeasurementMode.ALL))
+        with pytest.raises(ValueError, match="need P >= 2"):
+            run_table(ExperimentSpec(name="bad", cases=cases, grid=SweepGrid(t_min=1, t_max=5)))
+        assert multiprocessing.active_children() == []
+
+    def test_pool_size_counts_usable_cpus_up_to_the_sweeps(self):
+        cpus = len(os.sched_getaffinity(0))
+        assert experiments.pool_size(1) == 1
+        assert experiments.pool_size(1000) == cpus
 
 
 @pytest.fixture(scope="module")

@@ -24,8 +24,7 @@ their whole default window, t <= 2000.
 import numpy as np
 import pytest
 
-from qwrng.experiments import preset, run_table
-from qwrng.maxprob import g_functions
+from qwrng.experiments import ExperimentSpec, _sweep_cells, preset, run_table
 from qwrng.walk import FlipOperator, MeasurementMode
 
 PRESETS = ("table1", "table2", "table3", "table4", "table5", "table6", "kappa1")
@@ -121,13 +120,17 @@ def hadamard_window():
 
     The four presets' rows are the results of kappa 1-4 and P in
     (3, 5, 11, 21, 51), so one all-mode sweep and one oracle pass per
-    (P, kappa) serve every row.
+    (P, kappa) serve every row.  The sweeps run as one preset, in its
+    worker pool.
     """
     specs = {name: preset(name) for name in HADAMARD_PRESETS}
     [grid] = {spec.grid for spec in specs.values()}
     assert grid.flips == (FlipOperator.I,)
-    cells = {(P, kappa) for spec in specs.values() for P, kappa, _ in spec.cases}
-    swept = {cell: g_functions(*cell, grid) for cell in cells}
+    cells = sorted({(P, kappa) for spec in specs.values() for P, kappa, _ in spec.cases})
+    every_mode = ExperimentSpec("window", tuple((*cell, mode) for cell in cells
+                                                for mode in MeasurementMode), grid)
+    rows = iter(_sweep_cells(every_mode))
+    swept = {cell: {mode: next(rows) for mode in MeasurementMode} for cell in cells}
     series = {cell: peaks(*cell, coin(None, None), ("I",), grid.t_max) for cell in cells}
     return specs, swept, series
 
