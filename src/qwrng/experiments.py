@@ -19,6 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from qwrng.maxprob import MaxProbResult, SweepGrid, g_functions
+from qwrng.pipeline import usable_cpus
 from qwrng.rates import ProtocolCase, ProtocolParams, rate_for_mode
 from qwrng.walk import MeasurementMode
 
@@ -30,6 +31,9 @@ _P_FULL = (3, 5, 11, 21, 51)
 _P_SMALL = (3, 5, 11, 21)
 _NOISE_WIDE = (0.0, 0.15, 0.2, 0.3)
 _NOISE_NARROW = (0.0, 0.15, 0.2)
+# seconds between the sweep pool's checks that none of its workers died
+_POOL_POLL_S = 0.2
+
 # signal counts of the rate curves: _N_POINTS log-spaced from _N_LO to _N_HI
 _N_POINTS, _N_LO, _N_HI = 40, 1e3, 1e10
 
@@ -181,7 +185,7 @@ def preset(name: str, R: int | None = None, t_max: int | None = None) -> Experim
 
 def pool_size(sweeps: int) -> int:
     """Processes that sweep at once: one per CPU this process may use, at most `sweeps`."""
-    return min(sweeps, len(os.sched_getaffinity(0))) if hasattr(os, "sched_getaffinity") else 1
+    return min(sweeps, usable_cpus())
 
 
 def _sweep_cells(spec: ExperimentSpec) -> list[MaxProbResult]:
@@ -205,7 +209,16 @@ def _sweep_cells(spec: ExperimentSpec) -> list[MaxProbResult]:
         try:
             with multiprocessing.get_context("fork").Pool(workers) as pool:
                 signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-                results = pool.starmap(g_functions, args, chunksize=1)
+                # a killed worker is replaced, but its sweep's result never comes
+                pids = {p.pid for p in multiprocessing.active_children()}
+                pending = pool.starmap_async(g_functions, args, chunksize=1)
+                while True:
+                    try:
+                        results = pending.get(_POOL_POLL_S)
+                        break
+                    except multiprocessing.TimeoutError:
+                        if {p.pid for p in multiprocessing.active_children()} != pids:
+                            raise ChildProcessError("a sweep worker process was killed") from None
                 pool.close()
                 pool.join()
         finally:

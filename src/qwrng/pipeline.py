@@ -14,16 +14,22 @@ every seeded run, so the layout is part of the file-format contract.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import math
+import os
 from collections.abc import Iterable
 from dataclasses import dataclass, replace
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from qwrng.rates import ProtocolCase, ProtocolParams, gamma_from_g, pa_margin, rate_for_mode
 from qwrng.walk import MeasurementMode, WalkConfig, distribution, evolve
+
+if TYPE_CHECKING:  # concurrent.futures is imported where the hash runs, off the CLI's import
+    from concurrent.futures import Executor
 
 # stream numbers: depolarization mask, test outcomes, honest extraction
 # draws, depolarized extraction draws, subset choice, hash seed
@@ -43,6 +49,11 @@ _FFT_BUDGET = 27 << 25  # 864 MiB
 # block of 16 rows of a few thousand bins stays in L2
 _ROW_BLOCK = 16
 
+# transform points each of the hash's threads takes at least: one thread
+# ran forward transforms of 1e6 points in 15.6 ms against 16.6 on two, and
+# of 2e6 in 39 ms against 28 (2 vCPUs)
+_THREAD_POINTS = 1 << 20
+
 # columns of dst that _copy_transposed copies at a time
 _TILE = 512
 
@@ -53,6 +64,11 @@ _UNPACK_BYTES = 1 << 12
 # what a transform costs beyond its points (the call, encoding and staging
 # an input block), in points, so that many tiny tiles never look cheapest
 _CALL_POINTS = 1 << 10
+
+
+def usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set, or 1 where the platform cannot say."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 
 def _stream(seed: int, which: int) -> np.random.Generator:
@@ -262,9 +278,17 @@ class _RealFFT:
     adds their product with a factor, so a sum of products of spectra
     needs no third spectrum.  `inverse` runs the steps backwards in
     place on the spectrum, with the rfft's inverse down axis 0.
+
+    Every pass is a set of independent sub-transforms, so given a pool
+    of `workers` threads, each pass is split into that many contiguous
+    shares of its columns or rows, one to a thread, and at most one per
+    row of the block buffer.  Each thread stages in its own rows of that
+    buffer, so no array grows; numpy's transforms and ufuncs release
+    the GIL, and each bin is computed as one thread would, so the
+    spectra do not depend on the thread count.
     """
 
-    def __init__(self, M: int):
+    def __init__(self, M: int, workers: int = 1, pool: Executor | None = None):
         self.M1, self.M2, A = _four_step_split(M)
         rows = self.M1 // 2 + 1
         self.shape = (rows, self.M2)
@@ -275,41 +299,79 @@ class _RealFFT:
         self._split = (self.M2 // A, A)  # a row as n2 = a + A b, for the twiddles
         self._cols = np.empty((self.M2, rows), dtype=np.complex128)
         self._block = np.empty((min(_ROW_BLOCK, rows), self.M2), dtype=np.complex128)
+        n = min(workers, len(self._block))
+        # each thread's own rows of the block buffer
+        self._blocks = [self._block[k * len(self._block) // n : (k + 1) * len(self._block) // n]
+                        for k in range(n)]
+        self._pool = pool
+
+    def _each(self, size: int, work) -> None:
+        """work(lo, hi, block) over contiguous shares of range(size), each with its own block rows."""
+        n = len(self._blocks)
+        if n == 1:
+            work(0, size, self._blocks[0])
+            return
+        shares = [self._pool.submit(work, k * size // n, (k + 1) * size // n, block)
+                  for k, block in enumerate(self._blocks)]
+        for share in shares:
+            share.result()
 
     def forward(self, x: np.ndarray, out: np.ndarray, factor: np.ndarray | None = None) -> np.ndarray:
         """Stream the spectrum X of the M reals x: out = X, or given a factor, out += factor * X."""
         M1, M2 = self.M1, self.M2
         x = x.reshape(M1, M2)
-        # the column blocks fill the row-block buffer, read as floats
-        real = self._block.reshape(-1).view(np.float64)
-        step = min(M2, real.shape[0] // M1)
-        for c0 in range(0, M2, step):
-            cols = real[: min(step, M2 - c0) * M1].reshape(-1, M1)
-            _copy_transposed(cols, x[:, c0 : c0 + step])
-            np.fft.rfft(cols, axis=1, out=self._cols[c0 : c0 + step])
-        for r0 in range(0, self.shape[0], _ROW_BLOCK):
-            r1 = min(r0 + _ROW_BLOCK, self.shape[0])
-            block = self._block[: r1 - r0]
-            _copy_transposed(block, self._cols[:, r0:r1])
-            twiddled = block.reshape(r1 - r0, *self._split)
-            twiddled *= self._hi[r0:r1]
-            twiddled *= self._lo[r0:r1]
-            if factor is None:
-                np.fft.fft(block, axis=1, out=out[r0:r1])
-            else:
-                spectrum = np.fft.fft(block, axis=1, out=block)
-                out[r0:r1] += np.multiply(factor[r0:r1], spectrum, out=block)
+
+        def columns(c_lo: int, c_hi: int, block: np.ndarray) -> None:
+            # the column blocks fill the block rows, read as floats
+            real = block.reshape(-1).view(np.float64)
+            step = min(M2, real.shape[0] // M1)
+            for c0 in range(c_lo, c_hi, step):
+                c1 = min(c0 + step, c_hi)
+                cols = real[: (c1 - c0) * M1].reshape(-1, M1)
+                _copy_transposed(cols, x[:, c0:c1])
+                np.fft.rfft(cols, axis=1, out=self._cols[c0:c1])
+
+        def rows(r_lo: int, r_hi: int, buffer: np.ndarray) -> None:
+            for r0 in range(r_lo, r_hi, buffer.shape[0]):
+                r1 = min(r0 + buffer.shape[0], r_hi)
+                block = buffer[: r1 - r0]
+                _copy_transposed(block, self._cols[:, r0:r1])
+                twiddled = block.reshape(r1 - r0, *self._split)
+                twiddled *= self._hi[r0:r1]
+                twiddled *= self._lo[r0:r1]
+                if factor is None:
+                    np.fft.fft(block, axis=1, out=out[r0:r1])
+                else:
+                    spectrum = np.fft.fft(block, axis=1, out=block)
+                    out[r0:r1] += np.multiply(factor[r0:r1], spectrum, out=block)
+
+        self._each(M2, columns)
+        self._each(self.shape[0], rows)
         return out
 
     def inverse(self, spec: np.ndarray, out: np.ndarray) -> np.ndarray:
         """The M floats whose spectrum is spec, written into out; spec is overwritten."""
-        for r0 in range(0, self.shape[0], _ROW_BLOCK):
-            rows = spec[r0 : r0 + _ROW_BLOCK]
-            twiddled = rows.reshape(rows.shape[0], *self._split)
-            np.fft.ifft(rows, axis=1, out=rows)
-            twiddled *= self._lo[r0 : r0 + _ROW_BLOCK].conj()
-            twiddled *= self._hi[r0 : r0 + _ROW_BLOCK].conj()
-        return np.fft.irfft(spec, self.M1, axis=0, out=out.reshape(self.M1, self.M2)).reshape(-1)
+
+        x = out.reshape(self.M1, self.M2)
+
+        def rows(r_lo: int, r_hi: int, buffer: np.ndarray) -> None:
+            # in place, as many rows at a time as the thread's block rows hold
+            for r0 in range(r_lo, r_hi, buffer.shape[0]):
+                r1 = min(r0 + buffer.shape[0], r_hi)
+                block = spec[r0:r1]
+                twiddled = block.reshape(r1 - r0, *self._split)
+                np.fft.ifft(block, axis=1, out=block)
+                twiddled *= self._lo[r0:r1].conj()
+                twiddled *= self._hi[r0:r1].conj()
+
+        def columns(c0: int, c1: int, _: np.ndarray) -> None:
+            # irfft returns its out=, and numpy skips assigning a view to itself;
+            # the assignment keeps whatever it returns
+            x[:, c0:c1] = np.fft.irfft(spec[:, c0:c1], self.M1, axis=0, out=x[:, c0:c1])
+
+        self._each(self.shape[0], rows)
+        self._each(self.M2, columns)
+        return out
 
 
 def _copy_transposed(dst: np.ndarray, src: np.ndarray) -> None:
@@ -411,43 +473,53 @@ def _toeplitz_parity(seed: np.ndarray, bits: int, raw: np.ndarray, d: int) -> np
     one M-byte stage that feeds every _RealFFT, so neither the L-bit
     string nor the unpacked seed exists.  An output block sums its tiles'
     products of spectra from zero and inverts once; its counts, at most
-    L, are rounded back to exact integers.
+    L, are rounded back to exact integers.  The transforms' passes run on
+    one thread per usable CPU, but on no more threads than give each
+    _THREAD_POINTS points, in a pool that ends before this returns.
     """
     w = digit_width(d)
     L = raw.shape[0] * w
     ell = bits - L + 1
     b_o, b_i, M = _hash_plan(ell, L, w)
-    fft = _RealFFT(M)
-    acc, seg = (np.empty(fft.shape, dtype=np.complex128) for _ in range(2))
-    stage = np.empty(M, dtype=np.uint8)
-    out = np.empty(ell, dtype=np.uint8)
-    for i0 in range(0, ell, b_o):
-        n = min(b_o, ell - i0)
-        acc[...] = 0
-        for j1 in range(L, 0, -b_i):
-            lo = L - j1 + i0
-            hi = min(lo + b_o + b_i - 1, bits)
-            _unpack_into(stage[: hi - lo], seed, lo)
-            stage[hi - lo :] = 0
-            fft.forward(stage, seg)
-            j0 = max(0, j1 - b_i)
-            pad = b_i - (j1 - j0)
-            stage[:pad] = 0
-            encode_digits(raw[j0 // w : j1 // w], d, out=stage[pad:b_i])
-            stage[b_i:] = 0
-            fft.forward(stage, acc, factor=seg)
-        counts = fft.inverse(acc, seg.reshape(-1).view(np.float64)[:M])[b_i - 1 : b_i - 1 + n]
-        rounded = np.rint(counts, out=acc.reshape(-1).view(np.float64)[:n])
-        # entries are exact bit counts; a residual near 0.5 would mean the
-        # float path lost them
-        residual = np.abs(np.subtract(counts, rounded, out=counts), out=counts)
-        if residual.max() > 1e-2:
-            raise FloatingPointError("convolution residual too large for exact bit counts")
-        # a count is odd when half of it is not a whole number; np.remainder
-        # gives the same bits at about seven times the cost
-        half = np.multiply(rounded, 0.5, out=rounded)
-        np.not_equal(half, np.floor(half, out=counts), out=out[i0 : i0 + n])
-    return out
+    workers = max(1, min(usable_cpus(), M // _THREAD_POINTS))
+    threads = contextlib.nullcontext()  # one worker runs in this thread
+    if workers > 1:
+        # imported here, so that the CLI's import does not slow down
+        from concurrent.futures import ThreadPoolExecutor
+
+        threads = ThreadPoolExecutor(workers)
+    with threads as pool:
+        fft = _RealFFT(M, workers, pool)
+        acc, seg = (np.empty(fft.shape, dtype=np.complex128) for _ in range(2))
+        stage = np.empty(M, dtype=np.uint8)
+        out = np.empty(ell, dtype=np.uint8)
+        for i0 in range(0, ell, b_o):
+            n = min(b_o, ell - i0)
+            acc[...] = 0
+            for j1 in range(L, 0, -b_i):
+                lo = L - j1 + i0
+                hi = min(lo + b_o + b_i - 1, bits)
+                _unpack_into(stage[: hi - lo], seed, lo)
+                stage[hi - lo :] = 0
+                fft.forward(stage, seg)
+                j0 = max(0, j1 - b_i)
+                pad = b_i - (j1 - j0)
+                stage[:pad] = 0
+                encode_digits(raw[j0 // w : j1 // w], d, out=stage[pad:b_i])
+                stage[b_i:] = 0
+                fft.forward(stage, acc, factor=seg)
+            counts = fft.inverse(acc, seg.reshape(-1).view(np.float64)[:M])[b_i - 1 : b_i - 1 + n]
+            rounded = np.rint(counts, out=acc.reshape(-1).view(np.float64)[:n])
+            # entries are exact bit counts; a residual near 0.5 would mean the
+            # float path lost them
+            residual = np.abs(np.subtract(counts, rounded, out=counts), out=counts)
+            if residual.max() > 1e-2:
+                raise FloatingPointError("convolution residual too large for exact bit counts")
+            # a count is odd when half of it is not a whole number; np.remainder
+            # gives the same bits at about seven times the cost
+            half = np.multiply(rounded, 0.5, out=rounded)
+            np.not_equal(half, np.floor(half, out=counts), out=out[i0 : i0 + n])
+        return out
 
 
 def _unpack_into(dst: np.ndarray, packed: np.ndarray, start: int) -> None:
@@ -473,7 +545,7 @@ def privacy_amplify(raw: np.ndarray, ell: int, seed: int, *, d: int) -> np.ndarr
     the ell outputs are computed, as the middle of the convolution of
     s with x, in float64 FFT tiles whose working set fits _FFT_BUDGET;
     the counts are exact integers, so the bits do not depend on the
-    tiling.
+    tiling or on the thread count.
     """
     if ell < 0:
         raise ValueError("output length cannot be negative")

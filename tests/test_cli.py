@@ -268,6 +268,38 @@ class TestTable:
         with pytest.raises(ProcessLookupError):  # no worker outlived the run
             os.killpg(proc.pid, 0)
 
+    def test_a_killed_worker_ends_the_preset(self, tmp_path):
+        # two workers even on one CPU; one is SIGKILLed mid-sweep, as the
+        # OOM killer would, and its sweep's result never comes
+        code = ("import sys; from qwrng import cli, experiments; "
+                "experiments.pool_size = lambda sweeps: min(sweeps, 2); "
+                "raise SystemExit(cli.main(sys.argv[1:]))")
+        start = time.monotonic()
+        proc = subprocess.Popen(
+            [sys.executable, "-c", code, "table", "table2", "--tmax", "300", "--no-timestamp"],
+            env=src_env(), cwd=tmp_path, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            start_new_session=True)
+        try:
+            assert json.loads(proc.stderr.readline())["command"] == "table"
+            children = Path(f"/proc/{proc.pid}/task/{proc.pid}/children")
+            while len(workers := children.read_text().split()) < 2:
+                assert time.monotonic() - start < 30
+                time.sleep(0.01)
+            time.sleep(0.2)  # both workers are in their first sweeps
+            os.kill(int(workers[0]), signal.SIGKILL)
+            out, err = proc.communicate(timeout=30)
+        finally:
+            proc.kill()
+            proc.wait()
+        assert time.monotonic() - start < 30
+        assert proc.returncode == 2
+        assert out == ""
+        assert [json.loads(line) for line in err.splitlines()] == [
+            {"error": "a sweep worker process was killed"}]
+        assert list(tmp_path.iterdir()) == []
+        with pytest.raises(ProcessLookupError):  # no worker outlived the run
+            os.killpg(proc.pid, 0)
+
     def test_thread_option_is_gone(self, capsys, tmp_path):
         rc, _, err = run(capsys, "table", "table2", "--tmax", "1", "-o", str(tmp_path),
                          "--threads", "2")
@@ -673,6 +705,41 @@ class TestExtract:
         assert out == ""
         assert [json.loads(line) for line in err.splitlines()] == [{"error": "interrupted"}]
         assert list(tmp_path.iterdir()) == []
+
+    def test_an_interrupt_mid_hash_writes_no_file(self, tmp_path):
+        # extract-1e7's run: a second after the config line, the hash's threads are running
+        start = time.monotonic()
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "qwrng.cli", "extract", "-P", "5", "-k", "2", "-T", "636",
+             "--mode", "position", "-N", "10000000", "--seed", "7", "-o", "run"],
+            env=src_env(), cwd=tmp_path, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+        try:
+            assert json.loads(proc.stderr.readline())["command"] == "extract"
+            time.sleep(1.0)
+            proc.send_signal(signal.SIGINT)
+            out, err = proc.communicate(timeout=60)
+        finally:
+            proc.kill()
+            proc.wait()
+        assert time.monotonic() - start < 60
+        assert proc.returncode == 2
+        assert out == ""
+        assert [json.loads(line) for line in err.splitlines()] == [{"error": "interrupted"}]
+        assert list(tmp_path.iterdir()) == []
+
+    def test_records_and_bits_do_not_depend_on_the_thread_count(self, capsys, tmp_path,
+                                                                monkeypatch):
+        outputs = []
+        for workers in (1, 2):  # two even on one CPU
+            monkeypatch.setattr(pipeline, "usable_cpus", lambda workers=workers: workers)
+            stem = tmp_path / f"w{workers}"
+            rc, _, _ = run(capsys, "extract", "-P", "5", "-k", "2", "-T", "636", "--mode",
+                           "position", "-N", "1000000", "--seed", "7", "-o", str(stem))
+            assert rc == 0
+            outputs.append((stem.with_suffix(".record.txt").read_bytes(),
+                            stem.with_suffix(".bits").read_bytes()))
+        assert outputs[0] == outputs[1]
+        assert len(outputs[0][1]) > 0
 
     def test_heavy_noise_aborts_with_empty_output(self, capsys, tmp_path):
         rc, out, _ = run(capsys, "extract", "-P", "5", "-T", "8",

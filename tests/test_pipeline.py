@@ -1,6 +1,8 @@
 import hashlib
 import math
+import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -328,6 +330,52 @@ def test_four_step_transform_pair(M):
     np.testing.assert_array_equal(np.rint(got), cyclic)
 
 
+@pytest.mark.parametrize("M", [1, 2, 3, 5, 9, 15, 45, 1024, 4500, 3**12, 5**8])
+def test_four_step_transform_is_the_same_on_every_thread_count(M):
+    a, b = np.random.default_rng(M).integers(0, 2, size=(2, M)).astype(np.uint8)
+    passes = []
+    with ThreadPoolExecutor(3) as pool:
+        for workers in (1, 2, 3):  # forced, so more threads than this host may have CPUs
+            fft = pipeline._RealFFT(M, workers, pool)
+            assert len(fft._blocks) == min(workers, fft.shape[0])
+            spectrum = fft.forward(a, np.empty(fft.shape, dtype=np.complex128))
+            summed = fft.forward(b, spectrum.copy(), factor=spectrum)
+            passes.append((spectrum, summed, fft.inverse(summed.copy(), np.empty(M))))
+    for threaded in passes[1:]:
+        for got, serial in zip(threaded, passes[0]):
+            np.testing.assert_array_equal(got, serial)
+
+
+def test_the_hash_ends_its_threads(monkeypatch):
+    monkeypatch.setattr(pipeline, "usable_cpus", lambda: 2)  # two even on one CPU
+    monkeypatch.setattr(pipeline, "_THREAD_POINTS", 1)
+    fft, running = np.fft.fft, []
+    monkeypatch.setattr(np.fft, "fft", lambda *a, **kw: running.append(threading.active_count())
+                        or fft(*a, **kw))
+    before = threading.active_count()
+    raw = np.random.default_rng(3).integers(0, 2, size=4096)
+    assert privacy_amplify(raw, 512, 99, d=2).shape == (512,)
+    assert max(running) > before  # the transforms ran on the pool's threads
+    assert threading.active_count() == before
+
+
+def test_a_hash_thread_error_reaches_the_caller_as_itself(monkeypatch):
+    monkeypatch.setattr(pipeline, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(pipeline, "_THREAD_POINTS", 1)
+
+    class Failed(Exception):
+        pass
+
+    def fail(*args, **kwargs):
+        raise Failed
+
+    monkeypatch.setattr(np.fft, "rfft", fail)
+    before = threading.active_count()
+    with pytest.raises(Failed):
+        privacy_amplify(np.random.default_rng(3).integers(0, 2, size=4096), 512, 99, d=2)
+    assert threading.active_count() == before
+
+
 def plan(ell, L, w):
     """(n_out, n_in, M) of the hash of L bits, in w-bit digits, down to ell."""
     b_o, b_i, M = pipeline._hash_plan(ell, L, w)
@@ -481,6 +529,30 @@ def test_hash_working_set_model_bounds_what_the_hash_allocates(monkeypatch, N, e
     """
     if budget is not None:
         monkeypatch.setattr(pipeline, "_FFT_BUDGET", budget)
+    d = 5
+    raw = np.random.default_rng(N + ell).integers(0, d, size=N).astype(np.uint8)
+    L = N * digit_width(d)
+    s = np.packbits(toeplitz_seed_bits(1, ell, L))
+    bound = planned_working_set(ell, L, digit_width(d), tiles) + ell
+    tracemalloc.start()
+    try:
+        pipeline._toeplitz_parity(s, ell + L - 1, raw, d)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert 0.9 * bound <= peak <= bound, (peak, bound)
+
+
+@HASH_SIZES
+@pytest.mark.parametrize("workers", [2, 3])
+def test_the_hash_threads_stage_within_the_working_set_model(monkeypatch, N, ell, budget, tiles,
+                                                             workers):
+    # each thread stages in its own rows of the charged block buffer, so
+    # the model, and its bound on the traced peak, hold on any thread count
+    if budget is not None:
+        monkeypatch.setattr(pipeline, "_FFT_BUDGET", budget)
+    monkeypatch.setattr(pipeline, "usable_cpus", lambda: workers)
+    monkeypatch.setattr(pipeline, "_THREAD_POINTS", 1)
     d = 5
     raw = np.random.default_rng(N + ell).integers(0, d, size=N).astype(np.uint8)
     L = N * digit_width(d)
